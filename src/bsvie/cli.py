@@ -8,7 +8,10 @@ every table byte for byte; the manifest records one checksum per table
 (wall-clock time is recorded but hashed into nothing).
 
 Exit codes: 0 success, 1 bad configuration, 2 solver non-convergence,
-3 a verification or axiom check failed.
+3 a verification or axiom check failed, 4 numerical failure (a sweep
+produced non-finite values or a node regression stayed degenerate).
+The run directory appears with its first table, so a run that fails
+before writing one leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -27,15 +30,17 @@ import numpy as np
 
 from .analytic import CASES, convergence_study, error_metrics, get_case, reference_fields
 from .ensemble import sample_ensemble
+from .fields import read_cells
 from .girsanov import DriftSpec, girsanov_selftest, tilt
 from .grid import build_grid
 from .norms import s2_norm
-from .regression import BasisSpec
+from .regression import BasisSpec, DegenerateEnsembleError, RegressionError
 from .risk import Aggregator, RiskSpec, check_axioms, discount_factor, rho_report
 from .solver import (
     Generator,
     ProblemSpec,
     SolverConfig,
+    SolverError,
     Terminal,
     residual,
     solve_adapted,
@@ -50,6 +55,7 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_NO_CONVERGENCE = 2
 _EXIT_CHECK_FAILED = 3
+_EXIT_NUMERICAL = 4
 
 
 class CliError(Exception):
@@ -252,10 +258,15 @@ class _Emitter:
         self.run_dir = run_dir
         self.flags = flags
         self.tables: dict[str, str] = {}
-        os.makedirs(run_dir, exist_ok=True)
+
+    def _open(self, name: str):
+        # the directory appears with its first file, so a run that fails
+        # before writing anything leaves nothing behind
+        os.makedirs(self.run_dir, exist_ok=True)
+        return open(os.path.join(self.run_dir, name), "wb")
 
     def _store(self, name: str, data: bytes) -> None:
-        with open(os.path.join(self.run_dir, name), "wb") as fh:
+        with self._open(name) as fh:
             fh.write(data)
         self.tables[name] = hashlib.sha256(data).hexdigest()
 
@@ -292,7 +303,7 @@ class _Emitter:
             "tables": dict(sorted(self.tables.items())),
         }
         data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        with open(os.path.join(self.run_dir, "manifest.json"), "wb") as fh:
+        with self._open("manifest.json") as fh:
             fh.write(data.encode("utf-8"))
 
 
@@ -384,31 +395,34 @@ def _field_rows(field_values: np.ndarray, nodes: np.ndarray):
         yield i, float(t), mean, stderr, float(np.sqrt(np.mean(col**2)))
 
 
-def _surface_rows(z, nodes: np.ndarray, steps: int):
-    region = getattr(z, "region", "full")
+def _region_cells(z, steps: int):
+    """Cells of a kernel's region in (i, j) row order."""
+    region = z.region
     for i in range(steps + 1):
         for j in range(steps + 1):
             if region == "upper" and i > j:
                 continue
             if region == "lower" and i <= j:
                 continue
-            vals = z.at(i, j)
-            m = vals.shape[0]
-            stderr = float(vals.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-            yield i, j, float(nodes[i]), float(nodes[j]), float(vals.mean()), stderr
+            yield i, j
+
+
+def _surface_rows(z, nodes: np.ndarray, steps: int):
+    cells = list(_region_cells(z, steps))
+    stats = {}
+    for cell, vals in read_cells(z, cells):
+        m = vals.shape[0]
+        stderr = float(vals.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        stats[cell] = float(vals.mean()), stderr
+    for i, j in cells:
+        yield (i, j, float(nodes[i]), float(nodes[j]), *stats[z.representative(i, j)])
 
 
 def _surface_path_rows(z, nodes: np.ndarray, steps: int):
-    region = getattr(z, "region", "full")
-    for i in range(steps + 1):
-        for j in range(steps + 1):
-            if region == "upper" and i > j:
-                continue
-            if region == "lower" and i <= j:
-                continue
-            vals = z.at(i, j)
-            for p in range(vals.shape[0]):
-                yield p, i, j, float(nodes[i]), float(nodes[j]), float(vals[p])
+    for i, j in _region_cells(z, steps):
+        vals = z.at(i, j)
+        for p in range(vals.shape[0]):
+            yield p, i, j, float(nodes[i]), float(nodes[j]), float(vals[p])
 
 
 # -- subcommands ------------------------------------------------------------
@@ -673,6 +687,9 @@ def main(argv: list | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
+    except (SolverError, DegenerateEnsembleError, RegressionError) as e:
+        print(f"error: numerical failure: {e}", file=sys.stderr)
+        return _EXIT_NUMERICAL
     except (KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -3,7 +3,11 @@
 An :class:`AdaptedField` stores one value per (path, node).  A
 :class:`SurfaceField` represents a two-time kernel Z(t_i, t_j); concrete
 backings differ (regression coefficient tables, closed-form callables,
-dense arrays) but all expose ``at(i, j) -> (n_paths,)``.
+dense arrays) but all expose ``at(i, j) -> (n_paths,)`` and
+``column(j, rows)``, which reads several cells of one column together.
+Bulk readers go through :func:`read_cells`, which visits the cells a
+column at a time so that a coefficient-backed kernel builds each node's
+design matrix once per pass instead of once per cell.
 
 Regions: ``upper`` covers the closed triangle t_i <= t_j, ``lower`` the
 strict triangle t_i > t_j, ``full`` the whole square.  Extensions record
@@ -15,7 +19,7 @@ integrands recovered from the stochastic-integral representation of Y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,8 +72,45 @@ class SurfaceField:
         _check_region(self.region, i, j, self.grid.steps)
         return self._values(i, j)
 
+    def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
+        """Values of the cells (i, j) for i in ``rows``, in that order."""
+        for i in rows:
+            yield self.at(i, j)
+
+    def representative(self, i: int, j: int) -> tuple[int, int]:
+        """The cell whose read yields the values of (i, j)."""
+        return i, j
+
     def _values(self, i: int, j: int) -> np.ndarray:
         raise NotImplementedError
+
+
+def read_order(
+    z: SurfaceField, cells: Iterable[tuple[int, int]]
+) -> list[tuple[int, list[int]]]:
+    """Distinct cells to read for ``cells``, as (j, rows) column groups.
+
+    Each cell is first mapped to its representative (the upper cell of a
+    mirrored pair, for a symmetric kernel); columns come in ascending
+    order and rows ascend within a column.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, j in sorted({z.representative(i, j) for i, j in cells}, key=lambda c: (c[1], c[0])):
+        groups.setdefault(j, []).append(i)
+    return list(groups.items())
+
+
+def read_cells(
+    z: SurfaceField, cells: Iterable[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
+    """(representative cell, values) pairs covering ``cells``, column by column.
+
+    Callers that need the values of a mirrored cell look them up under
+    ``z.representative(i, j)``.
+    """
+    for j, rows in read_order(z, cells):
+        for i, values in zip(rows, z.column(j, rows)):
+            yield (i, j), values
 
 
 def design_matrix(state: np.ndarray, degree: int) -> np.ndarray:
@@ -82,8 +123,12 @@ class CoeffSurface(SurfaceField):
 
     Entry (i, j) is a polynomial in the driver state at node j, so the
     stored surface is measurable with respect to the inner time by
-    construction.  Evaluation reproduces the fitted values of the sweep
-    that produced the coefficients bit for bit.
+    construction.  A cell's values are the matrix-vector product of the
+    node-j design with its coefficients, so reads are bitwise
+    reproducible and do not depend on the order in which cells are read,
+    or on whether they are read one at a time or a column at a time.
+    They agree with the sweep's fitted values (a matrix-matrix product)
+    only to rounding.
     """
 
     def __init__(
@@ -102,8 +147,18 @@ class CoeffSurface(SurfaceField):
         self.state = state
         self.coeffs = coeffs
 
+    def _design(self, j: int) -> np.ndarray:
+        return design_matrix(self.state[:, j], self.coeffs.shape[2] - 1)
+
     def _values(self, i: int, j: int) -> np.ndarray:
-        return design_matrix(self.state[:, j], self.coeffs.shape[2] - 1) @ self.coeffs[i, j]
+        return self._design(j) @ self.coeffs[i, j]
+
+    def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
+        for i in rows:
+            _check_region(self.region, i, j, self.grid.steps)
+        x = self._design(j)
+        for i in rows:
+            yield x @ self.coeffs[i, j]
 
 
 class FuncSurface(SurfaceField):
@@ -159,8 +214,16 @@ class SymmetricSurface(SurfaceField):
         super().__init__(base.grid, base.n_paths)
         self.base = base
 
+    def representative(self, i: int, j: int) -> tuple[int, int]:
+        return min(i, j), max(i, j)
+
     def _values(self, i: int, j: int) -> np.ndarray:
-        return self.base.at(min(i, j), max(i, j))
+        return self.base.at(*self.representative(i, j))
+
+    def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
+        if all(i <= j for i in rows):
+            return self.base.column(j, rows)
+        return super().column(j, rows)
 
 
 class CompositeSurface(SurfaceField):
@@ -178,3 +241,9 @@ class CompositeSurface(SurfaceField):
 
     def _values(self, i: int, j: int) -> np.ndarray:
         return self.upper.at(i, j) if i <= j else self.lower.at(i, j)
+
+    def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
+        upper = self.upper.column(j, [i for i in rows if i <= j])
+        lower = self.lower.column(j, [i for i in rows if i > j])
+        for i in rows:
+            yield next(upper) if i <= j else next(lower)

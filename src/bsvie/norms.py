@@ -7,7 +7,9 @@ cells (i, j) with both indices below N.
 Cell sums run in a canonical order (cells sorted after mapping mirrored
 pairs of a symmetric kernel to their upper representative), so the two
 rectangle integrals related by swapping the time arguments of a
-symmetric kernel agree bit for bit, not merely up to rounding.
+symmetric kernel agree bit for bit, not merely up to rounding.  The
+per-cell terms are computed first, reading the kernel a column at a
+time, and only then summed in that order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import AdaptedField, SurfaceField
+from .fields import AdaptedField, SurfaceField, read_cells
 
 
 @dataclass(frozen=True)
@@ -37,23 +39,14 @@ def y_l2(y: AdaptedField) -> float:
     return float(sum(np.mean(vals[:, i] ** 2) * dt for i in range(vals.shape[1])))
 
 
-def _sorted_cells(
-    z: SurfaceField, cells: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    if z.extension == "symmetric":
-        cells = [(min(i, j), max(i, j)) for i, j in cells]
-    else:
-        cells = list(cells)
-    cells.sort()
-    return cells
-
-
 def z_cells_l2(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> float:
     """E sum of |Z(t_i, t_j)|^2 dt^2 over the given cells, canonical order."""
+    cells = sorted(z.representative(i, j) for i, j in cells)
     dt2 = z.grid.dt**2
+    terms = {cell: float(np.mean(v**2)) * dt2 for cell, v in read_cells(z, cells)}
     total = 0.0
-    for i, j in _sorted_cells(z, cells):
-        total += float(np.mean(z.at(i, j) ** 2)) * dt2
+    for cell in cells:
+        total += terms[cell]
     return total
 
 

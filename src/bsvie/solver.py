@@ -33,7 +33,7 @@ from .fields import (
     SymmetricSurface,
 )
 from .grid import TimeGrid
-from .regression import BasisSpec, NodeDesign
+from .regression import BasisSpec, DegenerateEnsembleError, NodeDesign
 
 _ENV_NAMES = frozenset(("t", "s", "y", "z", "zeta", "w", "wt", "wT", "T1", "T"))
 _TERMINAL_NAMES = frozenset(("t", "wt", "wT", "T1", "T"))
@@ -214,10 +214,7 @@ class _Sweep:
         self.dt = grid.dt
         self.nodes = grid.nodes
         self.k = config.basis.size
-        self.designs = [
-            NodeDesign(self.driver.state[:, j], config.basis, self.driver.weights)
-            for j in range(self.n)
-        ]
+        self.designs = [self._node_design(j) for j in range(self.n)]
         self.terminal = problem.terminal.eval_all(grid, ensemble.values)
         bad = ~np.isfinite(self.terminal)
         if bad.any():
@@ -225,6 +222,12 @@ class _Sweep:
             raise SolverError(f"terminal data is non-finite at node {i}")
         self.g = problem.generator
         self.needs = self.g.needs
+
+    def _node_design(self, j: int) -> NodeDesign:
+        try:
+            return NodeDesign(self.driver.state[:, j], self.config.basis, self.driver.weights)
+        except DegenerateEnsembleError as e:
+            raise DegenerateEnsembleError(f"node {j}: {e}") from None
 
     # -- generator environments ------------------------------------------
 
@@ -604,12 +607,17 @@ def martingale_reconstruction_error(
 ) -> np.ndarray:
     """Per-node L2 defect of Y_i against mean + sum_{j<i} Z[i][j] dW_j."""
     n = ensemble.grid.steps
+    recon = np.empty((n + 1, ensemble.n_paths))
+    for i in range(n + 1):
+        recon[i] = float(np.mean(y.at(i)))
+    # column by column, j ascending: each path still sums its terms in j order
+    for j in range(n):
+        rows = range(j + 1, n + 1)
+        for i, values in zip(rows, z_lower.column(j, rows)):
+            recon[i] += values * ensemble.increments[:, j]
     out = np.zeros(n + 1)
     for i in range(n + 1):
-        recon = np.full(ensemble.n_paths, float(np.mean(y.at(i))))
-        for j in range(i):
-            recon = recon + z_lower.at(i, j) * ensemble.increments[:, j]
-        out[i] = float(np.sqrt(np.mean((y.at(i) - recon) ** 2)))
+        out[i] = float(np.sqrt(np.mean((y.at(i) - recon[i]) ** 2)))
     return out
 
 

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per numbered criterion.
 
 Heavy runs share module fixtures; each fixture returns plain scalars so
-at most one large solve report is alive at a time (the full surfaces at
-the pinned 64-step, 65536-path settings weigh around a gigabyte each).
+at most one large solve report is alive at a time.  Surfaces are read
+column by column, so a coefficient-backed kernel builds each node's
+design matrix once per comparison rather than once per cell.
 """
 
 import gc
@@ -20,6 +21,7 @@ from bsvie import (
 )
 from bsvie.analytic import error_metrics, get_case, reference_fields
 from bsvie.expr import ExprError, eval_expr, parse
+from bsvie.fields import read_cells
 from bsvie.girsanov import DriftSpec, girsanov_selftest, tilt
 from bsvie.norms import s2_norm
 from bsvie.risk import (
@@ -52,16 +54,44 @@ def _upper_pairs(grid):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def _by_column(pairs):
+    columns = {}
+    for i, j in sorted(pairs, key=lambda c: (c[1], c[0])):
+        columns.setdefault(j, []).append(i)
+    return columns.items()
+
+
 def _surfaces_equal(a, b, pairs):
-    return all(np.array_equal(a.at(i, j), b.at(i, j)) for i, j in pairs)
+    return all(
+        np.array_equal(va, vb)
+        for j, rows in _by_column(pairs)
+        for va, vb in zip(a.column(j, rows), b.column(j, rows))
+    )
+
+
+def _mirror_equal(z, pairs):
+    """z(i, j) == z(j, i) bitwise; the (i, j) side is read column by column."""
+    return all(
+        np.array_equal(v, z.at(j, i))
+        for j, rows in _by_column(pairs)
+        for i, v in zip(rows, z.column(j, rows))
+    )
+
+
+def _dense(z):
+    """Full-square values, each stored cell read once, column by column."""
+    n = len(z.grid)
+    vals = np.empty((z.n_paths, n, n))
+    for (i, j), v in read_cells(z, [(i, j) for i in range(n) for j in range(n)]):
+        vals[:, i, j] = v
+        if z.representative(j, i) == (i, j):
+            vals[:, j, i] = v
+    return vals
 
 
 def _diff_surface(a, b):
-    n = len(a.grid)
-    vals = np.empty((a.n_paths, n, n))
-    for i in range(n):
-        for j in range(n):
-            vals[:, i, j] = a.at(i, j) - b.at(i, j)
+    vals = _dense(a)
+    vals -= _dense(b)
     return DenseSurface(a.grid, vals)
 
 
@@ -91,9 +121,7 @@ def _case_stats(case_id):
     del m_report
     gc.collect()
 
-    stats["symmetric"] = all(
-        np.array_equal(s_report.z.at(i, j), s_report.z.at(j, i)) for i, j in pairs
-    )
+    stats["symmetric"] = _mirror_equal(s_report.z, pairs)
     del s_report, reference, ensemble
     gc.collect()
 

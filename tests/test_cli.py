@@ -139,6 +139,36 @@ def test_solve_non_convergence_exits_two(tmp_path, capsys):
     assert summary["converged"] is False
 
 
+def test_solver_failure_exits_four_without_run_dir(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--problem.generator", "y/(s-s)", "--problem.terminal", "wT",
+         "--n", "8", "--m", "256", "--output.dir", str(out)],
+    )
+    assert code == 4
+    assert lines == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(i=7, j=7)" in err
+    assert not out.exists()
+
+
+def test_degenerate_ensemble_exits_four_without_run_dir(tmp_path, capsys):
+    out = tmp_path / "runs"
+    # without the ridge, the deterministic state at node 0 leaves the
+    # normal equations singular
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--case", "zero", "--solver.ridge", "0", "--n", "8", "--m", "256",
+         "--output.dir", str(out)],
+    )
+    assert code == 4
+    assert lines == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "node 0" in err and "degenerate" in err
+    assert not out.exists()
+
+
 def test_full_paths_export_warns_and_writes(tmp_path, capsys):
     out = str(tmp_path / "runs")
     code, lines, err = _run(

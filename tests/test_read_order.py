@@ -1,0 +1,100 @@
+"""Column-at-a-time surface reads against a naive row-major cell loop.
+
+Norms, error metrics and the CLI kernel table read coefficient surfaces
+a column at a time.  Every figure they report must carry the same bits
+as reading each cell on its own with ``z.at(i, j)`` in row-major order.
+Floats are compared through ``repr``, which round-trips every bit
+(``-0.0`` included).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bsvie import sample_ensemble
+from bsvie.analytic import error_metrics, get_case, reference_fields
+from bsvie.cli import _surface_rows
+from bsvie.fields import read_order
+from bsvie.norms import z_cells_l2, z_upper_l2
+from bsvie.solver import solve_m, solve_s
+
+# at 8 steps a wrong summation order in the error metrics still gave the
+# same bits; at 16 it does not
+STEPS, PATHS = 16, 512
+
+
+@pytest.fixture(scope="module")
+def setup():
+    case = get_case("product-linear")
+    grid = case.grid(STEPS)
+    ensemble = sample_ensemble(grid, PATHS, seed=1)
+    return case, grid, ensemble, reference_fields(case, ensemble)
+
+
+@pytest.fixture(scope="module", params=["s", "m"])
+def report(request, setup):
+    case, grid, ensemble, _ = setup
+    solve = solve_s if request.param == "s" else solve_m
+    return solve(case.problem(grid), ensemble)
+
+
+def _naive_cells_l2(z, cells):
+    if z.extension == "symmetric":
+        cells = [(min(i, j), max(i, j)) for i, j in cells]
+    total = 0.0
+    for i, j in sorted(cells):
+        total += float(np.mean(z.at(i, j) ** 2)) * z.grid.dt**2
+    return total
+
+
+def _naive_region_error(z_num, z_ref, cells, dt2):
+    err_sq = ref_sq = 0.0
+    for i, j in cells:
+        err_sq += float(np.mean((z_num.at(i, j) - z_ref.at(i, j)) ** 2)) * dt2
+        ref_sq += float(np.mean(z_ref.at(i, j) ** 2)) * dt2
+    err, ref = math.sqrt(err_sq), math.sqrt(ref_sq)
+    return err / ref if ref > 1e-12 else err
+
+
+def test_read_order_is_column_major_over_representatives(report):
+    n = STEPS
+    full = [(i, j) for i in range(n + 1) for j in range(n + 1)]
+    groups = read_order(report.z, full)
+    assert [j for j, _ in groups] == list(range(n + 1))
+    for j, rows in groups:
+        expected = range(j + 1) if report.z.extension == "symmetric" else range(n + 1)
+        assert rows == list(expected)
+
+
+def test_norms_match_row_major_reads(report):
+    n = STEPS
+    full = [(i, j) for i in range(n) for j in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    assert repr(z_cells_l2(report.z, full)) == repr(_naive_cells_l2(report.z, full))
+    assert repr(z_upper_l2(report.z)) == repr(_naive_cells_l2(report.z, upper))
+
+
+def test_error_metrics_match_row_major_reads(setup, report):
+    _, grid, _, reference = setup
+    z_ref = reference.z_m if report.mode == "m-solution" else reference.z_s
+    n, dt2 = grid.steps, grid.dt**2
+    errors = error_metrics(report, reference)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    lower = [(i, j) for i in range(1, n) for j in range(i)]
+    diag = [(i, i) for i in range(n)]
+    naive = [_naive_region_error(report.z, z_ref, cells, dt2) for cells in (upper, lower, diag)]
+    assert repr([errors.z_upper_error, errors.z_lower_error, errors.z_diag_error]) == repr(naive)
+
+
+def test_surface_rows_match_row_major_reads(setup, report):
+    _, grid, _, _ = setup
+    rows = list(_surface_rows(report.z, grid.nodes, grid.steps))
+    naive = []
+    for i in range(STEPS + 1):
+        for j in range(STEPS + 1):
+            vals = report.z.at(i, j)
+            stderr = float(vals.std(ddof=1) / np.sqrt(vals.shape[0]))
+            naive.append((i, j, float(grid.nodes[i]), float(grid.nodes[j]),
+                          float(vals.mean()), stderr))
+    assert repr(rows) == repr(naive)
