@@ -78,7 +78,6 @@ from .risk import (
 )
 from .solver import (
     Driver,
-    FamilyReport,
     Generator,
     ProblemSpec,
     ResidualReport,
@@ -87,8 +86,6 @@ from .solver import (
     SolverError,
     Terminal,
     extend_martingale,
-    extend_symmetric,
-    family_bsde_sweep,
     martingale_reconstruction_error,
     residual,
     solve_adapted,

@@ -25,17 +25,33 @@ class DriftError(ValueError):
     """Inadmissible drift: non-finite rate or diverging quadrature."""
 
 
-def _rate_ast(src: str | float | ExprNode) -> ExprNode:
+def rate_ast(
+    src: str | float | ExprNode, what: str = "drift rate", error: type = DriftError
+) -> ExprNode:
+    """Parse a deterministic rate: it may read only s, T and T1.
+
+    ``what`` names the rate in the ``error`` raised for any other name.
+    """
     if isinstance(src, (int, float)):
         return parse(repr(float(src)))
     ast = parse(src) if isinstance(src, str) else src
     stray = free_variables(ast) - _RATE_NAMES
     if stray:
-        raise DriftError(
-            f"drift rates are deterministic functions of the inner time; "
+        raise error(
+            f"{what} must be a deterministic function of the inner time; "
             f"got free names {sorted(stray)}"
         )
     return ast
+
+
+def rate_on_grid(
+    src: str | float | ExprNode, grid: TimeGrid, what: str = "drift rate",
+    error: type = DriftError,
+) -> np.ndarray:
+    """Read-only values of a deterministic rate at every grid node."""
+    env = {"s": grid.nodes, "T": grid.horizon, "T1": grid.start}
+    values = np.asarray(eval_expr(rate_ast(src, what, error), env), dtype=np.float64)
+    return np.broadcast_to(values, (len(grid),))
 
 
 @dataclass(frozen=True)
@@ -47,12 +63,9 @@ class DriftSpec:
 
     def rate_values(self, grid: TimeGrid) -> np.ndarray:
         """Combined rate r1 + r2 at every grid node."""
-        env = {"s": grid.nodes, "T": grid.horizon, "T1": grid.start}
         total = np.zeros(len(grid))
         for src in (self.r1, self.r2):
-            total = total + np.broadcast_to(
-                np.asarray(eval_expr(_rate_ast(src), env), dtype=np.float64), total.shape
-            )
+            total = total + rate_on_grid(src, grid)
         if not np.all(np.isfinite(total)):
             bad = int(np.argwhere(~np.isfinite(total))[0][0])
             raise DriftError(f"drift rate is non-finite at node {bad}")
@@ -67,7 +80,7 @@ class DriftSpec:
         return DriftSpec(r1=neg(self.r1), r2=neg(self.r2))
 
     def describe(self) -> str:
-        return f"r1={format_expr(_rate_ast(self.r1))}, r2={format_expr(_rate_ast(self.r2))}"
+        return f"r1={format_expr(rate_ast(self.r1))}, r2={format_expr(rate_ast(self.r2))}"
 
 
 def _trapezoid_cumulative(values: np.ndarray, dt: float) -> np.ndarray:

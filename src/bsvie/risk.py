@@ -16,13 +16,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import PathEnsemble
-from .expr import Node as ExprNode, eval_expr, format_expr, free_variables, parse
+from .expr import eval_expr, format_expr, free_variables, parse
 from .fields import AdaptedField
-from .girsanov import DriftSpec, SelftestReport, girsanov_selftest, tilt
+from .girsanov import (
+    DriftSpec,
+    SelftestReport,
+    girsanov_selftest,
+    rate_ast,
+    rate_on_grid,
+    tilt,
+)
 from .grid import TimeGrid
 from .solver import Generator, ProblemSpec, SolveReport, SolverConfig, Terminal, solve_s
 
-_RATE_NAMES = frozenset(("s", "T", "T1"))
 _AGG_NAMES = frozenset(("t", "s", "y", "T", "T1"))
 
 ROUTES = ("direct", "girsanov")
@@ -30,16 +36,6 @@ ROUTES = ("direct", "girsanov")
 
 class RiskSetupError(ValueError):
     """Ill-posed risk setup or mismatched comparison runs."""
-
-
-def _deterministic_ast(src: str | float | ExprNode, what: str) -> ExprNode:
-    if isinstance(src, (int, float)):
-        return parse(repr(float(src)))
-    ast = parse(src) if isinstance(src, str) else src
-    stray = free_variables(ast) - _RATE_NAMES
-    if stray:
-        raise RiskSetupError(f"{what} must be deterministic in the inner time, got {sorted(stray)}")
-    return ast
 
 
 @dataclass(frozen=True)
@@ -105,13 +101,7 @@ class Aggregator:
         """Rate at every node; preset kinds only."""
         if self.kind not in ("linear", "absolute"):
             raise RiskSetupError(f"aggregator kind {self.kind!r} has no rate")
-        env = {"s": grid.nodes, "T": grid.horizon, "T1": grid.start}
-        out = np.broadcast_to(
-            np.asarray(eval_expr(_deterministic_ast(self.rate, "aggregator rate"), env),
-                       dtype=np.float64),
-            (len(grid),),
-        )
-        return np.array(out)
+        return np.array(rate_on_grid(self.rate, grid, "aggregator rate", RiskSetupError))
 
     def _fn(self):
         if self.kind == "zero":
@@ -119,7 +109,7 @@ class Aggregator:
         if self.kind == "expr":
             ast = parse(self.expr)
             return lambda env: eval_expr(ast, env)
-        ast = _deterministic_ast(self.rate, "aggregator rate")
+        ast = rate_ast(self.rate, "aggregator rate", RiskSetupError)
         if self.kind == "linear":
             return lambda env: eval_expr(ast, env) * env["y"]
         return lambda env: eval_expr(ast, env) * np.abs(env["y"])
@@ -163,8 +153,8 @@ class RiskSpec:
 
 def _direct_generator(spec: RiskSpec) -> Generator:
     f_fn = spec.aggregator._fn()
-    r1 = _deterministic_ast(spec.drift.r1, "rate r1")
-    r2 = _deterministic_ast(spec.drift.r2, "rate r2")
+    r1 = rate_ast(spec.drift.r1, "rate r1", RiskSetupError)
+    r2 = rate_ast(spec.drift.r2, "rate r2", RiskSetupError)
 
     def fn(env: dict) -> np.ndarray:
         # the symmetric solver identifies the mirrored kernel with the
@@ -258,11 +248,7 @@ def discount_factor(rate: str | float, grid: TimeGrid) -> np.ndarray:
     Closed-form response of the linear-aggregator risk to a unit
     position shift; exact for constant rates.
     """
-    env = {"s": grid.nodes, "T": grid.horizon, "T1": grid.start}
-    vals = np.broadcast_to(
-        np.asarray(eval_expr(_deterministic_ast(rate, "rate"), env), dtype=np.float64),
-        (len(grid),),
-    )
+    vals = rate_on_grid(rate, grid, "rate", RiskSetupError)
     tail = np.zeros(len(grid))
     steps = 0.5 * grid.dt * (vals[:-1] + vals[1:])
     tail[:-1] = np.cumsum(steps[::-1])[::-1]

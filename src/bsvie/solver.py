@@ -156,12 +156,16 @@ class SolverConfig:
     picard: bool = False
     tol: float = 1e-6
     max_iter: int = 50
-    stitch_level: int | None = None
 
 
 @dataclass
 class SolveReport:
-    """Solution fields plus iteration bookkeeping."""
+    """Solution fields plus iteration bookkeeping.
+
+    ``iterations`` counts every sweep across all level blocks of the
+    fixed-point mode, while ``config.max_iter`` bounds each block
+    separately, so after a bisection it can exceed ``max_iter``.
+    """
 
     mode: str
     y: AdaptedField
@@ -170,17 +174,6 @@ class SolveReport:
     converged: bool
     update_norms: list[float] = field(default_factory=list)
     contraction_ratios: list[float] = field(default_factory=list)
-    stitch_level: int | None = None
-    psi_stitch: np.ndarray | None = None
-
-
-@dataclass
-class FamilyReport:
-    """Output of one frozen-data family sweep."""
-
-    y: AdaptedField
-    z: SurfaceField
-    lambda_values: np.ndarray | None = None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -328,15 +321,9 @@ class _Sweep:
         y_values: np.ndarray,
         frozen_y: np.ndarray | None = None,
         zeta_column=None,
-        stitch: dict | None = None,
-        lambda_sink: np.ndarray | None = None,
     ) -> None:
         for j in range(j_hi, j_lo - 1, -1):
             self.level(j, lam, z_coeffs, y_values, frozen_y, zeta_column)
-            if lambda_sink is not None:
-                lambda_sink[: j + 1, j] = lam[: j + 1]
-            if stitch is not None and stitch.get("level") == j:
-                stitch["values"] = lam[: j + 1].copy()
 
     def fresh_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lam = self.terminal.copy()
@@ -403,112 +390,57 @@ def _frozen_martingale_zeta(sweep: _Sweep, mart_coeffs: np.ndarray):
     return column
 
 
-def _frozen_surface_zeta(sweep: _Sweep, surface: SurfaceField | None):
-    if surface is None:
-        zeros = np.zeros(sweep.m)
-
-        def column(j: int, design: NodeDesign, z_fit: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(zeros, (j + 1, sweep.m))
-
-        return column
-
-    def column(j: int, design: NodeDesign, z_fit: np.ndarray) -> np.ndarray:
-        out = np.empty((j + 1, sweep.m))
-        for i in range(j + 1):
-            out[i] = surface.at(j, i)
-        return out
-
-    return column
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def family_bsde_sweep(
-    problem: ProblemSpec,
-    ensemble: PathEnsemble,
-    frozen_y: AdaptedField | np.ndarray,
-    config: SolverConfig | None = None,
-    frozen_zeta: SurfaceField | None = None,
-    keep_lambda: bool = False,
-    driver: Driver | None = None,
-) -> FamilyReport:
-    """One backward pass with frozen diagonal data.
-
-    Solves the whole family of backward equations for fixed y (and, when
-    the generator reads it, a fixed mirrored kernel), the building block
-    of the fixed-point mode.  ``keep_lambda`` additionally materialises
-    the full running table, which costs O(N^2 * paths) memory and is
-    meant for small diagnostic runs.
-    """
-    config = config or SolverConfig()
-    sweep = _Sweep(problem, ensemble, config, driver)
-    fy = frozen_y.values if isinstance(frozen_y, AdaptedField) else np.asarray(frozen_y)
-    if fy.shape != (sweep.m, sweep.n + 1):
-        raise ValueError("frozen y shape disagrees with ensemble")
+def _diagonal_solve(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
     lam, z_coeffs, y_values = sweep.fresh_state()
-    sink = None
-    if keep_lambda:
-        sink = np.zeros((sweep.n + 1, sweep.n + 1, sweep.m))
-        sink[:, sweep.n] = sweep.terminal
-    zeta_column = None
-    if sweep.problem.uses_zeta:
-        zeta_column = _frozen_surface_zeta(sweep, frozen_zeta)
-    sweep.run_levels(sweep.n - 1, 0, lam, z_coeffs, y_values,
-                     frozen_y=fy, zeta_column=zeta_column, lambda_sink=sink)
-    return FamilyReport(
-        y=_adapted(sweep, y_values),
-        z=_upper_kernel(sweep, z_coeffs),
-        lambda_values=sink,
-    )
+    sweep.run_levels(sweep.n - 1, 0, lam, z_coeffs, y_values)
+    return y_values, z_coeffs
 
 
-def _diagonal_solve(sweep: _Sweep, zeta_column=None) -> tuple[np.ndarray, np.ndarray, dict]:
-    lam, z_coeffs, y_values = sweep.fresh_state()
-    stitch = {"level": sweep.config.stitch_level}
-    sweep.run_levels(sweep.n - 1, 0, lam, z_coeffs, y_values,
-                     zeta_column=zeta_column, stitch=stitch)
-    return y_values, z_coeffs, stitch
+def _fixed_point(
+    sweep: _Sweep, freeze: Callable[[np.ndarray, np.ndarray], tuple]
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Iterate frozen-data sweeps to their fixed point.
 
-
-def _picard_s(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, dict, dict]:
-    """Fixed-point mode: freeze (y, mirrored z), sweep, repeat.
-
-    Runs on the whole level range and bisects a block into sub-blocks
-    only when the empirical contraction ratios stay at or above one.
+    ``freeze(prev_y, prev_c)`` maps the previous iterate (zeros before the
+    first sweep) to the sweep's frozen data: the y-argument of the
+    off-diagonal cells (None keeps the sweep's own diagonal) and the
+    mirrored-kernel column.  The iteration runs on the whole level range
+    and bisects a block into sub-blocks only when the block's own
+    contraction ratios stay at or above one; ``max_iter`` bounds each
+    block.  Returns Y, the upper coefficient table and the bookkeeping
+    fields of :class:`SolveReport`.
     """
-    n, m = sweep.n, sweep.m
-    lam = sweep.terminal.copy()
-    y_values = np.empty((m, n + 1))
-    y_values[:, n] = sweep.terminal[n]
-    z_coeffs = np.zeros((n + 1, n + 1, sweep.k))
-    stitch = {"level": sweep.config.stitch_level}
-    info = {"iterations": 0, "update_norms": [], "ratios": [], "converged": True}
+    lam, z_coeffs, y_values = sweep.fresh_state()
+    tol, max_iter = sweep.config.tol, sweep.config.max_iter
+    info = {"iterations": 0, "converged": True, "update_norms": [], "contraction_ratios": []}
 
     def solve_block(j_hi: int, j_lo: int, depth: int) -> None:
         entry = lam.copy()
-        prev_y = np.zeros((m, n + 1))
+        prev_y = np.zeros_like(y_values)
         prev_c = np.zeros_like(z_coeffs)
         updates: list[float] = []
-        for it in range(1, sweep.config.max_iter + 1):
+        ratios: list[float] = []
+        for _ in range(max_iter):
+            frozen_y, zeta_column = freeze(prev_y, prev_c)
             lam[:] = entry
-            sweep.run_levels(j_hi, j_lo, lam, z_coeffs, y_values,
-                             frozen_y=prev_y,
-                             zeta_column=_frozen_coeff_zeta(sweep, prev_c),
-                             stitch=stitch)
+            sweep.run_levels(j_hi, j_lo, lam, z_coeffs, y_values, frozen_y, zeta_column)
             info["iterations"] += 1
             upd = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, y_values, prev_y, z_coeffs, prev_c))
             base = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, y_values, None, z_coeffs, None))
+            if updates:
+                ratios.append(upd / max(updates[-1], 1e-300))
+                info["contraction_ratios"].append(ratios[-1])
             updates.append(upd)
             info["update_norms"].append(upd)
-            if len(updates) > 1:
-                info["ratios"].append(updates[-1] / max(updates[-2], 1e-300))
-            prev_y[:, j_lo:j_hi + 1] = y_values[:, j_lo:j_hi + 1]
-            prev_c[:, j_lo:j_hi + 1] = z_coeffs[:, j_lo:j_hi + 1]
-            if upd <= sweep.config.tol * (1.0 + base):
+            # later columns hold the solved blocks, which the martingale fit reads
+            prev_y[:, j_lo:] = y_values[:, j_lo:]
+            prev_c[:, j_lo:] = z_coeffs[:, j_lo:]
+            if upd <= tol * (1.0 + base):
                 return
-            ratios = info["ratios"]
             diverging = len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0
             if diverging and j_hi > j_lo and depth < 8:
                 lam[:] = entry
@@ -518,8 +450,11 @@ def _picard_s(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, dict, dict]:
                 return
         info["converged"] = False
 
-    solve_block(n - 1, 0, 0)
-    return y_values, z_coeffs, stitch, info
+    solve_block(sweep.n - 1, 0, 0)
+    return y_values, z_coeffs, info
+
+
+_ONE_PASS = {"iterations": 1, "converged": True}
 
 
 def solve_s(
@@ -532,44 +467,35 @@ def solve_s(
 
     The default one-pass diagonal sweep resolves the diagonal coupling
     level by level; ``config.picard`` switches to the frozen-data
-    iteration, which converges to the same discrete fixed point.
+    iteration, which freezes y and the upper coefficient table and
+    converges to the same discrete fixed point.  Its ``iterations``
+    counts the sweeps of every level block; ``config.max_iter`` bounds
+    each block, so the total can exceed it.
     """
     config = config or SolverConfig()
     sweep = _Sweep(problem, ensemble, config, driver)
     if config.picard:
-        y_values, z_coeffs, stitch, info = _picard_s(sweep)
-        iterations, converged = info["iterations"], info["converged"]
-        update_norms, ratios = info["update_norms"], info["ratios"]
+        y_values, z_coeffs, info = _fixed_point(
+            sweep, lambda prev_y, prev_c: (prev_y, _frozen_coeff_zeta(sweep, prev_c))
+        )
     else:
-        y_values, z_coeffs, stitch = _diagonal_solve(sweep)
-        iterations, converged, update_norms, ratios = 1, True, [], []
+        y_values, z_coeffs = _diagonal_solve(sweep)
+        info = _ONE_PASS
     return SolveReport(
         mode="s-solution",
         y=_adapted(sweep, y_values),
         z=SymmetricSurface(_upper_kernel(sweep, z_coeffs)),
-        iterations=iterations,
-        converged=converged,
-        update_norms=update_norms,
-        contraction_ratios=ratios,
-        stitch_level=stitch.get("level"),
-        psi_stitch=stitch.get("values"),
+        **info,
     )
 
 
-def extend_symmetric(z_upper: SurfaceField) -> SymmetricSurface:
-    """Complete an upper-triangle kernel by exact mirroring."""
-    return SymmetricSurface(z_upper)
-
-
-def _martingale_coeffs(
-    sweep: _Sweep, y_values: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _martingale_coeffs(sweep: _Sweep, y_values: np.ndarray) -> np.ndarray:
     """Lower-triangle tables: row i at node j < i regresses Y_i * dW_j / dt.
 
     The fitted conditional expectation is subtracted first, as in the
     sweep: same projection, far less regressand variance.
     """
-    coeffs = out if out is not None else np.zeros((sweep.n + 1, sweep.n + 1, sweep.k))
+    coeffs = np.zeros((sweep.n + 1, sweep.n + 1, sweep.k))
     for j in range(sweep.n):
         design = sweep.designs[j]
         scale = sweep.driver.increments[:, j] / sweep.dt
@@ -632,58 +558,31 @@ def solve_m(
     When the generator never reads the mirrored kernel this is the
     diagonal sweep (same code path as :func:`solve_s`, so the upper
     triangles agree bit for bit) plus a lower-triangle fill from the
-    representation of Y.  Otherwise the mirrored values feed back into
-    the sweep and the pair is iterated to its fixed point.
+    representation of Y.  Otherwise each sweep reads its mirrored values
+    from the martingale table fitted to the previous Y, iterated to the
+    fixed point by the same driver as the Picard mode of :func:`solve_s`.
     """
     config = config or SolverConfig()
     sweep = _Sweep(problem, ensemble, config, driver)
     if not problem.uses_zeta:
-        y_values, z_coeffs, stitch = _diagonal_solve(sweep)
-        mart = _martingale_coeffs(sweep, y_values)
-        iterations, converged = 1, True
-        update_norms: list[float] = []
-        ratios: list[float] = []
+        y_values, z_coeffs = _diagonal_solve(sweep)
+        info = _ONE_PASS
     else:
-        stitch = {"level": config.stitch_level}
-        y_values = np.zeros((sweep.m, sweep.n + 1))
-        z_coeffs = np.zeros((sweep.n + 1, sweep.n + 1, sweep.k))
-        mart = np.zeros_like(z_coeffs)
-        prev_y = y_values.copy()
-        prev_c = z_coeffs.copy()
-        update_norms, ratios = [], []
-        converged = False
-        iterations = 0
-        for it in range(1, config.max_iter + 1):
-            iterations = it
-            y_values, z_coeffs, stitch = _diagonal_solve(
-                sweep, zeta_column=_frozen_martingale_zeta(sweep, mart)
-            )
-            upd = np.sqrt(sweep.block_norm_sq(sweep.n - 1, 0, y_values, prev_y, z_coeffs, prev_c))
-            base = np.sqrt(sweep.block_norm_sq(sweep.n - 1, 0, y_values, None, z_coeffs, None))
-            update_norms.append(upd)
-            if it > 1:
-                ratios.append(upd / max(update_norms[-2], 1e-300))
-            mart = _martingale_coeffs(sweep, y_values, out=mart)
-            prev_y, prev_c = y_values, z_coeffs
-            if upd <= config.tol * (1.0 + base):
-                converged = True
-                break
-        else:
-            iterations = config.max_iter
-        mart = _martingale_coeffs(sweep, y_values)
+        y_values, z_coeffs, info = _fixed_point(
+            sweep,
+            lambda prev_y, prev_c: (
+                None, _frozen_martingale_zeta(sweep, _martingale_coeffs(sweep, prev_y))
+            ),
+        )
 
     upper = _upper_kernel(sweep, z_coeffs)
+    mart = _martingale_coeffs(sweep, y_values)
     lower = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(mart), region="lower")
     return SolveReport(
         mode="m-solution",
         y=_adapted(sweep, y_values),
         z=CompositeSurface(upper, lower, extension="martingale"),
-        iterations=iterations,
-        converged=converged,
-        update_norms=update_norms,
-        contraction_ratios=ratios,
-        stitch_level=stitch.get("level"),
-        psi_stitch=stitch.get("values"),
+        **info,
     )
 
 
@@ -704,15 +603,12 @@ def solve_adapted(
         raise ValueError("the mirror-free form takes a generator without zeta")
     config = config or SolverConfig()
     sweep = _Sweep(problem, ensemble, config, driver)
-    y_values, z_coeffs, stitch = _diagonal_solve(sweep)
+    y_values, z_coeffs = _diagonal_solve(sweep)
     return SolveReport(
         mode="adapted",
         y=_adapted(sweep, y_values),
         z=_upper_kernel(sweep, z_coeffs),
-        iterations=1,
-        converged=True,
-        stitch_level=stitch.get("level"),
-        psi_stitch=stitch.get("values"),
+        **_ONE_PASS,
     )
 
 

@@ -7,11 +7,10 @@ from bsvie import (
     ProblemSpec,
     SolverConfig,
     SolverError,
+    SymmetricSurface,
     Terminal,
     build_grid,
     extend_martingale,
-    extend_symmetric,
-    family_bsde_sweep,
     martingale_reconstruction_error,
     residual,
     s2_norm,
@@ -74,8 +73,7 @@ def test_family_sweep_constant_terminal(pl_setup):
         generator=Generator.from_expression("0"),
         terminal=Terminal.constant(5.0),
     )
-    frozen = np.zeros((ensemble.n_paths, len(grid)))
-    report = family_bsde_sweep(problem, ensemble, frozen)
+    report = solve_adapted(problem, ensemble)
     np.testing.assert_allclose(report.y.values, 5.0, rtol=1e-9)
     for i in range(grid.steps):
         np.testing.assert_allclose(report.z.at(i, i), 0.0, atol=1e-9)
@@ -90,23 +88,11 @@ def test_family_sweep_martingale_terminal(pl_setup):
         generator=Generator.from_expression("0"),
         terminal=Terminal.from_expression("wT"),
     )
-    frozen = np.zeros((ensemble.n_paths, len(grid)))
-    report = family_bsde_sweep(problem, ensemble, frozen, keep_lambda=True)
+    report = solve_adapted(problem, ensemble)
     err = np.sqrt(np.mean((report.y.values - ensemble.values) ** 2))
     assert err < 0.05
     mid = grid.steps // 2
     assert np.mean(report.z.at(3, mid)) == pytest.approx(1.0, abs=0.05)
-    assert report.lambda_values is not None
-    np.testing.assert_array_equal(
-        report.lambda_values[:, grid.steps],
-        np.broadcast_to(ensemble.values[:, -1], (len(grid), ensemble.n_paths)),
-    )
-
-
-def test_family_sweep_rejects_bad_frozen_shape(pl_setup):
-    _, grid, problem, ensemble = pl_setup
-    with pytest.raises(ValueError):
-        family_bsde_sweep(problem, ensemble, np.zeros((3, 3)))
 
 
 def test_zero_case_exact_in_all_modes():
@@ -177,6 +163,64 @@ def test_fixed_point_mode_matches_one_pass(pl_setup, pl_s_report):
     assert all(r < 1.0 for r in picard.contraction_ratios)
 
 
+def test_fixed_point_bisects_a_diverging_range():
+    # on the whole level range the iteration for 5*y diverges, so the
+    # driver bisects; each sub-block decides from its own ratios, so the
+    # halves iterate instead of splitting down to single levels (41 sweeps)
+    grid = build_grid(1.0, 32)
+    ensemble = sample_ensemble(grid, 4096, seed=1)
+    problem = ProblemSpec(
+        grid=grid,
+        generator=Generator.from_expression("5*y"),
+        terminal=Terminal.from_expression("wT"),
+    )
+    one = solve_s(problem, ensemble)
+    picard = solve_s(problem, ensemble, SolverConfig(picard=True, tol=1e-8))
+    assert picard.converged
+    assert picard.contraction_ratios[0] >= 1.0 and picard.contraction_ratios[1] >= 1.0
+    assert picard.iterations <= 35
+    assert len(picard.update_norms) == picard.iterations
+    gap = np.linalg.norm(picard.y.values - one.y.values) / np.linalg.norm(one.y.values)
+    assert gap < 1e-8
+
+
+@pytest.fixture(scope="module")
+def pl_small():
+    case = get_case("product-linear")
+    grid = case.grid(16)
+    return case, grid, sample_ensemble(grid, 2048, seed=5)
+
+
+def _zeta_problem(case, grid, generator):
+    return ProblemSpec(
+        grid=grid,
+        generator=Generator.from_expression(generator),
+        terminal=Terminal.from_expression(case.terminal_src),
+    )
+
+
+def test_zeta_fixed_point_with_inert_zeta_is_the_one_pass_solve(pl_small):
+    case, grid, ensemble = pl_small
+    plain = solve_m(case.problem(grid), ensemble)
+    report = solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0*zeta"), ensemble)
+    assert report.converged
+    assert report.iterations == 2
+    assert report.update_norms[1] == 0.0
+    np.testing.assert_array_equal(report.y.values, plain.y.values)
+    np.testing.assert_array_equal(report.z.upper.coeffs, plain.z.upper.coeffs)
+    np.testing.assert_array_equal(report.z.lower.coeffs, plain.z.lower.coeffs)
+
+
+def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
+    case, grid, ensemble = pl_small
+    report = solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble)
+    assert report.converged
+    assert report.contraction_ratios
+    assert all(r < 1.0 for r in report.contraction_ratios)
+    lower = extend_martingale(report.y, ensemble)
+    np.testing.assert_array_equal(report.z.lower.coeffs, lower.coeffs)
+
+
 def _diff_surface(a, b):
     from bsvie import DenseSurface
 
@@ -186,15 +230,6 @@ def _diff_surface(a, b):
         for j in range(n):
             vals[:, i, j] = a.at(i, j) - b.at(i, j)
     return DenseSurface(a.grid, vals)
-
-
-def test_stitch_exposes_running_rows(pl_setup):
-    _, grid, problem, ensemble = pl_setup
-    level = 5
-    report = solve_s(problem, ensemble, SolverConfig(stitch_level=level))
-    assert report.stitch_level == level
-    assert report.psi_stitch.shape == (level + 1, ensemble.n_paths)
-    np.testing.assert_array_equal(report.psi_stitch[level], report.y.values[:, level])
 
 
 def test_unit_weight_driver_is_the_plain_solver(pl_setup, pl_s_report):
@@ -287,5 +322,5 @@ def test_martingale_extension_reconstructs_process(pl_setup, pl_s_report):
 def test_symmetric_extension_wraps_upper_kernel(pl_setup):
     _, _, problem, ensemble = pl_setup
     report = solve_adapted(problem, ensemble)
-    full = extend_symmetric(report.z)
+    full = SymmetricSurface(report.z)
     np.testing.assert_array_equal(full.at(3, 1), report.z.at(1, 3))
