@@ -18,7 +18,7 @@ from .analytic import (
     get_case,
     reference_fields,
 )
-from .ensemble import PathEnsemble, ito_sum, sample_ensemble
+from .ensemble import PathEnsemble, sample_ensemble
 from .expr import ExprError, eval_expr, format_expr, free_variables, parse
 from .fields import (
     AdaptedField,
@@ -45,9 +45,7 @@ from .norms import (
     star_h2_norm,
     y_l2,
     z_cells_l2,
-    z_diag_l2,
     z_full_l2,
-    z_rect_l2,
     z_upper_l2,
 )
 from .regression import (
@@ -55,10 +53,6 @@ from .regression import (
     DegenerateEnsembleError,
     NodeDesign,
     RegressionError,
-    at_initial_expect,
-    cond_expect,
-    martingale_coeff,
-    node_regression,
 )
 from .risk import (
     Aggregator,

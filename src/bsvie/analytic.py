@@ -57,7 +57,6 @@ class ReferenceCase:
             grid=grid,
             generator=Generator.from_expression(self.generator_src),
             terminal=Terminal.from_expression(self.terminal_src),
-            linear=True,
         )
 
 
@@ -330,12 +329,14 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Solve one case across (steps, paths) levels and tabulate errors.
 
-    Levels must come sorted by step count; order estimates use the step
+    At least two levels, sorted by step count; order estimates use the step
     ratio between consecutive levels and the Y-error (respectively the
     upper-triangle Z-error).
     """
     if isinstance(case, str):
         case = get_case(case)
+    if len(levels) < 2:
+        raise ValueError(f"a convergence study needs at least two levels, got {len(levels)}")
     if any(levels[k][0] >= levels[k + 1][0] for k in range(len(levels) - 1)):
         raise ValueError("levels must be sorted by increasing step count")
     if mode not in ("s", "m"):

@@ -73,31 +73,3 @@ def sample_ensemble(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
         grid=grid, n_paths=n_paths, seed=int(seed),
         increments=increments, values=values,
     )
-
-
-def ito_sum(integrand: np.ndarray, ensemble: PathEnsemble, first: int = 0) -> np.ndarray:
-    """Left-point stochastic sum sum_{j>=first} H[p, j] dW[p, j] per path.
-
-    ``integrand`` is indexed on increment slots, so its second dimension
-    must not exceed the number of steps; column j multiplies the
-    increment over [t_j, t_{j+1}).
-    """
-    h = np.asarray(integrand, dtype=np.float64)
-    if h.ndim == 1:
-        h = h[np.newaxis, :]
-        squeeze = True
-    else:
-        squeeze = False
-    steps = ensemble.grid.steps
-    if h.shape[1] > steps:
-        raise ValueError(
-            f"integrand has {h.shape[1]} columns but the grid has {steps} steps"
-        )
-    if not 0 <= first <= steps:
-        raise ValueError(f"first increment index {first} outside 0..{steps}")
-    width = h.shape[1]
-    dw = ensemble.increments[:, first:first + width]
-    if h.shape[0] not in (1, ensemble.n_paths):
-        raise ValueError("integrand paths disagree with ensemble")
-    out = np.einsum("pj,pj->p", np.broadcast_to(h, dw.shape), dw)
-    return out[0] if squeeze and out.shape[0] == 1 else out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import PathEnsemble
-from .expr import Node as ExprNode, eval_expr, format_expr, free_variables, parse
+from .expr import Node as ExprNode, eval_expr, free_variables, parse
 from .grid import TimeGrid
 from .solver import Driver
 
@@ -78,9 +78,6 @@ class DriftSpec:
             return f"-({src})"
 
         return DriftSpec(r1=neg(self.r1), r2=neg(self.r2))
-
-    def describe(self) -> str:
-        return f"r1={format_expr(rate_ast(self.r1))}, r2={format_expr(rate_ast(self.r2))}"
 
 
 def _trapezoid_cumulative(values: np.ndarray, dt: float) -> np.ndarray:

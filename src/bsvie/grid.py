@@ -49,22 +49,6 @@ class TimeGrid:
     def __len__(self) -> int:
         return self.steps + 1
 
-    def in_upper(self, i: int, j: int) -> bool:
-        """True when (t_i, t_j) lies in the closed upper triangle t_i <= t_j."""
-        self._check(i)
-        self._check(j)
-        return i <= j
-
-    def in_lower(self, i: int, j: int) -> bool:
-        """True when (t_i, t_j) lies in the strict lower triangle t_i > t_j."""
-        self._check(i)
-        self._check(j)
-        return i > j
-
-    def _check(self, i: int) -> None:
-        if not 0 <= i <= self.steps:
-            raise IndexError(f"node index {i} outside 0..{self.steps}")
-
 
 def build_grid(horizon: float, steps: int, start: float = 0.0) -> TimeGrid:
     """Validated constructor for :class:`TimeGrid`."""

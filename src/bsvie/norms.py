@@ -15,7 +15,7 @@ time, and only then summed in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,21 +50,10 @@ def z_cells_l2(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> float:
     return total
 
 
-def z_rect_l2(z: SurfaceField, rows: Sequence[int], cols: Sequence[int]) -> float:
-    """Rectangle integral E int int |Z|^2 over rows x cols (node indices)."""
-    return z_cells_l2(z, ((i, j) for i in rows for j in cols))
-
-
 def z_upper_l2(z: SurfaceField) -> float:
     """Triangle integral over t <= s, the z-part of the S^2-style norm."""
     n = z.grid.steps
     return z_cells_l2(z, ((i, j) for i in range(n) for j in range(i, n)))
-
-
-def z_diag_l2(z: SurfaceField) -> float:
-    """Diagonal band contribution sum_i E|Z(t_i, t_i)|^2 dt^2."""
-    n = z.grid.steps
-    return z_cells_l2(z, ((i, i) for i in range(n)))
 
 
 def z_full_l2(z: SurfaceField) -> float:

@@ -13,11 +13,10 @@ fixed order, which keeps results bitwise identical run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import PathEnsemble
 from .fields import design_matrix
 
 _CHUNK = 1 << 14
@@ -38,29 +37,16 @@ class BasisSpec:
 
     degree: int = 3
     ridge: float = 1e-10
-    state: str = "brownian-value"
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {self.degree}")
         if self.ridge < 0:
             raise ValueError(f"ridge must be nonnegative, got {self.ridge}")
-        if self.state != "brownian-value":
-            raise ValueError(f"unknown state map {self.state!r}")
 
     @property
     def size(self) -> int:
         return self.degree + 1
-
-
-@dataclass(frozen=True)
-class RegressionReport:
-    """One projection: coefficients, fit quality, conditioning."""
-
-    coefficients: np.ndarray
-    fitted: np.ndarray = field(repr=False)
-    residual_l2: float
-    condition: float
 
 
 def _chunked_ab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,72 +107,3 @@ class NodeDesign:
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Fitted values (rows, M) of a coefficient batch (rows, size)."""
         return coeffs @ self.x.T
-
-    def project(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coeffs = self.fit(targets)
-        return coeffs, self.evaluate(coeffs)
-
-
-def _as_rows(target: np.ndarray, n_paths: int) -> tuple[np.ndarray, bool]:
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape == (n_paths,):
-        return t[None, :], True
-    if t.ndim == 2 and t.shape[1] == n_paths:
-        return t, False
-    raise ValueError("target shape disagrees with ensemble paths")
-
-
-def node_regression(
-    target: np.ndarray,
-    ensemble: PathEnsemble,
-    node: int,
-    basis: BasisSpec | None = None,
-) -> RegressionReport:
-    """Project a target on the basis at one node, with diagnostics."""
-    basis = basis or BasisSpec()
-    rows, single = _as_rows(target, ensemble.n_paths)
-    design = NodeDesign(ensemble.values[:, node], basis)
-    coeffs, fitted = design.project(rows)
-    resid = float(np.sqrt(np.mean((rows - fitted) ** 2)))
-    if single:
-        coeffs, fitted = coeffs[0], fitted[0]
-    return RegressionReport(
-        coefficients=coeffs, fitted=fitted,
-        residual_l2=resid, condition=design.condition,
-    )
-
-
-def cond_expect(
-    target: np.ndarray,
-    ensemble: PathEnsemble,
-    node: int,
-    basis: BasisSpec | None = None,
-) -> np.ndarray:
-    """Estimated conditional expectation of the target given node data."""
-    return node_regression(target, ensemble, node, basis).fitted
-
-
-def martingale_coeff(
-    target: np.ndarray,
-    ensemble: PathEnsemble,
-    node: int,
-    basis: BasisSpec | None = None,
-) -> np.ndarray:
-    """Estimated integrand of the martingale representation at one node.
-
-    Projects target * dW_node / dt on the node basis, the regression
-    analogue of differentiating the conditional expectation along the
-    increment over [t_node, t_node+1).
-    """
-    if node >= ensemble.grid.steps:
-        raise ValueError(f"node {node} has no forward increment")
-    rows, single = _as_rows(target, ensemble.n_paths)
-    scaled = rows * (ensemble.increments[:, node] / ensemble.dt)
-    fitted = node_regression(scaled, ensemble, node, basis).fitted
-    return fitted[0] if single else fitted
-
-
-def at_initial_expect(target: np.ndarray) -> float:
-    """Plain Monte-Carlo mean; the grid origin carries no randomness."""
-    t = np.asarray(target, dtype=np.float64)
-    return float(np.mean(t))

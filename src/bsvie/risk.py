@@ -180,7 +180,6 @@ def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None,
             grid=ensemble.grid,
             generator=_direct_generator(spec),
             terminal=spec.terminal(),
-            linear=spec.aggregator.is_linear,
         )
         return solve_s(problem, ensemble, config)
     # rates enter the equation with a plus sign, so absorbing them into
@@ -191,7 +190,6 @@ def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None,
         grid=ensemble.grid,
         generator=_plain_generator(spec),
         terminal=spec.terminal(),
-        linear=spec.aggregator.is_linear,
     )
     # the free term stays on the physical paths; only the regression
     # state, increments and weights move to the tilted driver

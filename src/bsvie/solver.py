@@ -60,10 +60,6 @@ class Generator:
         return cls(lambda env: eval_expr(ast, env), free_variables(ast), format_expr(ast))
 
     @property
-    def uses_z(self) -> bool:
-        return "z" in self.needs
-
-    @property
     def uses_zeta(self) -> bool:
         return "zeta" in self.needs
 
@@ -119,12 +115,6 @@ class ProblemSpec:
     grid: TimeGrid
     generator: Generator
     terminal: Terminal
-    lipschitz: float | None = None
-    linear: bool = False
-
-    @property
-    def uses_z(self) -> bool:
-        return self.generator.uses_z
 
     @property
     def uses_zeta(self) -> bool:
@@ -157,6 +147,10 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 50
 
+    def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+
 
 @dataclass
 class SolveReport:
@@ -174,6 +168,30 @@ class SolveReport:
     converged: bool
     update_norms: list[float] = field(default_factory=list)
     contraction_ratios: list[float] = field(default_factory=list)
+
+
+def _generator_env(
+    grid: TimeGrid, paths: np.ndarray, t: int | slice, s: int | slice, y, z, zeta
+) -> dict:
+    """Arguments of g at outer node(s) ``t`` and inner node(s) ``s``.
+
+    A slice stands for a batch of nodes laid out one row per node.  The
+    path arguments always come from the physical paths, whatever driver
+    the regressions use: ``w`` at the inner nodes, ``wt`` at the outer
+    nodes and ``wT`` at the horizon.
+    """
+
+    def at(k: int | slice) -> tuple:
+        if isinstance(k, slice):
+            return grid.nodes[k, None], paths[:, k].T
+        return grid.nodes[k], paths[:, k]
+
+    t_nodes, wt = at(t)
+    s_nodes, w = at(s)
+    return {
+        "t": t_nodes, "s": s_nodes, "y": y, "z": z, "zeta": zeta,
+        "w": w, "wt": wt, "wT": paths[:, -1], "T": grid.horizon, "T1": grid.start,
+    }
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -205,7 +223,6 @@ class _Sweep:
         self.n = grid.steps
         self.m = ensemble.n_paths
         self.dt = grid.dt
-        self.nodes = grid.nodes
         self.k = config.basis.size
         self.designs = [self._node_design(j) for j in range(self.n)]
         self.terminal = problem.terminal.eval_all(grid, ensemble.values)
@@ -214,23 +231,12 @@ class _Sweep:
             i = int(np.argwhere(bad.any(axis=1))[0][0])
             raise SolverError(f"terminal data is non-finite at node {i}")
         self.g = problem.generator
-        self.needs = self.g.needs
 
     def _node_design(self, j: int) -> NodeDesign:
         try:
             return NodeDesign(self.driver.state[:, j], self.config.basis, self.driver.weights)
         except DegenerateEnsembleError as e:
             raise DegenerateEnsembleError(f"node {j}: {e}") from None
-
-    # -- generator environments ------------------------------------------
-
-    def _env_common(self, j: int) -> dict:
-        env = {"s": self.nodes[j], "T": self.grid.horizon, "T1": self.grid.start}
-        if "w" in self.needs:
-            env["w"] = self.ensemble.values[:, j]
-        if "wT" in self.needs:
-            env["wT"] = self.ensemble.values[:, -1]
-        return env
 
     def _check_g(self, values: np.ndarray, i_lo: int, i_hi: int, j: int) -> None:
         if np.all(np.isfinite(values)):
@@ -272,39 +278,24 @@ class _Sweep:
         z_coeffs[: j + 1, j] = bz
 
         zeta_rows = None
-        if "zeta" in self.needs:
+        if self.g.uses_zeta:
             zeta_rows = z_fit if zeta_column is None else zeta_column(j, design, z_fit)
 
-        env = self._env_common(j)
+        paths = self.ensemble.values
         # diagonal first: its y-argument is the regressed predictor
-        env_d = dict(env)
-        env_d["t"] = self.nodes[j]
-        if "y" in self.needs:
-            env_d["y"] = ce_fit[j]
-        if "z" in self.needs:
-            env_d["z"] = z_fit[j]
-        if "zeta" in self.needs:
-            env_d["zeta"] = z_fit[j] if zeta_column is None else zeta_rows[j]
-        if "wt" in self.needs:
-            env_d["wt"] = self.ensemble.values[:, j]
-        g_diag = np.asarray(self.g(env_d), dtype=np.float64)
+        zeta_diag = None if zeta_rows is None else zeta_rows[j]
+        env = _generator_env(self.grid, paths, j, j, ce_fit[j], z_fit[j], zeta_diag)
+        g_diag = np.asarray(self.g(env), dtype=np.float64)
         self._check_g(g_diag, j, j, j)
         lam[j] = ce_fit[j] + self.dt * g_diag
         y_values[:, j] = lam[j]
 
         if j == 0:
             return
-        env_r = dict(env)
-        env_r["t"] = self.nodes[:j, None]
-        if "y" in self.needs:
-            env_r["y"] = y_values[:, j] if frozen_y is None else frozen_y[:, j]
-        if "z" in self.needs:
-            env_r["z"] = z_fit[:j]
-        if "zeta" in self.needs:
-            env_r["zeta"] = zeta_rows[:j]
-        if "wt" in self.needs:
-            env_r["wt"] = self.ensemble.values[:, :j].T
-        g_rows = np.asarray(self.g(env_r), dtype=np.float64)
+        y_rows = y_values[:, j] if frozen_y is None else frozen_y[:, j]
+        zeta_off = None if zeta_rows is None else zeta_rows[:j]
+        env = _generator_env(self.grid, paths, slice(0, j), j, y_rows, z_fit[:j], zeta_off)
+        g_rows = np.asarray(self.g(env), dtype=np.float64)
         if g_rows.ndim == 1:  # generator independent of the row index
             g_rows = np.broadcast_to(g_rows, (j, self.m))
         self._check_g(g_rows, 0, j - 1, j)
@@ -619,7 +610,6 @@ class ResidualReport:
     form: str
     per_node: np.ndarray
     aggregate: float
-    max_node: float
 
 
 def residual(
@@ -652,26 +642,9 @@ def residual(
         if width:
             z_row = np.stack([z.at(i, j) for j in range(i, n)])
             z_col = None
-            if "zeta" in g.needs or form == "column":
+            if g.uses_zeta or form == "column":
                 z_col = np.stack([z.at(j, i) for j in range(i, n)])
-            env = {
-                "t": grid.nodes[i],
-                "s": grid.nodes[i:n, None],
-                "T": grid.horizon,
-                "T1": grid.start,
-            }
-            if "y" in g.needs:
-                env["y"] = y.values[:, i:n].T
-            if "z" in g.needs:
-                env["z"] = z_row
-            if "zeta" in g.needs:
-                env["zeta"] = z_col
-            if "w" in g.needs:
-                env["w"] = w[:, i:n].T
-            if "wt" in g.needs:
-                env["wt"] = w[:, i]
-            if "wT" in g.needs:
-                env["wT"] = w[:, -1]
+            env = _generator_env(grid, w, i, slice(i, n), y.values[:, i:n].T, z_row, z_col)
             gv = np.asarray(g(env), dtype=np.float64)
             if gv.ndim == 2:
                 gsum = gv.sum(axis=0) * dt
@@ -682,7 +655,4 @@ def residual(
             r = r - gsum + ito
         per_node[i] = float(np.sqrt(np.mean(r**2)))
     aggregate = float(np.sqrt(np.sum(per_node[:n] ** 2) * dt))
-    return ResidualReport(
-        form=form, per_node=per_node, aggregate=aggregate,
-        max_node=float(per_node.max()),
-    )
+    return ResidualReport(form=form, per_node=per_node, aggregate=aggregate)

@@ -360,7 +360,6 @@ def test_criterion_13_terminal_perturbation_scaling():
                 lambda g, w: problem.terminal.eval_all(g, w) + eps,
                 source=f"{problem.terminal.source} + {eps}",
             ),
-            linear=problem.linear,
         )
         report = solve_s(bumped, ensemble, SolverConfig())
         gap = s2_norm(

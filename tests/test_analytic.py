@@ -152,3 +152,7 @@ def test_convergence_study_validates_inputs():
         convergence_study("zero", [(16, 64), (8, 64)])
     with pytest.raises(ValueError):
         convergence_study("zero", [(4, 64), (8, 64)], mode="adapted")
+    # one level gives no order and no trend to check
+    for levels in ([], [(8, 64)]):
+        with pytest.raises(ValueError, match="two levels"):
+            convergence_study("zero", levels)

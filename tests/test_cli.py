@@ -139,6 +139,19 @@ def test_solve_non_convergence_exits_two(tmp_path, capsys):
     assert summary["converged"] is False
 
 
+def test_zero_iteration_budget_exits_one_without_run_dir(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--case", "product-linear", "--n", "8", "--m", "256",
+         "--solver.picard", "true", "--solver.max_iter", "0", "--output.dir", str(out)],
+    )
+    assert code == 1
+    assert lines == []
+    assert "max_iter" in err
+    assert not out.exists()
+
+
 def test_solver_failure_exits_four_without_run_dir(tmp_path, capsys):
     out = tmp_path / "runs"
     code, lines, err = _run(
@@ -297,6 +310,18 @@ def test_verify_non_decreasing_errors_exit_three(tmp_path, capsys):
     assert code == 3
     orders = _read_json(_last_run_dir(lines), "orders.json")
     assert orders["errors_decrease"] is False
+
+
+def test_verify_needs_two_levels(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code, lines, err = _run(
+        capsys,
+        ["verify", "--case", "zero", "--levels", ",", "--m", "128", "--output.dir", str(out)],
+    )
+    assert code == 1
+    assert lines == []
+    assert "two levels" in err
+    assert not out.exists()
 
 
 def test_verify_requires_case(tmp_path, capsys):

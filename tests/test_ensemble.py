@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsvie import build_grid, ito_sum, sample_ensemble
+from bsvie import build_grid, sample_ensemble
 
 
 def test_values_are_cumulative_increments(unit_ensemble):
@@ -46,27 +46,6 @@ def test_increment_variance_matches_step(unit_ensemble):
     np.testing.assert_allclose(var, ens.dt, rtol=0.15)
 
 
-def test_ito_sum_matches_manual_accumulation(unit_ensemble):
-    ens = unit_ensemble
-    integrand = ens.values[:, :-1] ** 2
-    expected = np.sum(integrand * ens.increments, axis=1)
-    np.testing.assert_allclose(ito_sum(integrand, ens), expected, rtol=1e-10, atol=1e-12)
-
-
-def test_ito_sum_broadcasts_scalar_rows(unit_ensemble):
-    ens = unit_ensemble
-    row = np.full(len(ens.grid) - 1, 2.0)
-    expected = 2.0 * ens.values[:, -1]
-    np.testing.assert_allclose(ito_sum(row, ens), expected, rtol=1e-10, atol=1e-12)
-
-
-def test_ito_sum_tail_window(unit_ensemble):
-    ens = unit_ensemble
-    integrand = ens.values[:, 4:-1]
-    expected = np.sum(integrand * ens.increments[:, 4:], axis=1)
-    np.testing.assert_allclose(ito_sum(integrand, ens, first=4), expected, rtol=1e-10, atol=1e-12)
-
-
 def test_path_count_validation(unit_grid):
     with pytest.raises(ValueError):
         sample_ensemble(unit_grid, 0, seed=1)
@@ -84,13 +63,13 @@ def test_ito_sum_constant_integrand_telescopes(unit_ensemble):
     # few ulps against the cumulative values
     ens = unit_ensemble
     c, first = 2.5, 4
-    lhs = ito_sum(np.full(len(ens.grid) - 1 - first, c), ens, first=first)
+    lhs = np.sum(c * ens.increments[:, first:], axis=1)
     rhs = c * (ens.values[:, -1] - ens.values[:, first])
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13)
 
 
 def test_ito_sum_of_the_path_is_half_square_rule(unit_ensemble):
     ens = unit_ensemble
-    lhs = ito_sum(ens.values[:, :-1], ens)
+    lhs = np.sum(ens.values[:, :-1] * ens.increments, axis=1)
     rhs = 0.5 * (ens.values[:, -1] ** 2 - np.sum(ens.increments**2, axis=1))
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13)

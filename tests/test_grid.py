@@ -27,19 +27,6 @@ def test_interval_validation():
         TimeGrid(horizon=1.0, steps=4, start=float("nan"))
 
 
-def test_triangle_predicates():
-    grid = build_grid(1.0, 4)
-    assert grid.in_upper(0, 0)
-    assert grid.in_upper(1, 3)
-    assert not grid.in_upper(3, 1)
-    assert grid.in_lower(3, 1)
-    assert not grid.in_lower(2, 2)
-    with pytest.raises(IndexError):
-        grid.in_upper(0, 5)
-    with pytest.raises(IndexError):
-        grid.in_lower(-1, 0)
-
-
 def test_nodes_read_only():
     grid = build_grid(1.0, 4)
     with pytest.raises(ValueError):

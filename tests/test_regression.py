@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from bsvie import (
+    AdaptedField,
     BasisSpec,
     DegenerateEnsembleError,
     NodeDesign,
     RegressionError,
-    at_initial_expect,
-    cond_expect,
     design_matrix,
-    martingale_coeff,
-    node_regression,
+    extend_martingale,
     sample_ensemble,
 )
 
@@ -21,6 +19,18 @@ def _cubic(w):
     return 2.0 + 3.0 * w - 0.5 * w**2 + 0.25 * w**3
 
 
+def cond_expect(target, ensemble, node):
+    """Fitted node projection of one target (M,) or a batch (rows, M)."""
+    design = NodeDesign(ensemble.values[:, node], BasisSpec())
+    fitted = design.evaluate(design.fit(np.atleast_2d(target)))
+    return fitted[0] if np.ndim(target) == 1 else fitted
+
+
+def martingale_coeff(target, ensemble, node):
+    """Projection of target * dW_node / dt: the one-step integrand."""
+    return cond_expect(target * (ensemble.increments[:, node] / ensemble.dt), ensemble, node)
+
+
 def test_basis_spec_validation():
     assert BasisSpec().size == 4
     assert BasisSpec(degree=0).size == 1
@@ -28,8 +38,6 @@ def test_basis_spec_validation():
         BasisSpec(degree=-1)
     with pytest.raises(ValueError):
         BasisSpec(ridge=-1e-3)
-    with pytest.raises(ValueError):
-        BasisSpec(state="fourier")
 
 
 def test_in_span_target_reproduced(unit_ensemble):
@@ -71,10 +79,9 @@ def test_coefficients_match_normal_equations_oracle(unit_ensemble):
     penalty = np.eye(4)
     penalty[0, 0] = 0.0
     expected = np.linalg.solve(gram + basis.ridge * penalty, x.T @ target / ens.n_paths)
-    report = node_regression(target, ens, NODE, basis)
-    np.testing.assert_allclose(report.coefficients, expected, rtol=1e-9)
-    assert np.isfinite(report.condition)
-    assert report.residual_l2 >= 0.0
+    design = NodeDesign(ens.values[:, NODE], basis)
+    np.testing.assert_allclose(design.fit(target[None, :])[0], expected, rtol=1e-9)
+    assert np.isfinite(design.condition)
 
 
 def test_projection_idempotent(unit_ensemble):
@@ -113,16 +120,11 @@ def test_martingale_coeff_recovers_square_integrand(unit_grid):
     # for W(t_{k+1})^2 the representation integrand over the next step
     # is 2 W(t_k), a member of the basis
     ens = sample_ensemble(unit_grid, 65536, seed=22)
-    target = ens.values[:, NODE + 1] ** 2
-    fitted = martingale_coeff(target, ens, NODE)
+    z = extend_martingale(AdaptedField(unit_grid, ens.values**2), ens)
+    fitted = z.at(NODE + 1, NODE)
     ref = 2.0 * ens.values[:, NODE]
     err = float(np.sqrt(np.mean((fitted - ref) ** 2)))
     assert err < 0.15
-
-
-def test_martingale_coeff_rejects_last_node(unit_ensemble):
-    with pytest.raises(ValueError):
-        martingale_coeff(unit_ensemble.terminal(), unit_ensemble, unit_ensemble.grid.steps)
 
 
 def test_weighted_design_reproduces_in_span_target(unit_ensemble):
@@ -131,7 +133,7 @@ def test_weighted_design_reproduces_in_span_target(unit_ensemble):
     weights = np.exp(0.1 * w)
     design = NodeDesign(w, BasisSpec(), weights=weights)
     target = _cubic(w)
-    _, fitted = design.project(target[None, :])
+    fitted = design.evaluate(design.fit(target[None, :]))
     np.testing.assert_allclose(fitted[0], target, rtol=1e-7, atol=1e-9)
 
 
@@ -168,8 +170,9 @@ def test_too_few_paths_rejected(unit_grid):
 
 
 def test_target_shape_validation(unit_ensemble):
+    design = NodeDesign(unit_ensemble.values[:, NODE], BasisSpec())
     with pytest.raises(ValueError):
-        cond_expect(np.ones(7), unit_ensemble, NODE)
+        design.fit(np.ones((1, 7)))
 
 
 def test_batched_targets_match_single_calls(unit_ensemble):
@@ -182,8 +185,3 @@ def test_batched_targets_match_single_calls(unit_ensemble):
     np.testing.assert_allclose(
         batched[1], cond_expect(rows[1], unit_ensemble, NODE), rtol=1e-12, atol=1e-13
     )
-
-
-def test_at_initial_expect_is_plain_mean(unit_ensemble):
-    target = unit_ensemble.terminal()
-    assert at_initial_expect(target) == pytest.approx(float(np.mean(target)), abs=0.0)

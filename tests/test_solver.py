@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bsvie import (
+    DriftSpec,
     Driver,
     Generator,
     ProblemSpec,
@@ -18,6 +19,7 @@ from bsvie import (
     solve_adapted,
     solve_m,
     solve_s,
+    tilt,
 )
 from bsvie.analytic import get_case, reference_fields
 
@@ -245,6 +247,57 @@ def test_unit_weight_driver_is_the_plain_solver(pl_setup, pl_s_report):
     np.testing.assert_allclose(
         weighted.y.values, pl_s_report.y.values, rtol=0, atol=5e-13
     )
+
+
+def _recording_problem(grid):
+    calls = []
+
+    def fn(env):
+        calls.append({k: env[k] for k in ("t", "s", "w", "wt", "wT", "T", "T1")})
+        return np.zeros_like(env["wT"])
+
+    generator = Generator(fn, ("t", "s", "w", "wt", "wT", "T", "T1"))
+    return ProblemSpec(grid, generator, Terminal.from_expression("wT")), calls
+
+
+def test_generator_reads_paths_at_its_nodes():
+    grid = build_grid(1.0, 4)
+    ensemble = sample_ensemble(grid, 64, seed=7)
+    paths, nodes, n = ensemble.values, grid.nodes, grid.steps
+    tilted = tilt(ensemble, DriftSpec(r1=0.5)).driver()
+    assert not np.array_equal(tilted.state, paths)
+    for driver in (None, tilted):
+        problem, calls = _recording_problem(grid)
+        report = solve_s(problem, ensemble, driver=driver)
+        # per level j = n-1 .. 0: the diagonal call, then the rows 0..j-1
+        expected = []
+        for j in range(n - 1, -1, -1):
+            expected.append((j, nodes[j], paths[:, j]))
+            if j:
+                expected.append((j, nodes[:j, None], paths[:, :j].T))
+        assert len(calls) == len(expected)
+        for (j, t, wt), env in zip(expected, calls):
+            np.testing.assert_array_equal(env["t"], t)
+            assert env["s"] == nodes[j]
+            np.testing.assert_array_equal(env["w"], paths[:, j])  # physical, even when tilted
+            np.testing.assert_array_equal(env["wt"], wt)
+            np.testing.assert_array_equal(env["wT"], paths[:, -1])
+            assert (env["T"], env["T1"]) == (grid.horizon, grid.start)
+
+        calls.clear()
+        residual(problem, report.y, report.z, ensemble)
+        assert len(calls) == n
+        for i, env in enumerate(calls):
+            assert env["t"] == nodes[i]
+            np.testing.assert_array_equal(env["s"], nodes[i:n, None])
+            np.testing.assert_array_equal(env["w"], paths[:, i:n].T)
+            np.testing.assert_array_equal(env["wt"], paths[:, i])
+            np.testing.assert_array_equal(env["wT"], paths[:, -1])
+
+
+def test_solver_config_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=0)
 
 
 def test_non_finite_generator_located(pl_setup):
