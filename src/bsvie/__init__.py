@@ -24,7 +24,6 @@ from .fields import (
     AdaptedField,
     CoeffSurface,
     CompositeSurface,
-    DenseSurface,
     FuncSurface,
     SurfaceField,
     SymmetricSurface,
@@ -39,15 +38,7 @@ from .girsanov import (
     tilt,
 )
 from .grid import TimeGrid, build_grid
-from .norms import (
-    NormReport,
-    s2_norm,
-    star_h2_norm,
-    y_l2,
-    z_cells_l2,
-    z_full_l2,
-    z_upper_l2,
-)
+from .norms import s2_norm, y_l2, z_cells_l2, z_upper_l2
 from .regression import (
     BasisSpec,
     DegenerateEnsembleError,
@@ -65,7 +56,6 @@ from .risk import (
     constant_position_reference,
     discount_factor,
     position_terminal,
-    require_common_paths,
     rho,
     rho_report,
     route_agreement,

@@ -41,8 +41,7 @@ class ReferenceCase:
     horizon: float
     generator_src: str
     terminal_src: str
-    note: str
-    build_fields: Callable[["ReferenceCase", PathEnsemble], ReferenceFields]
+    build_fields: Callable[[PathEnsemble], ReferenceFields]
 
     def grid(self, steps: int) -> TimeGrid:
         return build_grid(horizon=self.horizon, steps=steps, start=self.start)
@@ -69,7 +68,7 @@ def _const_surface(ens: PathEnsemble, fn: Callable[[float, float], float]) -> Fu
     )
 
 
-def _product_fields(case: ReferenceCase, ens: PathEnsemble) -> ReferenceFields:
+def _product_fields(ens: PathEnsemble) -> ReferenceFields:
     nodes = ens.grid.nodes
     y = AdaptedField(grid=ens.grid, values=nodes[None, :] ** 2 * ens.values)
     z_s = _const_surface(ens, lambda t, s: t * s)
@@ -77,15 +76,15 @@ def _product_fields(case: ReferenceCase, ens: PathEnsemble) -> ReferenceFields:
     return ReferenceFields(y=y, z_s=z_s, z_m=z_m)
 
 
-def _mirror_fields(case: ReferenceCase, ens: PathEnsemble) -> ReferenceFields:
-    base = _product_fields(case, ens)
+def _mirror_fields(ens: PathEnsemble) -> ReferenceFields:
+    base = _product_fields(ens)
     # counterpart of the equation whose stochastic sum reads the column:
     # above the diagonal the roles of the two completions swap
     z_mirror = _const_surface(ens, lambda t, s: s * s if t <= s else t * s)
     return ReferenceFields(y=base.y, z_s=base.z_s, z_m=base.z_m, z_mirror=z_mirror)
 
 
-def _shifted_fields(case: ReferenceCase, ens: PathEnsemble) -> ReferenceFields:
+def _shifted_fields(ens: PathEnsemble) -> ReferenceFields:
     nodes = ens.grid.nodes
     y = AdaptedField(grid=ens.grid, values=(nodes[None, :] + 1.0) ** 2 * ens.values)
     z_s = _const_surface(ens, lambda t, s: (t + 1.0) * (s + 1.0))
@@ -95,13 +94,13 @@ def _shifted_fields(case: ReferenceCase, ens: PathEnsemble) -> ReferenceFields:
     return ReferenceFields(y=y, z_s=z_s, z_m=z_m)
 
 
-def _zero_fields(case: ReferenceCase, ens: PathEnsemble) -> ReferenceFields:
+def _zero_fields(ens: PathEnsemble) -> ReferenceFields:
     y = AdaptedField(grid=ens.grid, values=np.zeros_like(ens.values))
     zero = _const_surface(ens, lambda t, s: 0.0)
     return ReferenceFields(y=y, z_s=zero, z_m=zero)
 
 
-def _squared_driver_fields(case: ReferenceCase, ens: PathEnsemble) -> ReferenceFields:
+def _squared_driver_fields(ens: PathEnsemble) -> ReferenceFields:
     nodes = ens.grid.nodes
     w = ens.values
     y = AdaptedField(grid=ens.grid, values=nodes[None, :] * w**2)
@@ -124,14 +123,14 @@ def _squared_driver_fields(case: ReferenceCase, ens: PathEnsemble) -> ReferenceF
 CASES: dict[str, ReferenceCase] = {
     case.id: case
     for case in (
+        # Y(t) = t^2 W(t); the generator divides by s, so the interval
+        # needs a positive start point
         ReferenceCase(
             id="product-linear",
             start=0.5,
             horizon=1.0,
             generator_src="-t*y/s^2",
             terminal_src="t*T*wT",
-            note="Y(t) = t^2 W(t); symmetric kernel t*s; martingale fill t^2 below "
-                 "the diagonal.  Needs a positive start point.",
             build_fields=_product_fields,
         ),
         ReferenceCase(
@@ -140,8 +139,6 @@ CASES: dict[str, ReferenceCase] = {
             horizon=1.0,
             generator_src="-(t+1)*y/(s+1)^2",
             terminal_src="wT*(T+1)*(t+1)",
-            note="Y(t) = (t+1)^2 W(t); symmetric kernel (t+1)(s+1); martingale "
-                 "fill (t+1)^2 below the diagonal.",
             build_fields=_shifted_fields,
         ),
         ReferenceCase(
@@ -150,9 +147,6 @@ CASES: dict[str, ReferenceCase] = {
             horizon=1.0,
             generator_src="-t*y/s^2",
             terminal_src="t*T*wT",
-            note="The product-linear problem next to its column-read twin: both "
-                 "share the symmetric solution, but the two martingale "
-                 "completions disagree everywhere off the diagonal.",
             build_fields=_mirror_fields,
         ),
         ReferenceCase(
@@ -161,18 +155,16 @@ CASES: dict[str, ReferenceCase] = {
             horizon=1.0,
             generator_src="0",
             terminal_src="0",
-            note="Everything vanishes; the solver must reproduce exact zeros.",
             build_fields=_zero_fields,
         ),
+        # Y(t) = t W(t)^2; the drift -t is proportional to the outer time,
+        # and a t-independent drift would not reproduce these fields exactly
         ReferenceCase(
             id="squared-driver",
             start=0.0,
             horizon=1.0,
             generator_src="-t",
             terminal_src="t*wT^2",
-            note="Y(t) = t W(t)^2 with kernel 2 t W(s) above the diagonal.  The "
-                 "drift rate is -t, proportional to the outer time; a "
-                 "t-independent rate would not reproduce these fields exactly.",
             build_fields=_squared_driver_fields,
         ),
     )
@@ -198,7 +190,7 @@ def reference_fields(case: ReferenceCase | str, ensemble: PathEnsemble) -> Refer
             f"ensemble interval [{grid.nodes[0]}, {grid.horizon}] does not match "
             f"case {case.id!r} on [{case.start}, {case.horizon}]"
         )
-    return case.build_fields(case, ensemble)
+    return case.build_fields(ensemble)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Diagnostics carry byte offsets into the source.  Evaluation is plain
 IEEE double arithmetic; passing numpy arrays through the environment
 evaluates all paths at once, which the solvers rely on, but scalar
 in/scalar out is the contract.  Domain faults (log of a nonpositive,
-even root of a negative, zero over zero) surface as NaN and are noted
-in the optional ``flags`` list rather than raised.
+even root of a negative, zero over zero) surface as NaN rather than
+raise; the solvers locate them by checking the generator's output.
 """
 
 from __future__ import annotations
@@ -139,12 +139,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprError(f"expected {what}", tok[2])
-        return tok
-
     def parse(self) -> Node:
         node = self.expression(0)
         kind, text, at = self.peek()
@@ -234,17 +228,7 @@ _CALLS = {
 }
 
 
-def _flag_nan(value, children, node: Node, flags: list[str]) -> None:
-    if not np.any(np.isnan(value)):
-        return
-    for child in children:
-        if np.any(np.isnan(child)):
-            return  # already reported further down
-    kind = node.name if isinstance(node, Call) else node.op
-    flags.append(f"domain error in {kind!r} at byte {node.offset}")
-
-
-def _eval(node: Node, env: dict, flags: list[str] | None):
+def _eval(node: Node, env: dict):
     if isinstance(node, Num):
         return np.float64(node.value)
     if isinstance(node, Var):
@@ -253,38 +237,29 @@ def _eval(node: Node, env: dict, flags: list[str] | None):
         except KeyError:
             raise ExprError(f"unbound variable {node.name!r}", node.offset) from None
     if isinstance(node, Unary):
-        return -_eval(node.operand, env, flags)
+        return -_eval(node.operand, env)
     if isinstance(node, Bin):
-        left = _eval(node.left, env, flags)
-        right = _eval(node.right, env, flags)
+        left = _eval(node.left, env)
+        right = _eval(node.right, env)
         if node.op == "+":
-            out = left + right
-        elif node.op == "-":
-            out = left - right
-        elif node.op == "*":
-            out = left * right
-        elif node.op == "/":
-            out = left / right
-        else:
-            out = np.power(left, right)
-        if flags is not None:
-            _flag_nan(out, (left, right), node, flags)
-        return out
-    args = [_eval(a, env, flags) for a in node.args]
-    out = _CALLS[node.name](*args)
-    if flags is not None:
-        _flag_nan(out, args, node, flags)
-    return out
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            return left / right
+        return np.power(left, right)
+    return _CALLS[node.name](*[_eval(a, env) for a in node.args])
 
 
-def eval_expr(node: Node, env: dict, flags: list[str] | None = None):
+def eval_expr(node: Node, env: dict):
     """Evaluate an AST in an environment of scalars (or numpy arrays).
 
-    Unknown variables raise; domain faults produce NaN and, when a
-    ``flags`` list is supplied, append a located note to it.
+    Unknown variables raise; domain faults produce NaN.
     """
     with np.errstate(all="ignore"):
-        return _eval(node, env, flags)
+        return _eval(node, env)
 
 
 def _node_prec(node: Node) -> int:

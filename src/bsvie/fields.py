@@ -3,8 +3,9 @@
 An :class:`AdaptedField` stores one value per (path, node).  A
 :class:`SurfaceField` represents a two-time kernel Z(t_i, t_j); concrete
 backings differ (regression coefficient tables, closed-form callables,
-dense arrays) but all expose ``at(i, j) -> (n_paths,)`` and
-``column(j, rows)``, which reads several cells of one column together.
+and mirrored or stitched views of those) but all expose
+``at(i, j) -> (n_paths,)`` and ``column(j, rows)``, which reads several
+cells of one column together.
 Bulk readers go through :func:`read_cells`, which visits the cells a
 column at a time so that a coefficient-backed kernel builds each node's
 design matrix once per pass instead of once per cell.
@@ -182,22 +183,6 @@ class FuncSurface(SurfaceField):
         return out
 
 
-class DenseSurface(SurfaceField):
-    """Kernel backed by an explicit (n_paths, N+1, N+1) array."""
-
-    def __init__(self, grid: TimeGrid, values: np.ndarray, region: Region = "full") -> None:
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise ValueError("dense surface needs a square (paths, nodes, nodes) array")
-        if values.shape[1] != len(grid):
-            raise ValueError("dense surface shape disagrees with grid")
-        super().__init__(grid, values.shape[0])
-        self.region = region
-        self.values = values
-
-    def _values(self, i: int, j: int) -> np.ndarray:
-        return self.values[:, i, j]
-
-
 class SymmetricSurface(SurfaceField):
     """Full-square view of an upper-triangle kernel, mirrored exactly.
 
@@ -232,7 +217,7 @@ class CompositeSurface(SurfaceField):
     def __init__(self, upper: SurfaceField, lower: SurfaceField, extension: Extension) -> None:
         if upper.region != "upper" or lower.region != "lower":
             raise ValueError("composite needs an upper and a lower triangle kernel")
-        if upper.grid is not lower.grid and len(upper.grid) != len(lower.grid):
+        if upper.grid != lower.grid:
             raise ValueError("triangle kernels live on different grids")
         super().__init__(upper.grid, upper.n_paths)
         self.extension = extension

@@ -97,7 +97,6 @@ class TiltedEnsemble:
     """
 
     base: PathEnsemble
-    node_rates: np.ndarray
     drift_integral: np.ndarray
     tilted_values: np.ndarray
     tilted_increments: np.ndarray
@@ -120,38 +119,26 @@ class TiltedEnsemble:
         )
 
 
-def tilt(ensemble: PathEnsemble | TiltedEnsemble, drift: DriftSpec) -> TiltedEnsemble:
-    """Shift the driver by the drift's cumulative integral and reweight.
-
-    Tilting an already tilted ensemble composes at the rate level, so a
-    tilt by r followed by a tilt by -r reproduces the original arrays
-    exactly, not merely up to rounding.
-    """
-    if isinstance(ensemble, TiltedEnsemble):
-        base = ensemble.base
-        rates = ensemble.node_rates + drift.rate_values(base.grid)
-    else:
-        base = ensemble
-        rates = drift.rate_values(base.grid)
-    grid = base.grid
-    dt = grid.dt
+def tilt(ensemble: PathEnsemble, drift: DriftSpec) -> TiltedEnsemble:
+    """Shift the driver by the drift's cumulative integral and reweight."""
+    rates = drift.rate_values(ensemble.grid)
+    dt = ensemble.grid.dt
     integral = _trapezoid_cumulative(rates, dt)
     square_integral = float(_trapezoid_cumulative(rates**2, dt)[-1])
     if not np.isfinite(square_integral):
         raise DriftError("squared-rate quadrature diverges")
-    tilted_values = base.values + integral[None, :]
-    tilted_increments = base.increments + np.diff(integral)[None, :]
+    tilted_values = ensemble.values + integral[None, :]
+    tilted_increments = ensemble.increments + np.diff(integral)[None, :]
     # density against the sampling measure: under it the shifted paths
     # regain Brownian moments; the stochastic integral is left-point
-    log_weights = -base.increments @ rates[:-1] - 0.5 * square_integral
+    log_weights = -ensemble.increments @ rates[:-1] - 0.5 * square_integral
     weights = np.exp(log_weights)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0.0):
         raise DriftError("likelihood weights degenerate; drift too large for the horizon")
-    for a in (tilted_values, tilted_increments, weights, integral, rates):
+    for a in (tilted_values, tilted_increments, weights, integral):
         a.flags.writeable = False
     return TiltedEnsemble(
-        base=base,
-        node_rates=rates,
+        base=ensemble,
         drift_integral=integral,
         tilted_values=tilted_values,
         tilted_increments=tilted_increments,

@@ -14,22 +14,11 @@ time, and only then summed in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .fields import AdaptedField, SurfaceField, read_cells
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Squared components and the combined norm of a (Y, Z) pair."""
-
-    y_l2: float
-    z_l2: float
-    total: float
-    region: str  # "full-square" | "dc-doubled"
 
 
 def y_l2(y: AdaptedField) -> float:
@@ -54,30 +43,6 @@ def z_upper_l2(z: SurfaceField) -> float:
     """Triangle integral over t <= s, the z-part of the S^2-style norm."""
     n = z.grid.steps
     return z_cells_l2(z, ((i, j) for i in range(n) for j in range(i, n)))
-
-
-def z_full_l2(z: SurfaceField) -> float:
-    """Full-square integral E int int |Z|^2 ds dt."""
-    n = z.grid.steps
-    return z_cells_l2(z, ((i, j) for i in range(n) for j in range(n)))
-
-
-def star_h2_norm(y: AdaptedField, z: SurfaceField) -> NormReport:
-    """Full-square norm of (Y, Z): E int |Y|^2 dt + E int int |Z|^2 ds dt.
-
-    Symmetric kernels are integrated through their upper representative
-    (each off-diagonal cell counted twice) and tagged ``dc-doubled``;
-    other full kernels are integrated cell by cell.
-    """
-    if z.region != "full":
-        raise ValueError(
-            "full-square norm needs a full kernel; extend the triangle first "
-            "or use s2_norm for the triangle-based norm"
-        )
-    yy = y_l2(y)
-    zz = z_full_l2(z)
-    region = "dc-doubled" if z.extension == "symmetric" else "full-square"
-    return NormReport(y_l2=yy, z_l2=zz, total=float(np.sqrt(yy + zz)), region=region)
 
 
 def s2_norm(y: AdaptedField, z: SurfaceField) -> float:

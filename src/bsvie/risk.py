@@ -12,6 +12,7 @@ error, not sampling noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +34,16 @@ _AGG_NAMES = frozenset(("t", "s", "y", "T", "T1"))
 
 ROUTES = ("direct", "girsanov")
 
+# axiom tolerances, relative to the sup-node L2 size of the base risk
+# (monotonicity, sub-additivity) or absolute (the exact-algebra checks)
+_MONOTONICITY_TOL = 0.02
+_SUBADDITIVITY_TOL = 0.02
+_EXACT_TOL = 1e-10
+_FACTOR_TOL = 1e-3
+
 
 class RiskSetupError(ValueError):
-    """Ill-posed risk setup or mismatched comparison runs."""
+    """Ill-posed risk setup."""
 
 
 @dataclass(frozen=True)
@@ -89,20 +97,6 @@ class Aggregator:
         """Positively homogeneous in y, so scaling commutes with solving."""
         return self.kind in ("zero", "linear", "absolute")
 
-    @property
-    def needs(self) -> frozenset:
-        if self.kind == "zero":
-            return frozenset()
-        if self.kind == "expr":
-            return free_variables(parse(self.expr))
-        return frozenset(("s", "y"))
-
-    def rate_values(self, grid: TimeGrid) -> np.ndarray:
-        """Rate at every node; preset kinds only."""
-        if self.kind not in ("linear", "absolute"):
-            raise RiskSetupError(f"aggregator kind {self.kind!r} has no rate")
-        return np.array(rate_on_grid(self.rate, grid, "aggregator rate", RiskSetupError))
-
     def _fn(self):
         if self.kind == "zero":
             return lambda env: np.float64(0.0)
@@ -147,8 +141,7 @@ class RiskSpec:
 
     def terminal(self) -> Terminal:
         psi = position_terminal(self.position)
-        label = psi.source or "psi"
-        return Terminal(lambda grid, w: -psi.eval_all(grid, w), source=f"-({label})")
+        return Terminal(lambda grid, w: -psi.eval_all(grid, w))
 
 
 def _direct_generator(spec: RiskSpec) -> Generator:
@@ -162,20 +155,11 @@ def _direct_generator(spec: RiskSpec) -> Generator:
         rate = eval_expr(r1, env) + eval_expr(r2, env)
         return f_fn(env) + rate * env["z"]
 
-    needs = spec.aggregator.needs | {"s", "z"}
-    return Generator(fn, needs, source=f"{spec.aggregator.describe()} + (r1(s)+r2(s))*z")
+    return Generator(fn, _AGG_NAMES | {"z"})
 
 
-def _plain_generator(spec: RiskSpec) -> Generator:
-    return Generator(spec.aggregator._fn(), spec.aggregator.needs,
-                     source=spec.aggregator.describe())
-
-
-def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None,
-           route: str) -> SolveReport:
-    if route not in ROUTES:
-        raise RiskSetupError(f"route must be one of {ROUTES}, got {route!r}")
-    if route == "direct":
+def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None) -> SolveReport:
+    if spec.route == "direct":
         problem = ProblemSpec(
             grid=ensemble.grid,
             generator=_direct_generator(spec),
@@ -188,7 +172,7 @@ def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None,
     tilted = tilt(ensemble, spec.drift.negated())
     problem = ProblemSpec(
         grid=ensemble.grid,
-        generator=_plain_generator(spec),
+        generator=Generator(spec.aggregator._fn(), _AGG_NAMES),
         terminal=spec.terminal(),
     )
     # the free term stays on the physical paths; only the regression
@@ -196,16 +180,16 @@ def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None,
     return solve_s(problem, ensemble, config, driver=tilted.driver())
 
 
-def rho(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None = None,
-        route: str | None = None) -> AdaptedField:
+def rho(spec: RiskSpec, ensemble: PathEnsemble,
+        config: SolverConfig | None = None) -> AdaptedField:
     """Risk field rho(t_i) per path, positive for adverse positions."""
-    return _solve(spec, ensemble, config, route or spec.route).y
+    return _solve(spec, ensemble, config).y
 
 
-def rho_report(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None = None,
-               route: str | None = None) -> SolveReport:
+def rho_report(spec: RiskSpec, ensemble: PathEnsemble,
+               config: SolverConfig | None = None) -> SolveReport:
     """Like :func:`rho` but with the full solver report."""
-    return _solve(spec, ensemble, config, route or spec.route)
+    return _solve(spec, ensemble, config)
 
 
 @dataclass(frozen=True)
@@ -226,8 +210,8 @@ def _sup_node_l2(values: np.ndarray) -> float:
 def route_agreement(spec: RiskSpec, ensemble: PathEnsemble,
                     config: SolverConfig | None = None) -> RouteReport:
     """Direct and tilted routes on common paths; gap in sup-node L2."""
-    direct = rho(spec, ensemble, config, route="direct")
-    tilted_field = rho(spec, ensemble, config, route="girsanov")
+    direct = rho(replace(spec, route="direct"), ensemble, config)
+    tilted_field = rho(replace(spec, route="girsanov"), ensemble, config)
     selftest = girsanov_selftest(tilt(ensemble, spec.drift.negated()))
     diff = tilted_field.values - direct.values
     scale = max(_sup_node_l2(direct.values), 1e-12)
@@ -293,39 +277,13 @@ class AxiomReport:
         raise KeyError(f"no check named {axiom!r}; have {[c.axiom for c in self.checks]}")
 
 
-def _shifted_position(psi: Terminal, c: float) -> Terminal:
-    return Terminal(lambda grid, w: psi.eval_all(grid, w) + c,
-                    source=f"({psi.source}) + {c!r}")
+def _perturbed(psi: Terminal, edit: Callable) -> Terminal:
+    """``psi`` with ``edit(values, grid, w)`` applied to its values.
 
-
-def _scaled_position(psi: Terminal, lam: float) -> Terminal:
-    return Terminal(lambda grid, w: lam * psi.eval_all(grid, w),
-                    source=f"{lam!r} * ({psi.source})")
-
-
-def _summed_position(a: Terminal, b: Terminal) -> Terminal:
-    return Terminal(lambda grid, w: a.eval_all(grid, w) + b.eval_all(grid, w),
-                    source=f"({a.source}) + ({b.source})")
-
-
-def _edited_before(psi: Terminal, node: int) -> Terminal:
-    def fn(grid: TimeGrid, w: np.ndarray) -> np.ndarray:
-        out = psi.eval_all(grid, w)
-        out[:node] = 2.0 * out[:node] + 3.0
-        return out
-
-    return Terminal(fn, source=f"({psi.source}) edited below node {node}")
-
-
-def require_common_paths(a: PathEnsemble, b: PathEnsemble) -> None:
-    """Axiom and route comparisons are only meaningful on shared paths."""
-    if a is b:
-        return
-    if a.seed != b.seed or a.n_paths != b.n_paths or a.grid != b.grid:
-        raise RiskSetupError(
-            "compared runs must share seed, path count and grid; got "
-            f"(seed {a.seed}, M {a.n_paths}) vs (seed {b.seed}, M {b.n_paths})"
-        )
+    The edit runs inside the evaluation, so each solve builds its own
+    perturbed free term and none outlives the solve that reads it.
+    """
+    return Terminal(lambda grid, w: edit(psi.eval_all(grid, w), grid, w))
 
 
 def _positive_part_stats(defect: np.ndarray, scale: float) -> tuple[float, dict]:
@@ -344,33 +302,25 @@ def check_axioms(
     scale: float = 2.0,
     companion: str | float | Terminal = 0.5,
     node: int | None = None,
-    ensemble_b: PathEnsemble | None = None,
-    monotonicity_tolerance: float = 0.02,
-    subadditivity_tolerance: float = 0.02,
-    exact_tolerance: float = 1e-10,
-    factor_tolerance: float = 1e-3,
 ) -> AxiomReport:
     """Re-solve under perturbed positions on common paths and measure
     each coherence axiom's defect.
 
     Translation and its discount factor are only checked for the linear
     aggregator; homogeneity needs a positively homogeneous one.  All
-    runs share ``ensemble`` (a second ensemble, if given, must match its
-    seed, path count and grid).
+    runs share ``ensemble``, so every defect compares common paths.
     """
-    if ensemble_b is not None:
-        require_common_paths(ensemble, ensemble_b)
     grid = ensemble.grid
     n = grid.steps
     psi = position_terminal(spec.position)
-    base = _solve(spec, ensemble, config, spec.route)
+    base = _solve(spec, ensemble, config)
     rho0 = base.y
     norm = max(_sup_node_l2(rho0.values), 1e-12)
     m = ensemble.n_paths
     checks: list[AxiomCheck] = []
 
     def run(position: Terminal) -> AdaptedField:
-        return _solve(replace(spec, position=position), ensemble, config, spec.route).y
+        return _solve(replace(spec, position=position), ensemble, config).y
 
     # past independence: the sweep reads the free term row by row and
     # never below the current node, so editing early rows must leave
@@ -378,7 +328,12 @@ def check_axioms(
     i0 = n // 2 if node is None else int(node)
     if not 0 < i0 <= n:
         raise RiskSetupError(f"edit node must lie in (0, {n}], got {i0}")
-    edited = run(_edited_before(psi, i0))
+
+    def edit_head(values: np.ndarray, *_) -> np.ndarray:
+        values[:i0] = 2.0 * values[:i0] + 3.0
+        return values
+
+    edited = run(_perturbed(psi, edit_head))
     tail_gap = float(np.abs(edited.values[:, i0:] - rho0.values[:, i0:]).max())
     head_changed = bool(np.any(edited.values[:, :i0] != rho0.values[:, :i0]))
     checks.append(AxiomCheck(
@@ -391,14 +346,14 @@ def check_axioms(
     ))
 
     # monotonicity: a larger position cannot carry more risk
-    bigger = run(_shifted_position(psi, abs(shift)))
+    bigger = run(_perturbed(psi, lambda v, *_: v + abs(shift)))
     mono_defect = bigger.values - rho0.values
     mono_max, mono_q = _positive_part_stats(mono_defect, norm)
     checks.append(AxiomCheck(
         axiom="monotonicity",
         max_violation=mono_max,
-        tolerance=monotonicity_tolerance,
-        passed=mono_max <= monotonicity_tolerance,
+        tolerance=_MONOTONICITY_TOL,
+        passed=mono_max <= _MONOTONICITY_TOL,
         sample_size=mono_defect.size,
         detail=f"position shift +{abs(shift)!r}, violations relative to sup-node L2",
         quantiles=mono_q,
@@ -408,14 +363,14 @@ def check_axioms(
         # translation: the response to a constant shift is the solver's
         # own unit response, exactly, by linearity of every sweep step
         unit = run(Terminal.constant(-1.0))
-        shifted = run(_shifted_position(psi, shift))
+        shifted = run(_perturbed(psi, lambda v, *_: v + shift))
         defect = shifted.values - rho0.values + shift * unit.values
         trans_max = float(np.abs(defect).max())
         checks.append(AxiomCheck(
             axiom="translation",
             max_violation=trans_max,
-            tolerance=exact_tolerance,
-            passed=trans_max <= exact_tolerance,
+            tolerance=_EXACT_TOL,
+            passed=trans_max <= _EXACT_TOL,
             sample_size=defect.size,
             detail=f"shift {shift!r} against the unit response, common paths",
         ))
@@ -426,8 +381,8 @@ def check_axioms(
             checks.append(AxiomCheck(
                 axiom="translation-factor",
                 max_violation=factor_max,
-                tolerance=factor_tolerance,
-                passed=factor_max <= factor_tolerance,
+                tolerance=_FACTOR_TOL,
+                passed=factor_max <= _FACTOR_TOL,
                 sample_size=n + 1,
                 detail="unit response against the tail-integral discount factor",
             ))
@@ -436,13 +391,13 @@ def check_axioms(
         lam = float(scale)
         if lam <= 0:
             raise RiskSetupError("homogeneity scale must be positive")
-        scaled = run(_scaled_position(psi, lam))
+        scaled = run(_perturbed(psi, lambda v, *_: lam * v))
         homo = float(np.abs(scaled.values - lam * rho0.values).max())
         checks.append(AxiomCheck(
             axiom="homogeneity",
             max_violation=homo,
-            tolerance=exact_tolerance,
-            passed=homo <= exact_tolerance,
+            tolerance=_EXACT_TOL,
+            passed=homo <= _EXACT_TOL,
             sample_size=scaled.values.size,
             detail=f"scale {lam!r}",
         ))
@@ -450,7 +405,7 @@ def check_axioms(
     # sub-additivity: risk of the sum at most the sum of risks
     other = position_terminal(companion)
     rho_other = run(other)
-    rho_sum = run(_summed_position(psi, other))
+    rho_sum = run(_perturbed(psi, lambda v, grid, w: v + other.eval_all(grid, w)))
     sub_defect = rho_sum.values - rho0.values - rho_other.values
     sub_max, sub_q = _positive_part_stats(sub_defect, norm)
     detail = "companion position " + (other.source or "?")
@@ -459,8 +414,8 @@ def check_axioms(
     checks.append(AxiomCheck(
         axiom="sub-additivity",
         max_violation=sub_max,
-        tolerance=subadditivity_tolerance,
-        passed=sub_max <= subadditivity_tolerance,
+        tolerance=_SUBADDITIVITY_TOL,
+        passed=sub_max <= _SUBADDITIVITY_TOL,
         sample_size=sub_defect.size,
         detail=detail,
         quantiles=sub_q,

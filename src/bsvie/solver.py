@@ -46,18 +46,17 @@ class SolverError(RuntimeError):
 class Generator:
     """Integrand g(t, s, y, z, zeta) with declared data dependencies."""
 
-    def __init__(self, fn: Callable[[dict], np.ndarray], needs, source: str | None = None):
+    def __init__(self, fn: Callable[[dict], np.ndarray], needs):
         unknown = frozenset(needs) - _ENV_NAMES
         if unknown:
             raise ValueError(f"generator reads unknown names {sorted(unknown)}")
         self._fn = fn
         self.needs = frozenset(needs)
-        self.source = source
 
     @classmethod
     def from_expression(cls, src: str | ExprNode) -> "Generator":
         ast = parse(src) if isinstance(src, str) else src
-        return cls(lambda env: eval_expr(ast, env), free_variables(ast), format_expr(ast))
+        return cls(lambda env: eval_expr(ast, env), free_variables(ast))
 
     @property
     def uses_zeta(self) -> bool:
@@ -84,13 +83,8 @@ class Terminal:
             )
 
         def fn(grid: TimeGrid, w: np.ndarray) -> np.ndarray:
-            env = {
-                "t": grid.nodes[:, None],
-                "wt": w.T,
-                "wT": w[:, -1],
-                "T": grid.horizon,
-                "T1": grid.start,
-            }
+            # every outer node at once; the inner-time names stay unread
+            env = _generator_env(grid, w, slice(None), slice(None), None, None, None)
             out = eval_expr(ast, env)
             return np.broadcast_to(out, (len(grid), w.shape[0])).astype(np.float64, copy=True)
 
@@ -199,6 +193,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_grid(grid: TimeGrid, ensemble: PathEnsemble) -> None:
+    if len(grid) != len(ensemble.grid) or grid.nodes[0] != ensemble.grid.nodes[0] \
+            or grid.nodes[-1] != ensemble.grid.nodes[-1]:
+        raise ValueError("problem grid and ensemble grid disagree")
+
+
+def _node_designs(driver: Driver, basis: BasisSpec) -> list[NodeDesign]:
+    """One regression design per node 0..N-1 of the driver state."""
+    designs = []
+    for j in range(driver.state.shape[1] - 1):
+        try:
+            designs.append(NodeDesign(driver.state[:, j], basis, driver.weights))
+        except DegenerateEnsembleError as e:
+            raise DegenerateEnsembleError(f"node {j}: {e}") from None
+    return designs
+
+
 class _Sweep:
     """Shared machinery: designs, terminal data, one level step."""
 
@@ -210,9 +221,7 @@ class _Sweep:
         driver: Driver | None = None,
     ) -> None:
         grid = problem.grid
-        if len(grid) != len(ensemble.grid) or grid.nodes[0] != ensemble.grid.nodes[0] \
-                or grid.nodes[-1] != ensemble.grid.nodes[-1]:
-            raise ValueError("problem grid and ensemble grid disagree")
+        _check_grid(grid, ensemble)
         self.problem = problem
         self.grid = grid
         self.ensemble = ensemble
@@ -224,19 +233,13 @@ class _Sweep:
         self.m = ensemble.n_paths
         self.dt = grid.dt
         self.k = config.basis.size
-        self.designs = [self._node_design(j) for j in range(self.n)]
+        self.designs = _node_designs(self.driver, config.basis)
         self.terminal = problem.terminal.eval_all(grid, ensemble.values)
         bad = ~np.isfinite(self.terminal)
         if bad.any():
             i = int(np.argwhere(bad.any(axis=1))[0][0])
             raise SolverError(f"terminal data is non-finite at node {i}")
         self.g = problem.generator
-
-    def _node_design(self, j: int) -> NodeDesign:
-        try:
-            return NodeDesign(self.driver.state[:, j], self.config.basis, self.driver.weights)
-        except DegenerateEnsembleError as e:
-            raise DegenerateEnsembleError(f"node {j}: {e}") from None
 
     def _check_g(self, values: np.ndarray, i_lo: int, i_hi: int, j: int) -> None:
         if np.all(np.isfinite(values)):
@@ -480,43 +483,36 @@ def solve_s(
     )
 
 
-def _martingale_coeffs(sweep: _Sweep, y_values: np.ndarray) -> np.ndarray:
+def _martingale_coeffs(
+    designs: list[NodeDesign], increments: np.ndarray, dt: float, y_values: np.ndarray
+) -> np.ndarray:
     """Lower-triangle tables: row i at node j < i regresses Y_i * dW_j / dt.
 
     The fitted conditional expectation is subtracted first, as in the
     sweep: same projection, far less regressand variance.
     """
-    coeffs = np.zeros((sweep.n + 1, sweep.n + 1, sweep.k))
-    for j in range(sweep.n):
-        design = sweep.designs[j]
-        scale = sweep.driver.increments[:, j] / sweep.dt
+    n = len(designs)
+    coeffs = np.zeros((n + 1, n + 1, designs[0].basis.size))
+    for j, design in enumerate(designs):
+        scale = increments[:, j] / dt
         rows = y_values[:, j + 1:].T
         ce_fit = design.evaluate(design.fit(rows))
         coeffs[j + 1:, j] = design.fit((rows - ce_fit) * scale)
     return coeffs
 
 
-def extend_martingale(
-    y: AdaptedField,
-    ensemble: PathEnsemble,
-    basis: BasisSpec | None = None,
-    driver: Driver | None = None,
-) -> CoeffSurface:
+def extend_martingale(y: AdaptedField, ensemble: PathEnsemble) -> CoeffSurface:
     """Fill the strict lower triangle with representation integrands.
 
     Entry (i, j), i > j, estimates the integrand at t_j of the
     stochastic-integral representation of Y(t_i); it is a function of
     node-j data by construction.
     """
-    config = SolverConfig(basis=basis or BasisSpec())
-    problem = ProblemSpec(
-        grid=y.grid,
-        generator=Generator(lambda env: np.float64(0.0), ()),
-        terminal=Terminal.constant(0.0),
-    )
-    sweep = _Sweep(problem, ensemble, config, driver)
-    coeffs = _martingale_coeffs(sweep, y.values)
-    return CoeffSurface(sweep.grid, sweep.driver.state, _readonly(coeffs), region="lower")
+    _check_grid(y.grid, ensemble)
+    driver = Driver.from_ensemble(ensemble)
+    designs = _node_designs(driver, BasisSpec())
+    coeffs = _martingale_coeffs(designs, driver.increments, y.grid.dt, y.values)
+    return CoeffSurface(y.grid, driver.state, _readonly(coeffs), region="lower")
 
 
 def martingale_reconstruction_error(
@@ -555,6 +551,10 @@ def solve_m(
     """
     config = config or SolverConfig()
     sweep = _Sweep(problem, ensemble, config, driver)
+
+    def martingale_coeffs(y_values: np.ndarray) -> np.ndarray:
+        return _martingale_coeffs(sweep.designs, sweep.driver.increments, sweep.dt, y_values)
+
     if not problem.uses_zeta:
         y_values, z_coeffs = _diagonal_solve(sweep)
         info = _ONE_PASS
@@ -562,12 +562,12 @@ def solve_m(
         y_values, z_coeffs, info = _fixed_point(
             sweep,
             lambda prev_y, prev_c: (
-                None, _frozen_martingale_zeta(sweep, _martingale_coeffs(sweep, prev_y))
+                None, _frozen_martingale_zeta(sweep, martingale_coeffs(prev_y))
             ),
         )
 
     upper = _upper_kernel(sweep, z_coeffs)
-    mart = _martingale_coeffs(sweep, y_values)
+    mart = martingale_coeffs(y_values)
     lower = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(mart), region="lower")
     return SolveReport(
         mode="m-solution",
@@ -607,7 +607,6 @@ def solve_adapted(
 class ResidualReport:
     """Pathwise defect of fields plugged back into the discrete equation."""
 
-    form: str
     per_node: np.ndarray
     aggregate: float
 
@@ -655,4 +654,4 @@ def residual(
             r = r - gsum + ito
         per_node[i] = float(np.sqrt(np.mean(r**2)))
     aggregate = float(np.sqrt(np.sum(per_node[:n] ** 2) * dt))
-    return ResidualReport(form=form, per_node=per_node, aggregate=aggregate)
+    return ResidualReport(per_node=per_node, aggregate=aggregate)

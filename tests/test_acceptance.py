@@ -15,7 +15,7 @@ from test_expr import GOLDEN_ERRORS, GOLDEN_VALUES
 
 from bsvie import (
     AdaptedField,
-    DenseSurface,
+    FuncSurface,
     build_grid,
     sample_ensemble,
 )
@@ -92,7 +92,7 @@ def _dense(z):
 def _diff_surface(a, b):
     vals = _dense(a)
     vals -= _dense(b)
-    return DenseSurface(a.grid, vals)
+    return FuncSurface(a.grid, a.n_paths, lambda i, j: vals[:, i, j])
 
 
 def _case_stats(case_id):

@@ -96,12 +96,8 @@ def test_eval_broadcasts_arrays():
     np.testing.assert_allclose(out, [0.0, 3.0, 8.0])
 
 
-def test_domain_fault_produces_nan_and_flag():
-    flags: list[str] = []
-    out = eval_expr(parse("sqrt(t)"), {"t": -1.0}, flags)
-    assert np.isnan(out)
-    assert len(flags) == 1
-    assert "sqrt" in flags[0]
+def test_domain_fault_produces_nan():
+    assert np.isnan(eval_expr(parse("sqrt(t)"), {"t": -1.0}))
 
 
 def test_free_variables():

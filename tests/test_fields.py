@@ -4,7 +4,6 @@ import pytest
 from bsvie import (
     AdaptedField,
     CompositeSurface,
-    DenseSurface,
     FuncSurface,
     SymmetricSurface,
     build_grid,
@@ -35,7 +34,7 @@ def test_design_matrix_is_increasing_vandermonde():
 
 
 def test_region_bounds_checked(grid):
-    z = DenseSurface(grid, np.zeros((2, 5, 5)))
+    z = FuncSurface(grid, 2, lambda i, j: np.zeros(2))
     with pytest.raises(IndexError):
         z.at(0, 5)
     with pytest.raises(IndexError):
@@ -65,7 +64,7 @@ def test_symmetric_surface_mirrors_same_array(grid):
 
 
 def test_symmetric_surface_requires_upper_base(grid):
-    full = DenseSurface(grid, np.zeros((2, 5, 5)))
+    full = FuncSurface(grid, 2, lambda i, j: np.zeros(2))
     with pytest.raises(ValueError):
         SymmetricSurface(full)
 
@@ -83,11 +82,15 @@ def test_composite_surface_dispatches_by_triangle(grid):
         CompositeSurface(lower, upper, extension="martingale")
 
 
-def test_dense_surface_validation(grid):
+def test_composite_surface_rejects_foreign_grid(grid):
+    # same node count, different interval
+    other = build_grid(2.0, 4, 0.5)
+    upper = FuncSurface(grid, 2, lambda i, j: np.zeros(2), region="upper")
+    lower = FuncSurface(other, 2, lambda i, j: np.zeros(2), region="lower")
     with pytest.raises(ValueError):
-        DenseSurface(grid, np.zeros((2, 5, 4)))
-    with pytest.raises(ValueError):
-        DenseSurface(grid, np.zeros((2, 4, 4)))
+        CompositeSurface(upper, lower, extension="martingale")
+    same = FuncSurface(build_grid(1.0, 4), 2, lambda i, j: np.zeros(2), region="lower")
+    CompositeSurface(upper, same, extension="martingale")
 
 
 def test_func_surface_broadcasts_scalars(grid):

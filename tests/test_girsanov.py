@@ -48,15 +48,6 @@ def test_rate_split_is_bitwise_irrelevant(ensemble):
     np.testing.assert_array_equal(combined.tilted_values, split.tilted_values)
 
 
-def test_composition_with_the_negated_rate_cancels(ensemble):
-    spec = DriftSpec(r1="s", r2=0.5)
-    there = tilt(ensemble, spec)
-    back = tilt(there, spec.negated())
-    np.testing.assert_array_equal(back.tilted_values, ensemble.values)
-    np.testing.assert_array_equal(back.tilted_increments, ensemble.increments)
-    np.testing.assert_array_equal(back.weights, 1.0)
-
-
 def test_negated_rate_values(ensemble):
     spec = DriftSpec(r1="s^2", r2=0.3)
     grid = ensemble.grid
@@ -93,7 +84,6 @@ def test_selftest_catches_flipped_density_sign(ensemble):
     flipped = tilt(ensemble, DriftSpec(r1=-1.0))
     fake = TiltedEnsemble(
         base=ensemble,
-        node_rates=good.node_rates,
         drift_integral=good.drift_integral,
         tilted_values=good.tilted_values,
         tilted_increments=good.tilted_increments,

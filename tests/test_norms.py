@@ -3,15 +3,12 @@ import pytest
 
 from bsvie import (
     AdaptedField,
-    DenseSurface,
     FuncSurface,
     SymmetricSurface,
     build_grid,
     s2_norm,
-    star_h2_norm,
     y_l2,
     z_cells_l2,
-    z_full_l2,
     z_upper_l2,
 )
 
@@ -27,13 +24,23 @@ def _const_field(grid, c):
     return AdaptedField(grid, np.full((M, len(grid)), c))
 
 
-def _const_surface(grid, c, region="full"):
-    return DenseSurface(grid, np.full((M, len(grid), len(grid)), c), region=region)
+def _array_surface(grid, values):
+    """Full kernel reading cell (i, j) from a (paths, nodes, nodes) array."""
+    return FuncSurface(grid, values.shape[0], lambda i, j: values[:, i, j])
+
+
+def _const_surface(grid, c):
+    return _array_surface(grid, np.full((M, len(grid), len(grid)), c))
+
+
+def _square(grid):
+    n = grid.steps
+    return [(i, j) for i in range(n) for j in range(n)]
 
 
 def test_constant_field_values(grid):
     assert y_l2(_const_field(grid, 2.0)) == pytest.approx(4.0 * grid.span, rel=1e-12)
-    assert z_full_l2(_const_surface(grid, 3.0)) == pytest.approx(
+    assert z_cells_l2(_const_surface(grid, 3.0), _square(grid)) == pytest.approx(
         9.0 * grid.span**2, rel=1e-12
     )
     diagonal = ((i, i) for i in range(grid.steps))
@@ -54,7 +61,7 @@ def test_s2_norm_hand_value(grid):
 
 def test_cell_order_is_canonical(grid):
     rng = np.random.default_rng(0)
-    z = DenseSurface(grid, rng.standard_normal((M, len(grid), len(grid))))
+    z = _array_surface(grid, rng.standard_normal((M, len(grid), len(grid))))
     cells = [(3, 7), (0, 1), (5, 5), (2, 9)]
     shuffled = [cells[2], cells[0], cells[3], cells[1]]
     assert z_cells_l2(z, cells) == z_cells_l2(z, shuffled)
@@ -82,43 +89,41 @@ def test_rectangle_integrals_agree_across_diagonal(grid):
     assert z_cells_l2(z, upper_rect) == z_cells_l2(z, lower_rect)
 
 
-def test_star_norm_quadratic_scaling(grid):
+def test_s2_norm_quadratic_scaling(grid):
     rng = np.random.default_rng(2)
     y = AdaptedField(grid, rng.standard_normal((M, len(grid))))
-    z = DenseSurface(grid, rng.standard_normal((M, len(grid), len(grid))))
-    base = star_h2_norm(y, z)
-    scaled = star_h2_norm(
-        AdaptedField(grid, 2.0 * y.values), DenseSurface(grid, 2.0 * z.values)
+    values = rng.standard_normal((M, len(grid), len(grid)))
+    base = s2_norm(y, _array_surface(grid, values))
+    scaled = s2_norm(AdaptedField(grid, 2.0 * y.values), _array_surface(grid, 2.0 * values))
+    assert scaled == pytest.approx(2.0 * base, rel=1e-12)
+
+
+def test_symmetric_full_square_counts_mirrored_cells_twice(grid):
+    upper = FuncSurface(grid, M, lambda i, j: np.full(M, i + 2.0 * j), region="upper")
+    z = SymmetricSurface(upper)
+    n = grid.steps
+    diagonal = z_cells_l2(z, ((i, i) for i in range(n)))
+    strict_upper = z_cells_l2(z, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    assert z_cells_l2(z, _square(grid)) == pytest.approx(
+        diagonal + 2.0 * strict_upper, rel=1e-12
     )
-    assert scaled.y_l2 == pytest.approx(4.0 * base.y_l2, rel=1e-12)
-    assert scaled.z_l2 == pytest.approx(4.0 * base.z_l2, rel=1e-12)
-    assert scaled.total == pytest.approx(2.0 * base.total, rel=1e-12)
-    assert base.region == "full-square"
-
-
-def test_star_norm_tags_symmetric_kernels(grid):
-    upper = FuncSurface(grid, M, lambda i, j: np.full(M, 1.0), region="upper")
-    report = star_h2_norm(_const_field(grid, 1.0), SymmetricSurface(upper))
-    assert report.region == "dc-doubled"
-
-
-def test_star_norm_rejects_triangle_kernels(grid):
-    upper = FuncSurface(grid, M, lambda i, j: np.full(M, 1.0), region="upper")
-    with pytest.raises(ValueError):
-        star_h2_norm(_const_field(grid, 1.0), upper)
 
 
 def test_path_duplication_preserves_norms(grid):
     rng = np.random.default_rng(3)
     values = rng.standard_normal((M, len(grid), len(grid)))
-    single = DenseSurface(grid, values)
-    doubled = DenseSurface(grid, np.concatenate([values, values], axis=0))
-    assert z_full_l2(doubled) == pytest.approx(z_full_l2(single), rel=1e-13)
+    single = _array_surface(grid, values)
+    doubled = _array_surface(grid, np.concatenate([values, values], axis=0))
+    assert z_cells_l2(doubled, _square(grid)) == pytest.approx(
+        z_cells_l2(single, _square(grid)), rel=1e-13
+    )
 
 
 def test_upper_plus_strict_lower_equals_full(grid):
     rng = np.random.default_rng(4)
-    z = DenseSurface(grid, rng.standard_normal((M, len(grid), len(grid))))
+    z = _array_surface(grid, rng.standard_normal((M, len(grid), len(grid))))
     n = grid.steps
     strict_lower = z_cells_l2(z, ((i, j) for i in range(n) for j in range(i)))
-    assert z_upper_l2(z) + strict_lower == pytest.approx(z_full_l2(z), rel=1e-12)
+    assert z_upper_l2(z) + strict_lower == pytest.approx(
+        z_cells_l2(z, _square(grid)), rel=1e-12
+    )

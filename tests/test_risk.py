@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,7 @@ from bsvie import (
     constant_position_reference,
     discount_factor,
     position_terminal,
-    require_common_paths,
     rho,
-    rho_report,
     route_agreement,
     sample_ensemble,
 )
@@ -39,14 +39,13 @@ def test_aggregator_kinds():
     assert Aggregator.absolute(0.1).is_homogeneous
     assert not Aggregator.absolute(0.1).is_linear
     assert not Aggregator.expression("y^2").is_homogeneous
-    assert "y" in Aggregator.linear(0.1).needs
 
 
-def test_aggregator_rejects_stray_variables(grid):
+def test_aggregator_rejects_stray_variables(ensemble):
     with pytest.raises(RiskSetupError):
         Aggregator.expression("y + z")
     with pytest.raises(RiskSetupError):
-        Aggregator.linear("w").rate_values(grid)
+        rho(RiskSpec(position=1.0, aggregator=Aggregator.linear("w")), ensemble)
 
 
 def test_position_terminal_accepts_three_forms(grid, ensemble):
@@ -77,11 +76,7 @@ def test_invalid_route_rejected():
     with pytest.raises(RiskSetupError):
         RiskSpec(position=1.0, route="antithetic")
     with pytest.raises(RiskSetupError):
-        rho_report(
-            RiskSpec(position=1.0),
-            sample_ensemble(build_grid(1.0, 4), 64, seed=1),
-            route="antithetic",
-        )
+        replace(RiskSpec(position=1.0), route="antithetic")
 
 
 def test_linear_kernel_closed_form_both_routes(grid, ensemble):
@@ -92,7 +87,7 @@ def test_linear_kernel_closed_form_both_routes(grid, ensemble):
     exact = -c * ensemble.values - c * r * (grid.horizon - grid.nodes)
     scale = float(np.sqrt(np.mean(exact**2, axis=0)).max())
     for route in ("direct", "girsanov"):
-        field = rho(spec, ensemble, route=route)
+        field = rho(replace(spec, route=route), ensemble)
         err = float(np.sqrt(np.mean((field.values - exact) ** 2, axis=0)).max())
         assert err / scale < 0.02, route
 
@@ -183,13 +178,3 @@ def test_edit_node_validation(grid, ensemble):
     with pytest.raises(RiskSetupError):
         check_axioms(spec, ensemble, node=0)
 
-
-def test_require_common_paths(grid):
-    a = sample_ensemble(grid, 128, seed=1)
-    b = sample_ensemble(grid, 128, seed=2)
-    c = sample_ensemble(grid, 256, seed=1)
-    d = sample_ensemble(build_grid(1.0, 16), 128, seed=1)
-    require_common_paths(a, sample_ensemble(grid, 128, seed=1))
-    for other in (b, c, d):
-        with pytest.raises(ValueError):
-            require_common_paths(a, other)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from bsvie import (
+    AdaptedField,
     DriftSpec,
     Driver,
+    FuncSurface,
     Generator,
     ProblemSpec,
     SolverConfig,
@@ -52,6 +54,12 @@ def test_terminal_evaluation(unit_grid, unit_ensemble):
     psi = Terminal.from_expression("t*T*wT").eval_all(unit_grid, unit_ensemble.values)
     expected = unit_grid.nodes[:, None] * unit_grid.horizon * unit_ensemble.terminal()
     np.testing.assert_allclose(psi, expected, rtol=1e-13)
+    # every path variable at every outer node, on an interval off zero
+    grid = build_grid(2.0, 4, 0.5)
+    w = sample_ensemble(grid, 64, seed=2).values
+    values = Terminal.from_expression("t*wt - wT*T1 + T").eval_all(grid, w)
+    expected = grid.nodes[:, None] * w.T - w[:, -1] * grid.start + grid.horizon
+    np.testing.assert_array_equal(values, expected)
 
 
 def test_terminal_rejects_inner_time_variables():
@@ -224,14 +232,12 @@ def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
 
 
 def _diff_surface(a, b):
-    from bsvie import DenseSurface
-
     n = len(a.grid)
     vals = np.zeros((a.n_paths, n, n))
     for i in range(n):
         for j in range(n):
             vals[:, i, j] = a.at(i, j) - b.at(i, j)
-    return DenseSurface(a.grid, vals)
+    return FuncSurface(a.grid, a.n_paths, lambda i, j: vals[:, i, j])
 
 
 def test_unit_weight_driver_is_the_plain_solver(pl_setup, pl_s_report):
@@ -370,6 +376,9 @@ def test_martingale_extension_reconstructs_process(pl_setup, pl_s_report):
     # the defect is pure regression noise
     scale = np.sqrt(np.mean(pl_s_report.y.values[:, -1] ** 2))
     assert np.max(defect) < 0.12 * scale
+    # a process on another grid has no representation on these paths
+    with pytest.raises(ValueError):
+        extend_martingale(AdaptedField(build_grid(1.0, 8), np.zeros((M, 9))), ensemble)
 
 
 def test_symmetric_extension_wraps_upper_kernel(pl_setup):
