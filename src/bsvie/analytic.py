@@ -29,7 +29,6 @@ class ReferenceFields:
     y: AdaptedField
     z_s: SurfaceField
     z_m: SurfaceField | None
-    z_mirror: SurfaceField | None = None
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,6 @@ def _product_fields(ens: PathEnsemble) -> ReferenceFields:
     z_s = _const_surface(ens, lambda t, s: t * s)
     z_m = _const_surface(ens, lambda t, s: t * s if t <= s else t * t)
     return ReferenceFields(y=y, z_s=z_s, z_m=z_m)
-
-
-def _mirror_fields(ens: PathEnsemble) -> ReferenceFields:
-    base = _product_fields(ens)
-    # counterpart of the equation whose stochastic sum reads the column:
-    # above the diagonal the roles of the two completions swap
-    z_mirror = _const_surface(ens, lambda t, s: s * s if t <= s else t * s)
-    return ReferenceFields(y=base.y, z_s=base.z_s, z_m=base.z_m, z_mirror=z_mirror)
 
 
 def _shifted_fields(ens: PathEnsemble) -> ReferenceFields:
@@ -141,13 +132,16 @@ CASES: dict[str, ReferenceCase] = {
             terminal_src="wT*(T+1)*(t+1)",
             build_fields=_shifted_fields,
         ),
+        # product-linear again, for the column residual: the kernel with
+        # the two completions swapped above the diagonal (s^2 there, t*s
+        # below) solves the equation whose stochastic sum reads the column
         ReferenceCase(
             id="mirror-pair",
             start=0.5,
             horizon=1.0,
             generator_src="-t*y/s^2",
             terminal_src="t*T*wT",
-            build_fields=_mirror_fields,
+            build_fields=_product_fields,
         ),
         ReferenceCase(
             id="zero",

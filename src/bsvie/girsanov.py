@@ -97,7 +97,6 @@ class TiltedEnsemble:
     """
 
     base: PathEnsemble
-    drift_integral: np.ndarray
     tilted_values: np.ndarray
     tilted_increments: np.ndarray
     weights: np.ndarray
@@ -135,11 +134,10 @@ def tilt(ensemble: PathEnsemble, drift: DriftSpec) -> TiltedEnsemble:
     weights = np.exp(log_weights)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0.0):
         raise DriftError("likelihood weights degenerate; drift too large for the horizon")
-    for a in (tilted_values, tilted_increments, weights, integral):
+    for a in (tilted_values, tilted_increments, weights):
         a.flags.writeable = False
     return TiltedEnsemble(
         base=ensemble,
-        drift_integral=integral,
         tilted_values=tilted_values,
         tilted_increments=tilted_increments,
         weights=weights,
@@ -152,7 +150,6 @@ class SelftestReport:
 
     mean_scores: np.ndarray
     var_scores: np.ndarray
-    weight_mean: float
     weight_mean_score: float
     threshold: float
 
@@ -198,7 +195,6 @@ def girsanov_selftest(tilted: TiltedEnsemble, threshold: float = 4.0) -> Selftes
     return SelftestReport(
         mean_scores=mean_scores,
         var_scores=var_scores,
-        weight_mean=weight_mean,
         weight_mean_score=weight_mean_score,
         threshold=threshold,
     )

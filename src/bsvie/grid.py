@@ -42,10 +42,6 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.horizon - self.start) / self.steps
 
-    @property
-    def span(self) -> float:
-        return self.horizon - self.start
-
     def __len__(self) -> int:
         return self.steps + 1
 

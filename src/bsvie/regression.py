@@ -6,6 +6,8 @@ node; martingale integrands by the same projection applied to
 target * dW / dt.  The ridge never touches the constant feature, so
 constants survive the projection exactly and the (weighted) sample mean
 of the fitted values equals that of the target to rounding.
+:meth:`NodeDesign.project` gives both estimates of a row batch from one
+pass over the paths, using that the projection is linear.
 
 Cross-path reductions are accumulated over fixed-size path chunks in a
 fixed order, which keeps results bitwise identical run to run.
@@ -14,6 +16,7 @@ fixed order, which keeps results bitwise identical run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,3 +110,49 @@ class NodeDesign:
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Fitted values (rows, M) of a coefficient batch (rows, size)."""
         return coeffs @ self.x.T
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Unweighted Gram matrix X^T X / M.
+
+        The path mean of the squared fitted values of coefficients c is
+        the quadratic form c^T gram c.
+        """
+        return _chunked_ab(self.x, self.x) / self.n_paths
+
+    def project(
+        self, rows: np.ndarray, increments: np.ndarray, dt: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Conditional-expectation and kernel coefficients of a row batch.
+
+        With C the coefficient map of :meth:`fit` and dW the node's
+        ``increments``, this returns, for rows (r, M), coefficients
+        (c, bz), each (r, size), equal in exact arithmetic to
+
+            bz = C((rows - X C(rows)) * dW / dt)
+            c  = C(rows - (X bz) * dW)
+
+        i.e. the kernel regresses the one-step martingale difference, and
+        the conditional expectation is fitted after the increment the
+        kernel explains is removed.  C is linear, so with G the ridge
+        system, H = X^T diag(w dW) X / M and S = G^-1 H, both follow from
+        A = C(rows) and B = C(rows * dW): bz = (B - S A) / dt and
+        c = A - S bz.  A and B come from one path-chunked product of the
+        rows with [X w, X w dW]; no (r, M) intermediate is formed.
+        """
+        k, m, r = self.basis.size, self.n_paths, rows.shape[0]
+        # [X w, X w dW] laid out (2k, M), so each column scales in one long loop
+        xw2 = np.empty((2 * k, m))
+        if self.weights is None:
+            xw2[:k] = self.x.T
+        else:
+            np.multiply(self.x.T, self.weights, out=xw2[:k])
+        np.multiply(xw2[:k], np.ascontiguousarray(increments), out=xw2[k:])
+        rhs = _chunked_ab(rows.T, xw2.T) / m
+        if not np.all(np.isfinite(rhs)):
+            raise RegressionError("non-finite regression targets")
+        h = _chunked_ab(self.x, xw2[k:].T) / m
+        sol = np.linalg.solve(self._system, np.concatenate((rhs.T[:k], rhs.T[k:], h), axis=1))
+        a, b, s = sol[:, :r].T, sol[:, r : 2 * r].T, sol[:, 2 * r :]
+        bz = (b - a @ s.T) / dt
+        return a - bz @ s.T, bz

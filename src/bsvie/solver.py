@@ -33,7 +33,7 @@ from .fields import (
     SymmetricSurface,
 )
 from .grid import TimeGrid
-from .regression import BasisSpec, DegenerateEnsembleError, NodeDesign
+from .regression import BasisSpec, DegenerateEnsembleError, NodeDesign, RegressionError
 
 _ENV_NAMES = frozenset(("t", "s", "y", "z", "zeta", "w", "wt", "wT", "T1", "T"))
 _TERMINAL_NAMES = frozenset(("t", "wt", "wT", "T1", "T"))
@@ -44,7 +44,14 @@ class SolverError(RuntimeError):
 
 
 class Generator:
-    """Integrand g(t, s, y, z, zeta) with declared data dependencies."""
+    """Integrand g(t, s, y, z, zeta) with declared data dependencies.
+
+    ``needs`` names the arguments ``fn`` reads, and the sweep relies on
+    it: kernel values are evaluated over the row batch only for a
+    generator that declares ``z`` or ``zeta``, and mirrored values only
+    for one that declares ``zeta``; otherwise ``z`` and ``zeta`` are
+    passed as None.
+    """
 
     def __init__(self, fn: Callable[[dict], np.ndarray], needs):
         unknown = frozenset(needs) - _ENV_NAMES
@@ -210,6 +217,16 @@ def _node_designs(driver: Driver, basis: BasisSpec) -> list[NodeDesign]:
     return designs
 
 
+def _project(
+    design: NodeDesign, j: int, rows: np.ndarray, increments: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`NodeDesign.project` at node ``j``, failures named by the node."""
+    try:
+        return design.project(rows, increments, dt)
+    except RegressionError as e:
+        raise RegressionError(f"node {j}: {e}") from None
+
+
 class _Sweep:
     """Shared machinery: designs, terminal data, one level step."""
 
@@ -262,32 +279,31 @@ class _Sweep:
     ) -> None:
         """Advance rows 0..j from column j+1 to column j, in place.
 
-        ``zeta_column(j, design, z_fit)`` must return mirrored kernel
-        values for rows 0..j; None means the kernel is identified with
-        its mirror (the symmetric mode) or is simply never read.
+        ``zeta_column(j, design, bz)`` must return mirrored kernel values
+        for rows 0..j, given this level's kernel coefficients; None means
+        the kernel is identified with its mirror (the symmetric mode) or
+        is simply never read.  Kernel values are evaluated only for a
+        generator that declares ``z`` or ``zeta``.
         """
         design = self.designs[j]
-        rows = lam[: j + 1]
-        increments = self.driver.increments[:, j]
-        # both node estimates are variance-reduced by the other: the kernel
-        # regresses the one-step martingale difference (same projection,
-        # without its 1/dt variance, and constant rows map to exact zeros),
-        # then the increment explained by the kernel is removed before the
-        # conditional-expectation fit, whose noise then shrinks with dt
-        ce_plain = design.evaluate(design.fit(rows))
-        bz = design.fit((rows - ce_plain) * (increments / self.dt))
-        z_fit = design.evaluate(bz)
-        ce_fit = design.evaluate(design.fit(rows - z_fit * increments))
+        # both node estimates are variance-reduced by the other (see
+        # NodeDesign.project).  A constant row's kernel cancels only to
+        # rounding, up to about 5e-14 at 16 steps x 2048 paths, not to zero.
+        c, bz = _project(design, j, lam[: j + 1], self.driver.increments[:, j], self.dt)
         z_coeffs[: j + 1, j] = bz
+        ce_fit = design.evaluate(c)
+        symmetric_zeta = self.g.uses_zeta and zeta_column is None
+        z_fit = design.evaluate(bz) if "z" in self.g.needs or symmetric_zeta else None
 
         zeta_rows = None
         if self.g.uses_zeta:
-            zeta_rows = z_fit if zeta_column is None else zeta_column(j, design, z_fit)
+            zeta_rows = z_fit if zeta_column is None else zeta_column(j, design, bz)
 
         paths = self.ensemble.values
         # diagonal first: its y-argument is the regressed predictor
+        z_diag = None if z_fit is None else z_fit[j]
         zeta_diag = None if zeta_rows is None else zeta_rows[j]
-        env = _generator_env(self.grid, paths, j, j, ce_fit[j], z_fit[j], zeta_diag)
+        env = _generator_env(self.grid, paths, j, j, ce_fit[j], z_diag, zeta_diag)
         g_diag = np.asarray(self.g(env), dtype=np.float64)
         self._check_g(g_diag, j, j, j)
         lam[j] = ce_fit[j] + self.dt * g_diag
@@ -296,13 +312,14 @@ class _Sweep:
         if j == 0:
             return
         y_rows = y_values[:, j] if frozen_y is None else frozen_y[:, j]
+        z_off = None if z_fit is None else z_fit[:j]
         zeta_off = None if zeta_rows is None else zeta_rows[:j]
-        env = _generator_env(self.grid, paths, slice(0, j), j, y_rows, z_fit[:j], zeta_off)
+        env = _generator_env(self.grid, paths, slice(0, j), j, y_rows, z_off, zeta_off)
         g_rows = np.asarray(self.g(env), dtype=np.float64)
         if g_rows.ndim == 1:  # generator independent of the row index
             g_rows = np.broadcast_to(g_rows, (j, self.m))
         self._check_g(g_rows, 0, j - 1, j)
-        lam[:j] = ce_fit[:j] + self.dt * g_rows
+        np.add(ce_fit[:j], self.dt * g_rows, out=lam[:j])
 
     # -- full passes -------------------------------------------------------
 
@@ -337,15 +354,18 @@ class _Sweep:
         c_new: np.ndarray,
         c_old: np.ndarray | None,
     ) -> float:
-        """Squared triangle norm of an iterate difference over a level block."""
+        """Squared triangle norm of an iterate difference over a level block.
+
+        The kernel part is the path mean of the squared fitted values,
+        taken as the quadratic form dc^T gram dc of each coefficient row.
+        """
         total = 0.0
         dt, dt2 = self.dt, self.dt**2
         for j in range(j_lo, j_hi + 1):
             dy = y_new[:, j] if y_old is None else y_new[:, j] - y_old[:, j]
             total += float(np.mean(dy**2)) * dt
             dc = c_new[: j + 1, j] if c_old is None else c_new[: j + 1, j] - c_old[: j + 1, j]
-            dz = self.designs[j].evaluate(dc)
-            total += float(np.sum(np.mean(dz**2, axis=1))) * dt2
+            total += float(np.sum((dc @ self.designs[j].gram) * dc)) * dt2
         return total
 
 
@@ -360,7 +380,7 @@ def _adapted(sweep: _Sweep, y_values: np.ndarray) -> AdaptedField:
 def _frozen_coeff_zeta(sweep: _Sweep, coeffs: np.ndarray):
     """Mirrored kernel values from a frozen symmetric upper table."""
 
-    def column(j: int, design: NodeDesign, z_fit: np.ndarray) -> np.ndarray:
+    def column(j: int, design: NodeDesign, bz: np.ndarray) -> np.ndarray:
         return design.evaluate(coeffs[: j + 1, j])
 
     return column
@@ -371,14 +391,14 @@ def _frozen_martingale_zeta(sweep: _Sweep, mart_coeffs: np.ndarray):
 
     Row i of the returned block is a polynomial in the state at node i,
     so each row needs its own design; the diagonal keeps the identity
-    zeta = z, which is exact there.
+    zeta = z, which is exact there, and reads the kernel's own row.
     """
 
-    def column(j: int, design: NodeDesign, z_fit: np.ndarray) -> np.ndarray:
+    def column(j: int, design: NodeDesign, bz: np.ndarray) -> np.ndarray:
         out = np.empty((j + 1, sweep.m))
         for i in range(j):
             out[i] = sweep.designs[i].x @ mart_coeffs[j, i]
-        out[j] = z_fit[j]
+        out[j] = design.x @ bz[j]
         return out
 
     return column
@@ -494,10 +514,7 @@ def _martingale_coeffs(
     n = len(designs)
     coeffs = np.zeros((n + 1, n + 1, designs[0].basis.size))
     for j, design in enumerate(designs):
-        scale = increments[:, j] / dt
-        rows = y_values[:, j + 1:].T
-        ce_fit = design.evaluate(design.fit(rows))
-        coeffs[j + 1:, j] = design.fit((rows - ce_fit) * scale)
+        coeffs[j + 1:, j] = _project(design, j, y_values[:, j + 1:].T, increments[:, j], dt)[1]
     return coeffs
 
 

@@ -35,9 +35,10 @@ def test_growing_path_count_preserves_existing_paths(unit_grid):
 def test_terminal_statistics(unit_grid):
     ens = sample_ensemble(unit_grid, 65536, seed=7)
     terminal = ens.terminal()
-    sigma = np.sqrt(unit_grid.span / ens.n_paths)
+    span = unit_grid.horizon - unit_grid.start
+    sigma = np.sqrt(span / ens.n_paths)
     assert abs(terminal.mean()) < 4.0 * sigma
-    assert terminal.var() == pytest.approx(unit_grid.span, rel=0.05)
+    assert terminal.var() == pytest.approx(span, rel=0.05)
 
 
 def test_increment_variance_matches_step(unit_ensemble):

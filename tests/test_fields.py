@@ -99,7 +99,6 @@ def test_func_surface_broadcasts_scalars(grid):
 
 
 def test_coeff_surface_evaluates_node_polynomial(grid):
-    state = np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [0.0, -1.0, -2.0, -3.0, -4.0]]).T
     # state[:, j] is the driver value at node j for both paths
     state = np.stack([np.arange(5.0), -np.arange(5.0)], axis=0)
     coeffs = np.zeros((5, 5, 3))

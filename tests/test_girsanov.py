@@ -57,10 +57,15 @@ def test_negated_rate_values(ensemble):
 
 
 def test_drift_integral_uses_trapezoid_rule(ensemble):
+    # the shift of the driver is the cumulative drift integral, which the
+    # trapezoid rule takes exactly for a linear rate
     tilted = tilt(ensemble, DriftSpec(r1="s"))
     nodes = ensemble.grid.nodes
     np.testing.assert_allclose(
-        tilted.drift_integral, nodes**2 / 2.0, rtol=0, atol=1e-15
+        tilted.tilted_values - ensemble.values,
+        np.broadcast_to(nodes**2 / 2.0, (ensemble.n_paths, len(nodes))),
+        rtol=0,
+        atol=1e-15,
     )
 
 
@@ -72,11 +77,12 @@ def test_rate_expression_validation(ensemble):
 
 
 def test_selftest_passes_for_correct_density(ensemble):
-    report = girsanov_selftest(tilt(ensemble, DriftSpec(r1=1.0)))
+    tilted = tilt(ensemble, DriftSpec(r1=1.0))
+    report = girsanov_selftest(tilted)
     assert report.passed
     assert report.max_score <= report.threshold == 4.0
     assert report.mean_scores.shape == (ensemble.grid.steps,)
-    assert abs(report.weight_mean - 1.0) < 0.05
+    assert abs(np.mean(tilted.weights) - 1.0) < 0.05
 
 
 def test_selftest_catches_flipped_density_sign(ensemble):
@@ -84,7 +90,6 @@ def test_selftest_catches_flipped_density_sign(ensemble):
     flipped = tilt(ensemble, DriftSpec(r1=-1.0))
     fake = TiltedEnsemble(
         base=ensemble,
-        drift_integral=good.drift_integral,
         tilted_values=good.tilted_values,
         tilted_increments=good.tilted_increments,
         weights=flipped.weights,

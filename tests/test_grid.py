@@ -9,7 +9,6 @@ def test_nodes_cover_interval_with_exact_endpoints():
     assert len(grid) == 9
     assert grid.nodes[0] == 0.5
     assert grid.nodes[-1] == 2.0
-    assert grid.span == pytest.approx(1.5)
     assert grid.dt == pytest.approx(1.5 / 8)
     np.testing.assert_allclose(np.diff(grid.nodes), grid.dt, rtol=1e-12)
 

@@ -39,9 +39,10 @@ def _square(grid):
 
 
 def test_constant_field_values(grid):
-    assert y_l2(_const_field(grid, 2.0)) == pytest.approx(4.0 * grid.span, rel=1e-12)
+    span = grid.horizon - grid.start
+    assert y_l2(_const_field(grid, 2.0)) == pytest.approx(4.0 * span, rel=1e-12)
     assert z_cells_l2(_const_surface(grid, 3.0), _square(grid)) == pytest.approx(
-        9.0 * grid.span**2, rel=1e-12
+        9.0 * span**2, rel=1e-12
     )
     diagonal = ((i, i) for i in range(grid.steps))
     assert z_cells_l2(_const_surface(grid, 1.0), diagonal) == pytest.approx(

@@ -5,11 +5,14 @@ from bsvie import (
     AdaptedField,
     BasisSpec,
     DegenerateEnsembleError,
+    DriftSpec,
+    Driver,
     NodeDesign,
     RegressionError,
     design_matrix,
     extend_martingale,
     sample_ensemble,
+    tilt,
 )
 
 NODE = 8
@@ -185,3 +188,48 @@ def test_batched_targets_match_single_calls(unit_ensemble):
     np.testing.assert_allclose(
         batched[1], cond_expect(rows[1], unit_ensemble, NODE), rtol=1e-12, atol=1e-13
     )
+
+
+def _three_fits(design, rows, increments, dt):
+    """The fit/evaluate chain that NodeDesign.project computes in one pass."""
+    ce_plain = design.evaluate(design.fit(rows))
+    bz = design.fit((rows - ce_plain) * (increments / dt))
+    c = design.fit(rows - design.evaluate(bz) * increments)
+    return c, bz
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_project_matches_the_three_fit_sequence(unit_ensemble, tilted):
+    ens = unit_ensemble
+    driver = tilt(ens, DriftSpec(r1=0.5)).driver() if tilted else Driver.from_ensemble(ens)
+    design = NodeDesign(driver.state[:, NODE], BasisSpec(), driver.weights)
+    assert (design.weights is None) != tilted
+    w = ens.values
+    rows = np.stack([
+        w[:, -1], w[:, 12] ** 2, np.sin(3.0 * w[:, 15]), np.exp(0.3 * w[:, 10]),
+        w[:, NODE + 1] * w[:, -1], np.full(ens.n_paths, 2.5),
+    ])
+    increments = driver.increments[:, NODE]
+    c, bz = design.project(rows, increments, ens.dt)
+    c_ref, bz_ref = _three_fits(design, rows, increments, ens.dt)
+    assert c.shape == bz.shape == (rows.shape[0], BasisSpec().size)
+    for new, ref in ((c, c_ref), (bz, bz_ref)):
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_project_rejects_non_finite_rows(unit_ensemble):
+    design = NodeDesign(unit_ensemble.values[:, NODE], BasisSpec())
+    rows = np.ones((3, unit_ensemble.n_paths))
+    rows[1, 7] = np.inf
+    with pytest.raises(RegressionError, match="non-finite"):
+        design.project(rows, unit_ensemble.increments[:, NODE], unit_ensemble.dt)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_gram_quadratic_form_is_the_path_mean_square(unit_ensemble, weighted):
+    w = unit_ensemble.values[:, NODE]
+    design = NodeDesign(w, BasisSpec(), np.exp(0.4 * w) if weighted else None)
+    coeffs = np.random.default_rng(3).standard_normal((5, BasisSpec().size))
+    quadratic = np.sum((coeffs @ design.gram) * coeffs, axis=1)
+    mean_square = np.mean(design.evaluate(coeffs) ** 2, axis=1)
+    np.testing.assert_allclose(quadratic, mean_square, rtol=1e-12, atol=0)

@@ -3,11 +3,14 @@ import pytest
 
 from bsvie import (
     AdaptedField,
+    BasisSpec,
     DriftSpec,
     Driver,
     FuncSurface,
     Generator,
+    NodeDesign,
     ProblemSpec,
+    RegressionError,
     SolverConfig,
     SolverError,
     SymmetricSurface,
@@ -24,6 +27,7 @@ from bsvie import (
     tilt,
 )
 from bsvie.analytic import get_case, reference_fields
+from bsvie.solver import _Sweep
 
 M = 8192
 
@@ -103,6 +107,17 @@ def test_family_sweep_martingale_terminal(pl_setup):
     assert err < 0.05
     mid = grid.steps // 2
     assert np.mean(report.z.at(3, mid)) == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("generator", ["0", "-0.3*y"])
+def test_constant_terminal_kernel_vanishes_to_rounding(generator):
+    # a constant row's kernel is B - S A with B = S A in exact arithmetic;
+    # the cancellation leaves rounding (up to 5e-14 here), not exact zeros
+    grid = build_grid(1.0, 16)
+    ensemble = sample_ensemble(grid, 2048, seed=1)
+    problem = ProblemSpec(grid, Generator.from_expression(generator), Terminal.constant(1.0))
+    report = solve_s(problem, ensemble)
+    assert np.abs(report.z.base.coeffs).max() <= 1e-12
 
 
 def test_zero_case_exact_in_all_modes():
@@ -299,6 +314,70 @@ def test_generator_reads_paths_at_its_nodes():
             np.testing.assert_array_equal(env["w"], paths[:, i:n].T)
             np.testing.assert_array_equal(env["wt"], paths[:, i])
             np.testing.assert_array_equal(env["wT"], paths[:, -1])
+
+
+def test_generator_declaring_z_reads_the_fitted_kernel():
+    # the kernel rows a generator receives are the node design evaluated
+    # at the stored coefficients, bit for bit; without a declared z the
+    # sweep evaluates no kernel rows at all
+    grid = build_grid(1.0, 4)
+    ensemble = sample_ensemble(grid, 64, seed=7)
+    n = grid.steps
+    for driver in (Driver.from_ensemble(ensemble), tilt(ensemble, DriftSpec(r1=0.5)).driver()):
+        for needs in (("z", "wT"), ("wT",)):
+            calls = []
+
+            def fn(env):
+                calls.append(env["z"])
+                return 0.1 * env["wT"]
+
+            problem = ProblemSpec(grid, Generator(fn, needs), Terminal.from_expression("wT"))
+            report = solve_s(problem, ensemble, driver=driver)
+            assert len(calls) == 2 * n - 1
+            if "z" not in needs:
+                assert all(z is None for z in calls)
+                continue
+            calls = iter(calls)
+            for j in range(n - 1, -1, -1):
+                design = NodeDesign(driver.state[:, j], BasisSpec(), driver.weights)
+                fitted = design.evaluate(report.z.base.coeffs[: j + 1, j])
+                np.testing.assert_array_equal(next(calls), fitted[j])
+                if j:
+                    np.testing.assert_array_equal(next(calls), fitted[:j])
+
+
+def test_non_finite_regression_sums_name_their_node():
+    # finite data whose regression sums overflow
+    grid = build_grid(1.0, 4)
+    ensemble = sample_ensemble(grid, 256, seed=1)
+    problem = ProblemSpec(grid, Generator.from_expression("0"), Terminal.constant(1e307))
+    huge = AdaptedField(grid, np.full(ensemble.values.shape, 1e307))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RegressionError, match=r"^node 3: non-finite regression targets"):
+            solve_s(problem, ensemble)
+        with pytest.raises(RegressionError, match=r"^node 0: non-finite regression targets"):
+            extend_martingale(huge, ensemble)
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_iterate_norm_matches_evaluated_path_mean(pl_small, tilted):
+    # the kernel part of the iterate norm, as the quadratic form of the
+    # unweighted Gram, against the path mean of the evaluated rows
+    case, grid, ensemble = pl_small
+    driver = tilt(ensemble, DriftSpec(r1=0.5)).driver() if tilted else None
+    problem = case.problem(grid)
+    sweep = _Sweep(problem, ensemble, SolverConfig(), driver)
+    report = solve_s(problem, ensemble, driver=driver)
+    y, c = report.y.values, report.z.base.coeffs
+    n = grid.steps
+    for c_old in (None, 0.9 * c):
+        expected = 0.0
+        for j in range(n):
+            dc = c[: j + 1, j] if c_old is None else c[: j + 1, j] - c_old[: j + 1, j]
+            dz = sweep.designs[j].evaluate(dc)
+            expected += float(np.sum(np.mean(dz**2, axis=1))) * grid.dt**2
+        got = sweep.block_norm_sq(n - 1, 0, y, y, c, c_old)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_solver_config_rejects_zero_iterations():
