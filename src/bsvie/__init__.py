@@ -2,8 +2,8 @@
 
 The package simulates a Brownian ensemble once, then sweeps a family of
 backward equations over the time square by least-squares regression,
-recovering the adapted value process, its kernel under three extension
-conventions, and a dynamic coherent risk measure built on top.
+recovering the adapted value process, its kernel under three solution
+concepts, and a dynamic coherent risk measure built on top.
 """
 
 from .analytic import (
@@ -23,7 +23,6 @@ from .expr import ExprError, eval_expr, format_expr, free_variables, parse
 from .fields import (
     AdaptedField,
     CoeffSurface,
-    CompositeSurface,
     FuncSurface,
     SurfaceField,
     SymmetricSurface,
@@ -33,7 +32,6 @@ from .girsanov import (
     DriftError,
     DriftSpec,
     SelftestReport,
-    TiltedEnsemble,
     girsanov_selftest,
     tilt,
 )

@@ -492,30 +492,36 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
     return _EXIT_OK if report.converged else _EXIT_NO_CONVERGENCE
 
 
-def _aggregator(kind_key: str, rate_key: str, expr_key: str, config: dict) -> Aggregator:
+def _aggregator(kind_key: str, prefix: str, config: dict) -> Aggregator:
     kind = config[kind_key]
     if kind == "zero":
         return Aggregator.zero()
     if kind == "linear":
-        return Aggregator.linear(config[rate_key])
+        return Aggregator.linear(config[f"{prefix}.rate"])
     if kind == "absolute":
-        return Aggregator.absolute(config[rate_key])
+        return Aggregator.absolute(config[f"{prefix}.rate"])
     if kind == "expr":
-        if not config[expr_key]:
-            raise CliError(f"{kind_key} = expr needs {expr_key}")
-        return Aggregator.expression(config[expr_key])
+        if not config[f"{prefix}.expr"]:
+            raise CliError(f"{kind_key} = expr needs {prefix}.expr")
+        return Aggregator.expression(config[f"{prefix}.expr"])
     raise CliError(f"{kind_key} must be zero|linear|absolute|expr, got {kind!r}")
 
 
-def _cmd_risk(config: dict, emit: _Emitter) -> int:
+def _risk_spec(prefix: str, kind_key: str, config: dict):
+    """Risk spec, grid and ensemble from ``kind_key`` and the ``prefix.*`` keys."""
     spec = RiskSpec(
-        position=config["risk.position"],
-        aggregator=_aggregator("risk.aggregator", "risk.rate", "risk.expr", config),
-        drift=DriftSpec(r1=config["risk.r1"], r2=config["risk.r2"]),
-        route=config["risk.route"],
+        position=config[f"{prefix}.position"],
+        aggregator=_aggregator(kind_key, prefix, config),
+        drift=DriftSpec(r1=config[f"{prefix}.r1"], r2=config[f"{prefix}.r2"]),
+        route=config[f"{prefix}.route"],
     )
     grid = build_grid(config["grid.horizon"], config["grid.steps"], config["grid.start"])
     ensemble = sample_ensemble(grid, config["ensemble.paths"], config["ensemble.seed"])
+    return spec, grid, ensemble
+
+
+def _cmd_risk(config: dict, emit: _Emitter) -> int:
+    spec, grid, ensemble = _risk_spec("risk", "risk.aggregator", config)
     report = rho_report(spec, ensemble, _solver_config(config))
     field = report.y
 
@@ -583,14 +589,7 @@ def _cmd_verify(config: dict, emit: _Emitter) -> int:
 
 
 def _cmd_axioms(config: dict, emit: _Emitter) -> int:
-    spec = RiskSpec(
-        position=config["axioms.position"],
-        aggregator=_aggregator("axioms.preset", "axioms.rate", "axioms.expr", config),
-        drift=DriftSpec(r1=config["axioms.r1"], r2=config["axioms.r2"]),
-        route=config["axioms.route"],
-    )
-    grid = build_grid(config["grid.horizon"], config["grid.steps"], config["grid.start"])
-    ensemble = sample_ensemble(grid, config["ensemble.paths"], config["ensemble.seed"])
+    spec, grid, ensemble = _risk_spec("axioms", "axioms.preset", config)
     report = check_axioms(
         spec, ensemble, _solver_config(config),
         shift=config["axioms.shift"],

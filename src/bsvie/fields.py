@@ -3,7 +3,7 @@
 An :class:`AdaptedField` stores one value per (path, node).  A
 :class:`SurfaceField` represents a two-time kernel Z(t_i, t_j); concrete
 backings differ (regression coefficient tables, closed-form callables,
-and mirrored or stitched views of those) but all expose
+and the mirrored view of an upper triangle) but all expose
 ``at(i, j) -> (n_paths,)`` and ``column(j, rows)``, which reads several
 cells of one column together.
 Bulk readers go through :func:`read_cells`, which visits the cells a
@@ -11,10 +11,11 @@ column at a time so that a coefficient-backed kernel builds each node's
 design matrix once per pass instead of once per cell.
 
 Regions: ``upper`` covers the closed triangle t_i <= t_j, ``lower`` the
-strict triangle t_i > t_j, ``full`` the whole square.  Extensions record
-how a full surface was completed from its upper part: ``symmetric``
-mirrors across the diagonal, ``martingale`` fills the lower triangle with
-integrands recovered from the stochastic-integral representation of Y.
+strict triangle t_i > t_j, ``full`` the whole square.  A full surface is
+completed from its upper part in one of two ways: a
+:class:`SymmetricSurface` mirrors it across the diagonal, and a full
+:class:`CoeffSurface` holds one coefficient table whose lower triangle
+comes from the stochastic-integral representation of Y.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .grid import TimeGrid
 
 Region = str  # "upper" | "lower" | "full"
-Extension = str  # "none" | "symmetric" | "martingale"
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class SurfaceField:
     """Base two-time kernel; subclasses supply ``_values``."""
 
     region: Region = "full"
-    extension: Extension = "none"
 
     def __init__(self, grid: TimeGrid, n_paths: int) -> None:
         self.grid = grid
@@ -129,7 +128,8 @@ class CoeffSurface(SurfaceField):
     reproducible and do not depend on the order in which cells are read,
     or on whether they are read one at a time or a column at a time.
     They agree with the sweep's fitted values (a matrix-matrix product)
-    only to rounding.
+    only to rounding.  Both halves of a ``full`` table are polynomials in
+    the node-j state, so one design serves a whole column.
     """
 
     def __init__(
@@ -140,8 +140,8 @@ class CoeffSurface(SurfaceField):
         region: Region,
     ) -> None:
         super().__init__(grid, state.shape[0])
-        if region not in ("upper", "lower"):
-            raise ValueError("coefficient surfaces store one triangle")
+        if region not in ("upper", "lower", "full"):
+            raise ValueError(f"unknown region {region!r}")
         if coeffs.shape[:2] != (len(grid), len(grid)):
             raise ValueError("coefficient table shape disagrees with grid")
         self.region = region
@@ -191,8 +191,6 @@ class SymmetricSurface(SurfaceField):
     Z[p, j, i] holds bitwise rather than only up to rounding.
     """
 
-    extension = "symmetric"
-
     def __init__(self, base: SurfaceField) -> None:
         if base.region != "upper":
             raise ValueError("symmetric extension needs an upper-triangle kernel")
@@ -210,25 +208,3 @@ class SymmetricSurface(SurfaceField):
             return self.base.column(j, rows)
         return super().column(j, rows)
 
-
-class CompositeSurface(SurfaceField):
-    """Full square stitched from an upper part and a lower part."""
-
-    def __init__(self, upper: SurfaceField, lower: SurfaceField, extension: Extension) -> None:
-        if upper.region != "upper" or lower.region != "lower":
-            raise ValueError("composite needs an upper and a lower triangle kernel")
-        if upper.grid != lower.grid:
-            raise ValueError("triangle kernels live on different grids")
-        super().__init__(upper.grid, upper.n_paths)
-        self.extension = extension
-        self.upper = upper
-        self.lower = lower
-
-    def _values(self, i: int, j: int) -> np.ndarray:
-        return self.upper.at(i, j) if i <= j else self.lower.at(i, j)
-
-    def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
-        upper = self.upper.column(j, [i for i in rows if i <= j])
-        lower = self.lower.column(j, [i for i in rows if i > j])
-        for i in rows:
-            yield next(upper) if i <= j else next(lower)

@@ -86,40 +86,15 @@ def _trapezoid_cumulative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TiltedEnsemble:
-    """Physical paths plus the shifted driver and its likelihood weights.
+def tilt(ensemble: PathEnsemble, drift: DriftSpec) -> Driver:
+    """Sweep driver of the tilted measure: the physical paths shifted by
+    the drift's cumulative integral, node by node, with the likelihood
+    weights under which the shifted paths are a Brownian motion.
 
-    ``base`` keeps the sampled Brownian paths; ``tilted_values`` adds the
-    cumulative drift integral, node by node, and is a Brownian motion
-    under the reweighted empirical measure.  Weights are positive with
-    sample mean near one.
+    The weights are positive with sample mean near one.  The ensemble
+    itself is left as it is; the free term and the generator keep
+    reading the physical paths.
     """
-
-    base: PathEnsemble
-    tilted_values: np.ndarray
-    tilted_increments: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.base.grid
-
-    @property
-    def n_paths(self) -> int:
-        return self.base.n_paths
-
-    def driver(self) -> Driver:
-        """Sweep driver: regress on the shifted paths under the weights."""
-        return Driver(
-            state=self.tilted_values,
-            increments=self.tilted_increments,
-            weights=self.weights,
-        )
-
-
-def tilt(ensemble: PathEnsemble, drift: DriftSpec) -> TiltedEnsemble:
-    """Shift the driver by the drift's cumulative integral and reweight."""
     rates = drift.rate_values(ensemble.grid)
     dt = ensemble.grid.dt
     integral = _trapezoid_cumulative(rates, dt)
@@ -136,10 +111,10 @@ def tilt(ensemble: PathEnsemble, drift: DriftSpec) -> TiltedEnsemble:
         raise DriftError("likelihood weights degenerate; drift too large for the horizon")
     for a in (tilted_values, tilted_increments, weights):
         a.flags.writeable = False
-    return TiltedEnsemble(
-        base=ensemble,
-        tilted_values=tilted_values,
-        tilted_increments=tilted_increments,
+    return Driver(
+        grid=ensemble.grid,
+        state=tilted_values,
+        increments=tilted_increments,
         weights=weights,
     )
 
@@ -168,8 +143,8 @@ class SelftestReport:
         return self.max_score <= self.threshold
 
 
-def girsanov_selftest(tilted: TiltedEnsemble, threshold: float = 4.0) -> SelftestReport:
-    """Score the construction: each shifted increment must have weighted
+def girsanov_selftest(tilted: Driver, threshold: float = 4.0) -> SelftestReport:
+    """Score a tilted driver: each shifted increment must have weighted
     mean 0 and weighted variance dt, and the weights must average 1.
 
     Scores are standardized by the weighted standard errors, so a sign
@@ -177,10 +152,12 @@ def girsanov_selftest(tilted: TiltedEnsemble, threshold: float = 4.0) -> Selftes
     M) and fails loudly.
     """
     w = tilted.weights
-    m = tilted.n_paths
+    if w is None:
+        raise ValueError("the self-test needs a tilted driver; this one carries no weights")
+    m = w.shape[0]
     dt = tilted.grid.dt
     w_sum = float(np.sum(w))
-    incs = tilted.tilted_increments
+    incs = tilted.increments
     means = (w @ incs) / w_sum
     centered = incs - means[None, :]
     se_mean = np.sqrt((w**2) @ (centered**2)) / w_sum

@@ -25,13 +25,7 @@ import numpy as np
 
 from .ensemble import PathEnsemble
 from .expr import Node as ExprNode, eval_expr, format_expr, free_variables, parse
-from .fields import (
-    AdaptedField,
-    CoeffSurface,
-    CompositeSurface,
-    SurfaceField,
-    SymmetricSurface,
-)
+from .fields import AdaptedField, CoeffSurface, SurfaceField, SymmetricSurface
 from .grid import TimeGrid
 from .regression import BasisSpec, DegenerateEnsembleError, NodeDesign, RegressionError
 
@@ -124,21 +118,23 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Driver:
-    """Regression state and martingale increments feeding the sweeps.
+    """Regression state and martingale increments on a grid, feeding the sweeps.
 
     For plain problems this mirrors the ensemble.  A measure change
-    supplies shifted state and increments plus likelihood weights, so
-    the same sweeps estimate conditional expectations under the tilted
-    measure.
+    (:func:`bsvie.girsanov.tilt`) is itself a driver: the state and
+    increments shifted by the drift's integral, plus the likelihood
+    weights, so the same sweeps estimate conditional expectations under
+    the tilted measure.
     """
 
+    grid: TimeGrid
     state: np.ndarray
     increments: np.ndarray
     weights: np.ndarray | None = None
 
     @classmethod
     def from_ensemble(cls, ensemble: PathEnsemble) -> "Driver":
-        return cls(state=ensemble.values, increments=ensemble.increments)
+        return cls(grid=ensemble.grid, state=ensemble.values, increments=ensemble.increments)
 
 
 @dataclass(frozen=True)
@@ -565,6 +561,9 @@ def solve_m(
     representation of Y.  Otherwise each sweep reads its mirrored values
     from the martingale table fitted to the previous Y, iterated to the
     fixed point by the same driver as the Picard mode of :func:`solve_s`.
+    The kernel is one full coefficient table: rows i <= j of column j
+    come from the sweep and rows i > j from the representation of Y,
+    all of them polynomials in the state at node j.
     """
     config = config or SolverConfig()
     sweep = _Sweep(problem, ensemble, config, driver)
@@ -583,13 +582,14 @@ def solve_m(
             ),
         )
 
-    upper = _upper_kernel(sweep, z_coeffs)
-    mart = martingale_coeffs(y_values)
-    lower = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(mart), region="lower")
+    # the martingale table is zero on i <= j, where the sweep's table lives
+    table = martingale_coeffs(y_values)
+    upper = np.triu_indices(sweep.n + 1)
+    table[upper] = z_coeffs[upper]
     return SolveReport(
         mode="m-solution",
         y=_adapted(sweep, y_values),
-        z=CompositeSurface(upper, lower, extension="martingale"),
+        z=CoeffSurface(sweep.grid, sweep.driver.state, _readonly(table), region="full"),
         **info,
     )
 

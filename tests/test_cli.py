@@ -127,6 +127,20 @@ def test_solve_expression_problem(tmp_path, capsys):
     assert summary["s2_norm"] > 0.0
 
 
+def test_readme_expression_example_runs(tmp_path, capsys):
+    # argparse takes a value that starts with "-" only after "="; the
+    # generator divides by s, so the interval starts off zero
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--problem.generator=-t*y/s^2", "--problem.terminal", "t*T*wT",
+         "--grid.start", "0.5", "--n", "32", "--m", "512",
+         "--output.dir", str(tmp_path / "runs")],
+    )
+    assert code == 0, err
+    summary = _read_json(_last_run_dir(lines), "summary.json")
+    assert summary["steps"] == 32
+
+
 def test_solve_non_convergence_exits_two(tmp_path, capsys):
     code, lines, _ = _run(
         capsys,
@@ -163,6 +177,19 @@ def test_solver_failure_exits_four_without_run_dir(tmp_path, capsys):
     assert lines == []
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "(i=7, j=7)" in err
+    assert not out.exists()
+
+
+def test_non_finite_terminal_exits_four_without_run_dir(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--problem.generator=-t*y/s^2", "--problem.terminal", "log(T-t)",
+         "--grid.start", "0.5", "--n", "16", "--m", "2048", "--output.dir", str(out)],
+    )
+    assert code == 4
+    assert lines == []
+    assert err == "error: numerical failure: terminal data is non-finite at node 16\n"
     assert not out.exists()
 
 
@@ -279,6 +306,19 @@ def test_risk_direct_summary_has_no_selftest(tmp_path, capsys):
     assert code == 0
     summary = _read_json(_last_run_dir(lines), "summary.json")
     assert "selftest" not in summary
+
+
+def test_risk_expression_aggregator_needs_its_source(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code, lines, err = _run(
+        capsys,
+        ["risk", "--risk.aggregator", "expr", "--n", "8", "--m", "256",
+         "--output.dir", str(out)],
+    )
+    assert code == 1
+    assert lines == []
+    assert err == "error: risk.aggregator = expr needs risk.expr\n"
+    assert not out.exists()
 
 
 # -- verify -----------------------------------------------------------------

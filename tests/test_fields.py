@@ -3,7 +3,6 @@ import pytest
 
 from bsvie import (
     AdaptedField,
-    CompositeSurface,
     FuncSurface,
     SymmetricSurface,
     build_grid,
@@ -58,7 +57,6 @@ def test_symmetric_surface_mirrors_same_array(grid):
     upper = FuncSurface(grid, 2, lambda i, j: np.full(2, 10.0 * i + j), region="upper")
     z = SymmetricSurface(upper)
     assert z.region == "full"
-    assert z.extension == "symmetric"
     np.testing.assert_array_equal(z.at(3, 1), z.at(1, 3))
     np.testing.assert_array_equal(z.at(3, 1), np.full(2, 13.0))
 
@@ -69,28 +67,34 @@ def test_symmetric_surface_requires_upper_base(grid):
         SymmetricSurface(full)
 
 
-def test_composite_surface_dispatches_by_triangle(grid):
-    upper = FuncSurface(grid, 2, lambda i, j: np.full(2, 1.0), region="upper")
-    lower = FuncSurface(grid, 2, lambda i, j: np.full(2, -1.0), region="lower")
-    z = CompositeSurface(upper, lower, extension="martingale")
+def test_full_coeff_surface_reads_both_triangles(grid):
+    # one table: rows i <= j and rows i > j of a column share the node-j state
+    state = np.stack([np.arange(5.0), -np.arange(5.0)], axis=0)
+    coeffs = np.zeros((5, 5, 2))
+    coeffs[1, 3] = [1.0, 0.0]
+    coeffs[3, 3] = [0.0, 1.0]
+    coeffs[4, 3] = [-1.0, 2.0]
+    z = CoeffSurface(grid, state, coeffs, region="full")
     assert z.region == "full"
-    assert z.extension == "martingale"
-    np.testing.assert_array_equal(z.at(1, 3), np.full(2, 1.0))
-    np.testing.assert_array_equal(z.at(2, 2), np.full(2, 1.0))
-    np.testing.assert_array_equal(z.at(3, 1), np.full(2, -1.0))
-    with pytest.raises(ValueError):
-        CompositeSurface(lower, upper, extension="martingale")
+    np.testing.assert_array_equal(z.at(1, 3), [1.0, 1.0])
+    np.testing.assert_array_equal(z.at(3, 3), [3.0, -3.0])
+    np.testing.assert_array_equal(z.at(4, 3), [5.0, -7.0])
+    np.testing.assert_array_equal(z.at(0, 3), [0.0, 0.0])
 
 
-def test_composite_surface_rejects_foreign_grid(grid):
-    # same node count, different interval
-    other = build_grid(2.0, 4, 0.5)
-    upper = FuncSurface(grid, 2, lambda i, j: np.zeros(2), region="upper")
-    lower = FuncSurface(other, 2, lambda i, j: np.zeros(2), region="lower")
-    with pytest.raises(ValueError):
-        CompositeSurface(upper, lower, extension="martingale")
-    same = FuncSurface(build_grid(1.0, 4), 2, lambda i, j: np.zeros(2), region="lower")
-    CompositeSurface(upper, same, extension="martingale")
+@pytest.mark.parametrize("kind", ["symmetric", "full"])
+def test_column_reads_equal_cell_reads_bitwise(grid, kind):
+    rng = np.random.default_rng(3)
+    state = rng.standard_normal((64, 5))
+    coeffs = rng.standard_normal((5, 5, 4))
+    if kind == "symmetric":
+        z = SymmetricSurface(CoeffSurface(grid, state, coeffs, region="upper"))
+    else:
+        z = CoeffSurface(grid, state, coeffs, region="full")
+    rows = range(5)
+    for j in range(5):
+        for i, values in zip(rows, z.column(j, rows)):
+            assert values.tobytes() == z.at(i, j).tobytes()
 
 
 def test_func_surface_broadcasts_scalars(grid):
@@ -109,4 +113,4 @@ def test_coeff_surface_evaluates_node_polynomial(grid):
     with pytest.raises(IndexError):
         z.at(2, 1)
     with pytest.raises(ValueError):
-        CoeffSurface(grid, state, coeffs, region="full")
+        CoeffSurface(grid, state, coeffs, region="diagonal")

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bsvie import (
     DriftError,
     DriftSpec,
-    TiltedEnsemble,
+    Driver,
     build_grid,
     girsanov_selftest,
     sample_ensemble,
@@ -19,8 +21,8 @@ def ensemble():
 
 def test_zero_drift_is_the_identity(ensemble):
     tilted = tilt(ensemble, DriftSpec())
-    np.testing.assert_array_equal(tilted.tilted_values, ensemble.values)
-    np.testing.assert_array_equal(tilted.tilted_increments, ensemble.increments)
+    np.testing.assert_array_equal(tilted.state, ensemble.values)
+    np.testing.assert_array_equal(tilted.increments, ensemble.increments)
     np.testing.assert_array_equal(tilted.weights, 1.0)
 
 
@@ -28,13 +30,13 @@ def test_constant_drift_shifts_values_by_time(ensemble):
     tilted = tilt(ensemble, DriftSpec(r1=1.0))
     nodes = ensemble.grid.nodes
     np.testing.assert_allclose(
-        tilted.tilted_values - ensemble.values,
+        tilted.state - ensemble.values,
         np.broadcast_to(nodes, (ensemble.n_paths, len(nodes))),
         rtol=0,
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        tilted.tilted_increments - ensemble.increments,
+        tilted.increments - ensemble.increments,
         ensemble.dt,
         rtol=0,
         atol=1e-15,
@@ -45,7 +47,7 @@ def test_rate_split_is_bitwise_irrelevant(ensemble):
     combined = tilt(ensemble, DriftSpec(r1=1.0))
     split = tilt(ensemble, DriftSpec(r1=0.25, r2=0.75))
     np.testing.assert_array_equal(combined.weights, split.weights)
-    np.testing.assert_array_equal(combined.tilted_values, split.tilted_values)
+    np.testing.assert_array_equal(combined.state, split.state)
 
 
 def test_negated_rate_values(ensemble):
@@ -62,7 +64,7 @@ def test_drift_integral_uses_trapezoid_rule(ensemble):
     tilted = tilt(ensemble, DriftSpec(r1="s"))
     nodes = ensemble.grid.nodes
     np.testing.assert_allclose(
-        tilted.tilted_values - ensemble.values,
+        tilted.state - ensemble.values,
         np.broadcast_to(nodes**2 / 2.0, (ensemble.n_paths, len(nodes))),
         rtol=0,
         atol=1e-15,
@@ -88,13 +90,7 @@ def test_selftest_passes_for_correct_density(ensemble):
 def test_selftest_catches_flipped_density_sign(ensemble):
     good = tilt(ensemble, DriftSpec(r1=1.0))
     flipped = tilt(ensemble, DriftSpec(r1=-1.0))
-    fake = TiltedEnsemble(
-        base=ensemble,
-        tilted_values=good.tilted_values,
-        tilted_increments=good.tilted_increments,
-        weights=flipped.weights,
-    )
-    report = girsanov_selftest(fake)
+    report = girsanov_selftest(replace(good, weights=flipped.weights))
     assert not report.passed
     assert report.max_score > 10.0
 
@@ -104,7 +100,7 @@ def test_weighted_mean_of_tilted_terminal_vanishes(ensemble):
     # path is again centred
     tilted = tilt(ensemble, DriftSpec(r1=1.0))
     w = tilted.weights / np.mean(tilted.weights)
-    terminal = tilted.tilted_values[:, -1]
+    terminal = tilted.state[:, -1]
     mean = float(np.mean(w * terminal))
     stderr = float(np.std(w * terminal) / np.sqrt(ensemble.n_paths))
     assert abs(mean) < 4.0 * stderr
@@ -113,11 +109,18 @@ def test_weighted_mean_of_tilted_terminal_vanishes(ensemble):
 
 
 def test_driver_carries_tilted_arrays(ensemble):
+    # the tilt is itself the sweep driver, on the ensemble's grid
     tilted = tilt(ensemble, DriftSpec(r1=0.5))
-    driver = tilted.driver()
-    assert driver.state is tilted.tilted_values
-    assert driver.increments is tilted.tilted_increments
-    assert driver.weights is tilted.weights
+    assert isinstance(tilted, Driver)
+    assert tilted.grid is ensemble.grid
+    assert tilted.state.shape == ensemble.values.shape
+    assert tilted.increments.shape == ensemble.increments.shape
+    assert tilted.weights.shape == (ensemble.n_paths,)
+
+
+def test_selftest_rejects_an_unweighted_driver(ensemble):
+    with pytest.raises(ValueError, match="no weights"):
+        girsanov_selftest(Driver.from_ensemble(ensemble))
 
 
 def test_tilted_arrays_read_only(ensemble):
@@ -125,4 +128,4 @@ def test_tilted_arrays_read_only(ensemble):
     with pytest.raises(ValueError):
         tilted.weights[0] = 2.0
     with pytest.raises(ValueError):
-        tilted.tilted_values[0, 0] = 2.0
+        tilted.state[0, 0] = 2.0

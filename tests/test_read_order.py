@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bsvie import sample_ensemble
+from bsvie import SymmetricSurface, sample_ensemble
 from bsvie.analytic import error_metrics, get_case, reference_fields
 from bsvie.cli import _surface_rows
 from bsvie.fields import read_order
@@ -40,7 +40,7 @@ def report(request, setup):
 
 
 def _naive_cells_l2(z, cells):
-    if z.extension == "symmetric":
+    if isinstance(z, SymmetricSurface):
         cells = [(min(i, j), max(i, j)) for i, j in cells]
     total = 0.0
     for i, j in sorted(cells):
@@ -63,7 +63,7 @@ def test_read_order_is_column_major_over_representatives(report):
     groups = read_order(report.z, full)
     assert [j for j, _ in groups] == list(range(n + 1))
     for j, rows in groups:
-        expected = range(j + 1) if report.z.extension == "symmetric" else range(n + 1)
+        expected = range(j + 1) if isinstance(report.z, SymmetricSurface) else range(n + 1)
         assert rows == list(expected)
 
 

@@ -201,7 +201,7 @@ def _three_fits(design, rows, increments, dt):
 @pytest.mark.parametrize("tilted", [False, True])
 def test_project_matches_the_three_fit_sequence(unit_ensemble, tilted):
     ens = unit_ensemble
-    driver = tilt(ens, DriftSpec(r1=0.5)).driver() if tilted else Driver.from_ensemble(ens)
+    driver = tilt(ens, DriftSpec(r1=0.5)) if tilted else Driver.from_ensemble(ens)
     design = NodeDesign(driver.state[:, NODE], BasisSpec(), driver.weights)
     assert (design.weights is None) != tilted
     w = ens.values

@@ -48,6 +48,25 @@ def test_aggregator_rejects_stray_variables(ensemble):
         rho(RiskSpec(position=1.0, aggregator=Aggregator.linear("w")), ensemble)
 
 
+def test_aggregator_describe_zero_and_expression():
+    assert Aggregator.zero().describe() == "0"
+    # the expression kind describes itself by its canonical source
+    assert Aggregator.expression("0.1 * y ^ 2 - t").describe() == "0.1*y^2-t"
+
+
+@pytest.mark.parametrize("route", ["direct", "girsanov"])
+def test_expression_aggregator_is_bitwise_its_preset(route):
+    grid = build_grid(1.0, 16)
+    ensemble = sample_ensemble(grid, 2048, seed=5)
+    for src, preset in (("0.1*y", Aggregator.linear("0.1")),
+                        ("0.1*abs(y)", Aggregator.absolute("0.1"))):
+        spec = RiskSpec(position="0.7*wT", aggregator=preset, drift=DriftSpec(r1=0.3),
+                        route=route)
+        expected = rho(spec, ensemble).values
+        got = rho(replace(spec, aggregator=Aggregator.expression(src)), ensemble).values
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_position_terminal_accepts_three_forms(grid, ensemble):
     w = ensemble.values
     from_float = position_terminal(2.0).eval_all(grid, w)

@@ -232,8 +232,7 @@ def test_zeta_fixed_point_with_inert_zeta_is_the_one_pass_solve(pl_small):
     assert report.iterations == 2
     assert report.update_norms[1] == 0.0
     np.testing.assert_array_equal(report.y.values, plain.y.values)
-    np.testing.assert_array_equal(report.z.upper.coeffs, plain.z.upper.coeffs)
-    np.testing.assert_array_equal(report.z.lower.coeffs, plain.z.lower.coeffs)
+    np.testing.assert_array_equal(report.z.coeffs, plain.z.coeffs)
 
 
 def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
@@ -243,7 +242,8 @@ def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
     assert report.contraction_ratios
     assert all(r < 1.0 for r in report.contraction_ratios)
     lower = extend_martingale(report.y, ensemble)
-    np.testing.assert_array_equal(report.z.lower.coeffs, lower.coeffs)
+    below = np.tri(grid.steps + 1, k=-1, dtype=bool)
+    np.testing.assert_array_equal(report.z.coeffs[below], lower.coeffs[below])
 
 
 def _diff_surface(a, b):
@@ -256,8 +256,9 @@ def _diff_surface(a, b):
 
 
 def test_unit_weight_driver_is_the_plain_solver(pl_setup, pl_s_report):
-    _, _, problem, ensemble = pl_setup
+    _, grid, problem, ensemble = pl_setup
     driver = Driver(
+        grid=grid,
         state=ensemble.values,
         increments=ensemble.increments,
         weights=np.ones(ensemble.n_paths),
@@ -285,7 +286,7 @@ def test_generator_reads_paths_at_its_nodes():
     grid = build_grid(1.0, 4)
     ensemble = sample_ensemble(grid, 64, seed=7)
     paths, nodes, n = ensemble.values, grid.nodes, grid.steps
-    tilted = tilt(ensemble, DriftSpec(r1=0.5)).driver()
+    tilted = tilt(ensemble, DriftSpec(r1=0.5))
     assert not np.array_equal(tilted.state, paths)
     for driver in (None, tilted):
         problem, calls = _recording_problem(grid)
@@ -323,7 +324,7 @@ def test_generator_declaring_z_reads_the_fitted_kernel():
     grid = build_grid(1.0, 4)
     ensemble = sample_ensemble(grid, 64, seed=7)
     n = grid.steps
-    for driver in (Driver.from_ensemble(ensemble), tilt(ensemble, DriftSpec(r1=0.5)).driver()):
+    for driver in (Driver.from_ensemble(ensemble), tilt(ensemble, DriftSpec(r1=0.5))):
         for needs in (("z", "wT"), ("wT",)):
             calls = []
 
@@ -364,7 +365,7 @@ def test_iterate_norm_matches_evaluated_path_mean(pl_small, tilted):
     # the kernel part of the iterate norm, as the quadratic form of the
     # unweighted Gram, against the path mean of the evaluated rows
     case, grid, ensemble = pl_small
-    driver = tilt(ensemble, DriftSpec(r1=0.5)).driver() if tilted else None
+    driver = tilt(ensemble, DriftSpec(r1=0.5)) if tilted else None
     problem = case.problem(grid)
     sweep = _Sweep(problem, ensemble, SolverConfig(), driver)
     report = solve_s(problem, ensemble, driver=driver)
@@ -394,6 +395,25 @@ def test_non_finite_generator_located(pl_setup):
     )
     with pytest.raises(SolverError, match=r"\(i=\d+, j=\d+\)"):
         solve_s(problem, ensemble)
+
+
+def test_non_finite_terminal_located(pl_small):
+    case, grid, ensemble = pl_small
+    problem = ProblemSpec(
+        grid, Generator.from_expression(case.generator_src), Terminal.from_expression("log(T-t)")
+    )
+    with np.errstate(divide="ignore"):
+        with pytest.raises(SolverError, match=r"^terminal data is non-finite at node 16$"):
+            solve_s(problem, ensemble)
+
+
+def test_non_finite_generator_names_the_off_diagonal_cell(pl_small):
+    # t = 0.75 is node 8; the first level (j = 15) meets it among its rows
+    case, grid, ensemble = pl_small
+    problem = _zeta_problem(case, grid, "y/(t-0.75)")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match=r"at \(i=8, j=15\)$"):
+            solve_s(problem, ensemble)
 
 
 def test_second_moment_growth_tracks_reference(pl_setup, pl_s_report):
