@@ -107,9 +107,12 @@ class NodeDesign:
             raise RegressionError("non-finite regression targets")
         return np.linalg.solve(self._system, rhs.T).T
 
-    def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
-        """Fitted values (rows, M) of a coefficient batch (rows, size)."""
-        return coeffs @ self.x.T
+    def evaluate(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Fitted values (rows, M) of a coefficient batch (rows, size).
+
+        ``out``, when given, is a C-contiguous (rows, M) array to write them into.
+        """
+        return np.matmul(coeffs, self.x.T, out=out)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -121,7 +124,7 @@ class NodeDesign:
         return _chunked_ab(self.x, self.x) / self.n_paths
 
     def project(
-        self, rows: np.ndarray, increments: np.ndarray, dt: float
+        self, rows: np.ndarray, increments: np.ndarray, dt: float, xw2: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Conditional-expectation and kernel coefficients of a row batch.
 
@@ -138,11 +141,11 @@ class NodeDesign:
         system, H = X^T diag(w dW) X / M and S = G^-1 H, both follow from
         A = C(rows) and B = C(rows * dW): bz = (B - S A) / dt and
         c = A - S bz.  A and B come from one path-chunked product of the
-        rows with [X w, X w dW]; no (r, M) intermediate is formed.
+        rows with [X w, X w dW], which is written into the caller's (2k, M)
+        scratch ``xw2``; no (r, M) intermediate is formed.
         """
         k, m, r = self.basis.size, self.n_paths, rows.shape[0]
         # [X w, X w dW] laid out (2k, M), so each column scales in one long loop
-        xw2 = np.empty((2 * k, m))
         if self.weights is None:
             xw2[:k] = self.x.T
         else:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import PathEnsemble
-from .expr import eval_expr, format_expr, free_variables, parse
+from .expr import Bin, Call, Node as ExprNode, Num, Var, format_expr, free_variables, parse
 from .fields import AdaptedField
 from .girsanov import (
     DriftSpec,
@@ -97,16 +97,15 @@ class Aggregator:
         """Positively homogeneous in y, so scaling commutes with solving."""
         return self.kind in ("zero", "linear", "absolute")
 
-    def _fn(self):
+    def ast(self) -> ExprNode:
+        """f as an expression in (t, s, y, T, T1)."""
         if self.kind == "zero":
-            return lambda env: np.float64(0.0)
+            return Num(0.0)
         if self.kind == "expr":
-            ast = parse(self.expr)
-            return lambda env: eval_expr(ast, env)
-        ast = rate_ast(self.rate, "aggregator rate", RiskSetupError)
-        if self.kind == "linear":
-            return lambda env: eval_expr(ast, env) * env["y"]
-        return lambda env: eval_expr(ast, env) * np.abs(env["y"])
+            return parse(self.expr)
+        rate = rate_ast(self.rate, "aggregator rate", RiskSetupError)
+        y = Var("y") if self.kind == "linear" else Call("abs", (Var("y"),))
+        return Bin("*", rate, y)
 
     def describe(self) -> str:
         if self.kind == "zero":
@@ -145,17 +144,13 @@ class RiskSpec:
 
 
 def _direct_generator(spec: RiskSpec) -> Generator:
-    f_fn = spec.aggregator._fn()
     r1 = rate_ast(spec.drift.r1, "rate r1", RiskSetupError)
     r2 = rate_ast(spec.drift.r2, "rate r2", RiskSetupError)
-
-    def fn(env: dict) -> np.ndarray:
-        # the symmetric solver identifies the mirrored kernel with the
-        # kernel, so both rates act on z
-        rate = eval_expr(r1, env) + eval_expr(r2, env)
-        return f_fn(env) + rate * env["z"]
-
-    return Generator(fn, _AGG_NAMES | {"z"})
+    # the symmetric solver identifies the mirrored kernel with the
+    # kernel, so both rates act on z: f + (r1 + r2) * z
+    return Generator.from_expression(
+        Bin("+", spec.aggregator.ast(), Bin("*", Bin("+", r1, r2), Var("z")))
+    )
 
 
 def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None) -> SolveReport:
@@ -171,7 +166,7 @@ def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None) 
     # lives on W - int(r), which is the tilt by the negated rate
     problem = ProblemSpec(
         grid=ensemble.grid,
-        generator=Generator(spec.aggregator._fn(), _AGG_NAMES),
+        generator=Generator.from_expression(spec.aggregator.ast()),
         terminal=spec.terminal(),
     )
     # the free term stays on the physical paths; only the regression

@@ -18,13 +18,14 @@ fixed-point iteration solving literally the same discrete system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .ensemble import PathEnsemble
-from .expr import Node as ExprNode, eval_expr, format_expr, free_variables, parse
+from .expr import Node as ExprNode, Program, Registers, format_expr, free_variables, parse
 from .fields import AdaptedField, CoeffSurface, SurfaceField, SymmetricSurface
 from .grid import TimeGrid
 from .regression import BasisSpec, DegenerateEnsembleError, NodeDesign, RegressionError
@@ -45,6 +46,12 @@ class Generator:
     generator that declares ``z`` or ``zeta``, and mirrored values only
     for one that declares ``zeta``; otherwise ``z`` and ``zeta`` are
     passed as None.
+
+    The arrays in ``env`` are borrowed for the duration of the call.
+    The sweep reuses their memory at later cells, so a generator that
+    keeps one past the call must copy it, and it must not write into
+    them.  The sweep in turn never writes into an array the generator
+    received or returned before it has read the result.
     """
 
     def __init__(self, fn: Callable[[dict], np.ndarray], needs):
@@ -57,13 +64,16 @@ class Generator:
     @classmethod
     def from_expression(cls, src: str | ExprNode) -> "Generator":
         ast = parse(src) if isinstance(src, str) else src
-        return cls(lambda env: eval_expr(ast, env), free_variables(ast))
+        return cls(Program(ast), free_variables(ast))
 
     @property
     def uses_zeta(self) -> bool:
         return "zeta" in self.needs
 
-    def __call__(self, env: dict) -> np.ndarray:
+    def __call__(self, env: dict, registers: Registers | None = None) -> np.ndarray:
+        """g at ``env``; an expression writes its arrays into ``registers``."""
+        if registers is not None and isinstance(self._fn, Program):
+            return self._fn(env, registers)
         return self._fn(env)
 
 
@@ -82,11 +92,12 @@ class Terminal:
             raise ValueError(
                 f"terminal data may only read {sorted(_TERMINAL_NAMES)}, got {sorted(stray)}"
             )
+        program = Program(ast)
 
         def fn(grid: TimeGrid, w: np.ndarray) -> np.ndarray:
             # every outer node at once; the inner-time names stay unread
             env = _generator_env(grid, w, slice(None), slice(None), None, None, None)
-            out = eval_expr(ast, env)
+            out = program(env)
             return np.broadcast_to(out, (len(grid), w.shape[0])).astype(np.float64, copy=True)
 
         return cls(fn, format_expr(ast))
@@ -196,10 +207,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_grid(grid: TimeGrid, ensemble: PathEnsemble) -> None:
-    if len(grid) != len(ensemble.grid) or grid.nodes[0] != ensemble.grid.nodes[0] \
-            or grid.nodes[-1] != ensemble.grid.nodes[-1]:
-        raise ValueError("problem grid and ensemble grid disagree")
+def _check_grid(grid: TimeGrid, other: TimeGrid, what: str = "ensemble") -> None:
+    if len(grid) != len(other) or grid.nodes[0] != other.nodes[0] \
+            or grid.nodes[-1] != other.nodes[-1]:
+        raise ValueError(f"problem grid and {what} grid disagree")
 
 
 def _node_designs(driver: Driver, basis: BasisSpec) -> list[NodeDesign]:
@@ -214,13 +225,39 @@ def _node_designs(driver: Driver, basis: BasisSpec) -> list[NodeDesign]:
 
 
 def _project(
-    design: NodeDesign, j: int, rows: np.ndarray, increments: np.ndarray, dt: float
+    design: NodeDesign, j: int, rows: np.ndarray, increments: np.ndarray, dt: float,
+    xw2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`NodeDesign.project` at node ``j``, failures named by the node."""
     try:
-        return design.project(rows, increments, dt)
+        return design.project(rows, increments, dt, xw2)
     except RegressionError as e:
         raise RegressionError(f"node {j}: {e}") from None
+
+
+class _LevelWork:
+    """Work buffers of one sweep, for every (rows x paths) array of a level.
+
+    A level of rows 0..j < ``rows`` writes its kernel rows, mirrored
+    rows, dt * g, finiteness mask and generator intermediates into the
+    front of these, so its levels allocate no array of that size.  The
+    exception is an expression reading ``wt``: the rows' outer-node
+    paths are a transposed view, so what is computed from them is
+    allocated as numpy lays it out.
+    """
+
+    def __init__(self, rows: int, m: int, k: int) -> None:
+        self.z = np.empty((rows, m))
+        self.zeta = np.empty((rows, m))
+        self.scaled = np.empty(rows * m)
+        self.finite = np.empty(rows * m, dtype=bool)
+        self.xw2 = np.empty((2 * k, m))  # the operand of NodeDesign.project
+        self.registers = Registers(rows * m)
+
+
+def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The front of a flat buffer as an array of ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 class _Sweep:
@@ -234,12 +271,13 @@ class _Sweep:
         driver: Driver | None = None,
     ) -> None:
         grid = problem.grid
-        _check_grid(grid, ensemble)
+        _check_grid(grid, ensemble.grid)
         self.problem = problem
         self.grid = grid
         self.ensemble = ensemble
         self.config = config
         self.driver = driver or Driver.from_ensemble(ensemble)
+        _check_grid(grid, self.driver.grid, "driver")
         if self.driver.state.shape != ensemble.values.shape:
             raise ValueError("driver state shape disagrees with ensemble")
         self.n = grid.steps
@@ -254,19 +292,28 @@ class _Sweep:
             raise SolverError(f"terminal data is non-finite at node {i}")
         self.g = problem.generator
 
-    def _check_g(self, values: np.ndarray, i_lo: int, i_hi: int, j: int) -> None:
-        if np.all(np.isfinite(values)):
+    def _check_g(
+        self, work: _LevelWork, values: np.ndarray, i_lo: int, i_hi: int, j: int
+    ) -> None:
+        finite = np.isfinite(values, out=_front(work.finite, values.shape))
+        if finite.all():
             return
         if values.ndim < 2:
             raise SolverError(f"generator returned non-finite values at (i={i_lo}, j={j})")
-        row = int(np.argwhere(~np.isfinite(values).all(axis=1))[0][0])
+        row = int(np.argwhere(~finite.all(axis=1))[0][0])
         raise SolverError(f"generator returned non-finite values at (i={row + i_lo}, j={j})")
+
+    def _times_dt(self, work: _LevelWork, g: np.ndarray) -> np.ndarray:
+        if g.ndim == 0:
+            return self.dt * g
+        return np.multiply(self.dt, g, out=_front(work.scaled, g.shape))
 
     # -- one backward level ----------------------------------------------
 
     def level(
         self,
         j: int,
+        work: _LevelWork,
         lam: np.ndarray,
         z_coeffs: np.ndarray,
         y_values: np.ndarray,
@@ -275,34 +322,43 @@ class _Sweep:
     ) -> None:
         """Advance rows 0..j from column j+1 to column j, in place.
 
-        ``zeta_column(j, design, bz)`` must return mirrored kernel values
-        for rows 0..j, given this level's kernel coefficients; None means
-        the kernel is identified with its mirror (the symmetric mode) or
-        is simply never read.  Kernel values are evaluated only for a
-        generator that declares ``z`` or ``zeta``.
+        ``zeta_column(j, design, bz, out)`` must write mirrored kernel
+        values for rows 0..j into ``out`` and return it, given this
+        level's kernel coefficients; None means the kernel is identified
+        with its mirror (the symmetric mode) or is simply never read.
+        Kernel values are evaluated only for a generator that declares
+        ``z`` or ``zeta``.  Every (rows x paths) array goes to ``lam`` or
+        to ``work``, but for the exception :class:`_LevelWork` names.
         """
         design = self.designs[j]
         # both node estimates are variance-reduced by the other (see
         # NodeDesign.project).  A constant row's kernel cancels only to
         # rounding, up to about 5e-14 at 16 steps x 2048 paths, not to zero.
-        c, bz = _project(design, j, lam[: j + 1], self.driver.increments[:, j], self.dt)
+        c, bz = _project(
+            design, j, lam[: j + 1], self.driver.increments[:, j], self.dt, work.xw2
+        )
         z_coeffs[: j + 1, j] = bz
-        ce_fit = design.evaluate(c)
+        # the rows are read: their fitted conditional expectations replace them
+        ce_fit = design.evaluate(c, out=lam[: j + 1])
         symmetric_zeta = self.g.uses_zeta and zeta_column is None
-        z_fit = design.evaluate(bz) if "z" in self.g.needs or symmetric_zeta else None
+        z_fit = None
+        if "z" in self.g.needs or symmetric_zeta:
+            z_fit = design.evaluate(bz, out=work.z[: j + 1])
 
         zeta_rows = None
         if self.g.uses_zeta:
-            zeta_rows = z_fit if zeta_column is None else zeta_column(j, design, bz)
+            zeta_rows = z_fit if zeta_column is None else zeta_column(
+                j, design, bz, work.zeta[: j + 1]
+            )
 
         paths = self.ensemble.values
         # diagonal first: its y-argument is the regressed predictor
         z_diag = None if z_fit is None else z_fit[j]
         zeta_diag = None if zeta_rows is None else zeta_rows[j]
         env = _generator_env(self.grid, paths, j, j, ce_fit[j], z_diag, zeta_diag)
-        g_diag = np.asarray(self.g(env), dtype=np.float64)
-        self._check_g(g_diag, j, j, j)
-        lam[j] = ce_fit[j] + self.dt * g_diag
+        g_diag = np.asarray(self.g(env, work.registers), dtype=np.float64)
+        self._check_g(work, g_diag, j, j, j)
+        np.add(ce_fit[j], self._times_dt(work, g_diag), out=lam[j])
         y_values[:, j] = lam[j]
 
         if j == 0:
@@ -311,11 +367,10 @@ class _Sweep:
         z_off = None if z_fit is None else z_fit[:j]
         zeta_off = None if zeta_rows is None else zeta_rows[:j]
         env = _generator_env(self.grid, paths, slice(0, j), j, y_rows, z_off, zeta_off)
-        g_rows = np.asarray(self.g(env), dtype=np.float64)
-        if g_rows.ndim == 1:  # generator independent of the row index
-            g_rows = np.broadcast_to(g_rows, (j, self.m))
-        self._check_g(g_rows, 0, j - 1, j)
-        np.add(ce_fit[:j], self.dt * g_rows, out=lam[:j])
+        # a generator independent of the row index returns one row, broadcast here
+        g_rows = np.asarray(self.g(env, work.registers), dtype=np.float64)
+        self._check_g(work, g_rows, 0, j - 1, j)
+        np.add(ce_fit[:j], self._times_dt(work, g_rows), out=lam[:j])
 
     # -- full passes -------------------------------------------------------
 
@@ -329,8 +384,10 @@ class _Sweep:
         frozen_y: np.ndarray | None = None,
         zeta_column=None,
     ) -> None:
+        # one set of buffers for the block, dropped once it is swept
+        work = _LevelWork(j_hi + 1, self.m, self.k)
         for j in range(j_hi, j_lo - 1, -1):
-            self.level(j, lam, z_coeffs, y_values, frozen_y, zeta_column)
+            self.level(j, work, lam, z_coeffs, y_values, frozen_y, zeta_column)
 
     def fresh_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lam = self.terminal.copy()
@@ -376,8 +433,8 @@ def _adapted(sweep: _Sweep, y_values: np.ndarray) -> AdaptedField:
 def _frozen_coeff_zeta(sweep: _Sweep, coeffs: np.ndarray):
     """Mirrored kernel values from a frozen symmetric upper table."""
 
-    def column(j: int, design: NodeDesign, bz: np.ndarray) -> np.ndarray:
-        return design.evaluate(coeffs[: j + 1, j])
+    def column(j: int, design: NodeDesign, bz: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return design.evaluate(coeffs[: j + 1, j], out=out)
 
     return column
 
@@ -390,11 +447,10 @@ def _frozen_martingale_zeta(sweep: _Sweep, mart_coeffs: np.ndarray):
     zeta = z, which is exact there, and reads the kernel's own row.
     """
 
-    def column(j: int, design: NodeDesign, bz: np.ndarray) -> np.ndarray:
-        out = np.empty((j + 1, sweep.m))
+    def column(j: int, design: NodeDesign, bz: np.ndarray, out: np.ndarray) -> np.ndarray:
         for i in range(j):
-            out[i] = sweep.designs[i].x @ mart_coeffs[j, i]
-        out[j] = design.x @ bz[j]
+            np.matmul(sweep.designs[i].x, mart_coeffs[j, i], out=out[i])
+        np.matmul(design.x, bz[j], out=out[j])
         return out
 
     return column
@@ -507,10 +563,12 @@ def _martingale_coeffs(
     The fitted conditional expectation is subtracted first, as in the
     sweep: same projection, far less regressand variance.
     """
-    n = len(designs)
-    coeffs = np.zeros((n + 1, n + 1, designs[0].basis.size))
+    n, k = len(designs), designs[0].basis.size
+    coeffs = np.zeros((n + 1, n + 1, k))
+    xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection scratch
     for j, design in enumerate(designs):
-        coeffs[j + 1:, j] = _project(design, j, y_values[:, j + 1:].T, increments[:, j], dt)[1]
+        rows = y_values[:, j + 1:].T
+        coeffs[j + 1:, j] = _project(design, j, rows, increments[:, j], dt, xw2)[1]
     return coeffs
 
 
@@ -521,7 +579,7 @@ def extend_martingale(y: AdaptedField, ensemble: PathEnsemble) -> CoeffSurface:
     stochastic-integral representation of Y(t_i); it is a function of
     node-j data by construction.
     """
-    _check_grid(y.grid, ensemble)
+    _check_grid(y.grid, ensemble.grid)
     driver = Driver.from_ensemble(ensemble)
     designs = _node_designs(driver, BasisSpec())
     coeffs = _martingale_coeffs(designs, driver.increments, y.grid.dt, y.values)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bsvie.expr import (
@@ -10,6 +10,8 @@ from bsvie.expr import (
     Call,
     ExprError,
     Num,
+    Program,
+    Registers,
     Unary,
     Var,
     eval_expr,
@@ -144,3 +146,105 @@ def _compound(children):
 @given(st.recursive(_LEAVES, _compound, max_leaves=25))
 def test_print_parse_fixpoint(node):
     assert parse(format_expr(node)) == node
+
+
+# -- the compiled evaluator against the tree walk -------------------------
+
+_ORACLE_CALLS = {
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
+    "sin": np.sin, "cos": np.cos, "min": np.minimum, "max": np.maximum,
+}
+
+
+def _walk(node, env):
+    """Reference evaluator: a recursive tree walk allocating every result."""
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Unary):
+        return -_walk(node.operand, env)
+    if isinstance(node, Bin):
+        left, right = _walk(node.left, env), _walk(node.right, env)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            return left / right
+        return np.power(left, right)
+    return _ORACLE_CALLS[node.name](*[_walk(a, env) for a in node.args])
+
+
+def _oracle(node, env):
+    with np.errstate(all="ignore"):
+        return _walk(node, env)
+
+
+def _sweep_env(rows: int, m: int, seed: int) -> dict:
+    """The arguments of one off-diagonal generator call, laid out as the
+    sweep lays them out: path-major columns and a transposed block of
+    outer-node paths, with values of both signs for the domain faults."""
+    rng = np.random.default_rng(seed)
+    paths = 2.0 * rng.standard_normal((m, rows + 2))
+    y_table = rng.standard_normal((m, rows + 2))
+    return {
+        "t": np.linspace(0.0, 1.0, rows + 1)[:rows, None],
+        "s": np.float64(0.375),
+        "y": y_table[:, rows],
+        "z": rng.standard_normal((rows, m)),
+        "zeta": rng.standard_normal((rows, m)),
+        "w": paths[:, rows],
+        "wt": paths[:, :rows].T,
+        "wT": paths[:, -1],
+        "T": 1.0,
+        "T1": 0.0,
+    }
+
+
+@given(
+    node=st.recursive(_LEAVES, _compound, max_leaves=12),
+    rows=st.integers(1, 4),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+# reusing the right operand in place must not clobber the left one's register
+@example(node=parse("0.1*abs(y) + (0.3 + 0)*z"), rows=3, m=5, seed=0)
+# numpy's power of a one-element array by 0.5 is a square root unless the
+# result overwrites the exponent
+@example(node=parse("zeta^(0.5 + t)"), rows=1, m=1, seed=32768)
+def test_compiled_program_matches_the_tree_walk(node, rows, m, seed):
+    env = _sweep_env(rows, m, seed)
+    before = {k: np.copy(v) for k, v in env.items()}
+    program = Program(node)
+    registers = Registers(rows * m)
+    try:
+        expected = _oracle(node, env)
+    except ZeroDivisionError:
+        # Python floats in the environment divide as Python floats do
+        with pytest.raises(ZeroDivisionError):
+            program(env, registers)
+        return
+    # the second run reuses the registers the first one filled
+    for got in (program(env, registers), program(env, registers), eval_expr(node, env)):
+        assert np.shape(got) == np.shape(expected)
+        np.testing.assert_array_equal(got, expected)
+        # same layout too: a reduction over the result reads it in that order
+        assert np.asarray(got).strides == np.asarray(expected).strides
+    for k, v in env.items():
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+
+def test_program_writes_into_its_registers():
+    env = _sweep_env(3, 5, 1)
+    registers = Registers(15)
+    out = Program(parse("0.1*abs(y) + (0.3 + 0)*z"))(env, registers)
+    assert len(registers.buffers) == 2
+    assert np.shares_memory(out, registers.buffers[0]) or np.shares_memory(
+        out, registers.buffers[1]
+    )
+    # a lone variable comes back borrowed, a constant as a scalar
+    assert Program(parse("z"))(env, registers) is env["z"]
+    assert Program(parse("0.3 + 0"))(env, registers) == np.float64(0.3)

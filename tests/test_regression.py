@@ -210,7 +210,9 @@ def test_project_matches_the_three_fit_sequence(unit_ensemble, tilted):
         w[:, NODE + 1] * w[:, -1], np.full(ens.n_paths, 2.5),
     ])
     increments = driver.increments[:, NODE]
-    c, bz = design.project(rows, increments, ens.dt)
+    # the caller's scratch is written in full before it is read
+    scratch = np.full((2 * BasisSpec().size, ens.n_paths), np.nan)
+    c, bz = design.project(rows, increments, ens.dt, scratch)
     c_ref, bz_ref = _three_fits(design, rows, increments, ens.dt)
     assert c.shape == bz.shape == (rows.shape[0], BasisSpec().size)
     for new, ref in ((c, c_ref), (bz, bz_ref)):
@@ -222,7 +224,8 @@ def test_project_rejects_non_finite_rows(unit_ensemble):
     rows = np.ones((3, unit_ensemble.n_paths))
     rows[1, 7] = np.inf
     with pytest.raises(RegressionError, match="non-finite"):
-        design.project(rows, unit_ensemble.increments[:, NODE], unit_ensemble.dt)
+        design.project(rows, unit_ensemble.increments[:, NODE], unit_ensemble.dt,
+                       np.empty((2 * BasisSpec().size, unit_ensemble.n_paths)))
 
 
 @pytest.mark.parametrize("weighted", [False, True])

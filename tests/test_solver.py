@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from bsvie import (
     solve_s,
     tilt,
 )
+from bsvie import solver
 from bsvie.analytic import get_case, reference_fields
 from bsvie.solver import _Sweep
 
@@ -329,7 +332,8 @@ def test_generator_declaring_z_reads_the_fitted_kernel():
             calls = []
 
             def fn(env):
-                calls.append(env["z"])
+                # the arrays are borrowed for the call: keep a copy
+                calls.append(None if env["z"] is None else env["z"].copy())
                 return 0.1 * env["wT"]
 
             problem = ProblemSpec(grid, Generator(fn, needs), Terminal.from_expression("wT"))
@@ -345,6 +349,71 @@ def test_generator_declaring_z_reads_the_fitted_kernel():
                 np.testing.assert_array_equal(next(calls), fitted[j])
                 if j:
                     np.testing.assert_array_equal(next(calls), fitted[:j])
+
+
+@pytest.mark.parametrize("picard", [False, True])
+@pytest.mark.parametrize("name", ["y", "z"])
+def test_generator_returning_a_borrowed_array_matches_a_copy(pl_small, name, picard):
+    # the sweep reads what a generator returns before it writes into any
+    # array the generator received, so handing one back needs no copy
+    case, grid, ensemble = pl_small
+    ys = []
+    for fn in (lambda env: env[name], lambda env: env[name].copy()):
+        problem = ProblemSpec(grid, Generator(fn, (name,)),
+                              Terminal.from_expression(case.terminal_src))
+        ys.append(solve_s(problem, ensemble, SolverConfig(picard=picard, tol=1e-8)).y.values)
+    np.testing.assert_array_equal(ys[0], ys[1])
+
+
+@pytest.mark.parametrize("mode", ["s", "zeta"])
+def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
+    # every (rows x paths) intermediate of a level lands in the sweep's
+    # work buffers: beyond them, sweeping all levels traces less memory
+    # than one (steps x paths) array
+    n, m = 16, 4096
+    case = get_case("product-linear")
+    grid = case.grid(n)
+    ensemble = sample_ensemble(grid, m, seed=1)
+    if mode == "s":
+        sweep = _Sweep(case.problem(grid), ensemble, SolverConfig())
+        zeta_column = None
+    else:
+        sweep = _Sweep(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble, SolverConfig())
+        y_prev = solve_s(case.problem(grid), ensemble).y.values
+        zeta_column = solver._frozen_martingale_zeta(
+            sweep,
+            solver._martingale_coeffs(sweep.designs, sweep.driver.increments, sweep.dt, y_prev),
+        )
+    lam, z_coeffs, y_values = sweep.fresh_state()
+    made = []
+
+    class Recorded(solver._LevelWork):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "_LevelWork", Recorded)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep.run_levels(n - 1, 0, lam, z_coeffs, y_values, None, zeta_column)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(made) == 1
+    buffers = [a for a in vars(made[0]).values() if isinstance(a, np.ndarray)]
+    beyond = peak - base - sum(a.nbytes for a in buffers + made[0].registers.buffers)
+    assert beyond < n * m * 8, f"{beyond} bytes traced beyond the work buffers"
+
+
+def test_sweep_rejects_a_driver_on_another_grid():
+    grid = build_grid(1.0, 8)
+    ensemble = sample_ensemble(grid, 256, seed=1)
+    other = sample_ensemble(build_grid(2.0, 8, 0.5), 256, seed=2)
+    problem = ProblemSpec(grid, Generator.from_expression("-0.3*y"),
+                          Terminal.from_expression("wT"))
+    with pytest.raises(ValueError, match="problem grid and driver grid disagree"):
+        solve_s(problem, ensemble, driver=tilt(other, DriftSpec(r1=0.5)))
 
 
 def test_non_finite_regression_sums_name_their_node():
