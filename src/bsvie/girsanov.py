@@ -49,7 +49,7 @@ def rate_on_grid(
     error: type = DriftError,
 ) -> np.ndarray:
     """Read-only values of a deterministic rate at every grid node."""
-    env = {"s": grid.nodes, "T": grid.horizon, "T1": grid.start}
+    env = {"s": grid.nodes, "T": np.float64(grid.horizon), "T1": np.float64(grid.start)}
     values = np.asarray(eval_expr(rate_ast(src, what, error), env), dtype=np.float64)
     return np.broadcast_to(values, (len(grid),))
 

@@ -122,10 +122,6 @@ class ProblemSpec:
     generator: Generator
     terminal: Terminal
 
-    @property
-    def uses_zeta(self) -> bool:
-        return self.generator.uses_zeta
-
 
 @dataclass(frozen=True)
 class Driver:
@@ -198,7 +194,9 @@ def _generator_env(
     s_nodes, w = at(s)
     return {
         "t": t_nodes, "s": s_nodes, "y": y, "z": z, "zeta": zeta,
-        "w": w, "wt": wt, "wT": paths[:, -1], "T": grid.horizon, "T1": grid.start,
+        "w": w, "wt": wt, "wT": paths[:, -1],
+        # numpy scalars, so dividing by a zero one gives inf instead of raising
+        "T": np.float64(grid.horizon), "T1": np.float64(grid.start),
     }
 
 
@@ -261,7 +259,13 @@ def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class _Sweep:
-    """Shared machinery: designs, terminal data, one level step."""
+    """Shared machinery: designs, terminal data, the iterate, one level step.
+
+    The iterate is ``lam`` (Lambda[i][j] of the rows still being swept,
+    one row per outer node), ``y`` (Y at every node, one column per
+    node) and ``coeffs`` (the kernel coefficients of cell (i, j) in
+    ``coeffs[i, j]``); levels read and write them in place.
+    """
 
     def __init__(
         self,
@@ -291,10 +295,12 @@ class _Sweep:
             i = int(np.argwhere(bad.any(axis=1))[0][0])
             raise SolverError(f"terminal data is non-finite at node {i}")
         self.g = problem.generator
+        self.lam = self.terminal.copy()
+        self.y = np.empty((self.m, self.n + 1))
+        self.y[:, self.n] = self.terminal[self.n]
+        self.coeffs = np.zeros((self.n + 1, self.n + 1, self.k))
 
-    def _check_g(
-        self, work: _LevelWork, values: np.ndarray, i_lo: int, i_hi: int, j: int
-    ) -> None:
+    def _check_g(self, work: _LevelWork, values: np.ndarray, i_lo: int, j: int) -> None:
         finite = np.isfinite(values, out=_front(work.finite, values.shape))
         if finite.all():
             return
@@ -314,13 +320,10 @@ class _Sweep:
         self,
         j: int,
         work: _LevelWork,
-        lam: np.ndarray,
-        z_coeffs: np.ndarray,
-        y_values: np.ndarray,
         frozen_y: np.ndarray | None,
         zeta_column: Callable[[int, NodeDesign, np.ndarray], np.ndarray] | None,
     ) -> None:
-        """Advance rows 0..j from column j+1 to column j, in place.
+        """Advance rows 0..j of the iterate from column j+1 to column j.
 
         ``zeta_column(j, design, bz, out)`` must write mirrored kernel
         values for rows 0..j into ``out`` and return it, given this
@@ -330,14 +333,14 @@ class _Sweep:
         ``z`` or ``zeta``.  Every (rows x paths) array goes to ``lam`` or
         to ``work``, but for the exception :class:`_LevelWork` names.
         """
-        design = self.designs[j]
+        design, lam = self.designs[j], self.lam
         # both node estimates are variance-reduced by the other (see
         # NodeDesign.project).  A constant row's kernel cancels only to
         # rounding, up to about 5e-14 at 16 steps x 2048 paths, not to zero.
         c, bz = _project(
             design, j, lam[: j + 1], self.driver.increments[:, j], self.dt, work.xw2
         )
-        z_coeffs[: j + 1, j] = bz
+        self.coeffs[: j + 1, j] = bz
         # the rows are read: their fitted conditional expectations replace them
         ce_fit = design.evaluate(c, out=lam[: j + 1])
         symmetric_zeta = self.g.uses_zeta and zeta_column is None
@@ -357,63 +360,45 @@ class _Sweep:
         zeta_diag = None if zeta_rows is None else zeta_rows[j]
         env = _generator_env(self.grid, paths, j, j, ce_fit[j], z_diag, zeta_diag)
         g_diag = np.asarray(self.g(env, work.registers), dtype=np.float64)
-        self._check_g(work, g_diag, j, j, j)
+        self._check_g(work, g_diag, j, j)
         np.add(ce_fit[j], self._times_dt(work, g_diag), out=lam[j])
-        y_values[:, j] = lam[j]
+        self.y[:, j] = lam[j]
 
         if j == 0:
             return
-        y_rows = y_values[:, j] if frozen_y is None else frozen_y[:, j]
+        y_rows = self.y[:, j] if frozen_y is None else frozen_y[:, j]
         z_off = None if z_fit is None else z_fit[:j]
         zeta_off = None if zeta_rows is None else zeta_rows[:j]
         env = _generator_env(self.grid, paths, slice(0, j), j, y_rows, z_off, zeta_off)
         # a generator independent of the row index returns one row, broadcast here
         g_rows = np.asarray(self.g(env, work.registers), dtype=np.float64)
-        self._check_g(work, g_rows, 0, j - 1, j)
+        self._check_g(work, g_rows, 0, j)
         np.add(ce_fit[:j], self._times_dt(work, g_rows), out=lam[:j])
 
     # -- full passes -------------------------------------------------------
 
     def run_levels(
-        self,
-        j_hi: int,
-        j_lo: int,
-        lam: np.ndarray,
-        z_coeffs: np.ndarray,
-        y_values: np.ndarray,
-        frozen_y: np.ndarray | None = None,
-        zeta_column=None,
+        self, j_hi: int, j_lo: int, frozen_y: np.ndarray | None = None, zeta_column=None
     ) -> None:
         # one set of buffers for the block, dropped once it is swept
         work = _LevelWork(j_hi + 1, self.m, self.k)
         for j in range(j_hi, j_lo - 1, -1):
-            self.level(j, work, lam, z_coeffs, y_values, frozen_y, zeta_column)
-
-    def fresh_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lam = self.terminal.copy()
-        y_values = np.empty((self.m, self.n + 1))
-        y_values[:, self.n] = self.terminal[self.n]
-        z_coeffs = np.zeros((self.n + 1, self.n + 1, self.k))
-        return lam, z_coeffs, y_values
+            self.level(j, work, frozen_y, zeta_column)
 
     # -- iterate distances -------------------------------------------------
 
     def block_norm_sq(
-        self,
-        j_hi: int,
-        j_lo: int,
-        y_new: np.ndarray,
-        y_old: np.ndarray | None,
-        c_new: np.ndarray,
-        c_old: np.ndarray | None,
+        self, j_hi: int, j_lo: int, y_old: np.ndarray | None, c_old: np.ndarray | None
     ) -> float:
-        """Squared triangle norm of an iterate difference over a level block.
+        """Squared triangle norm of the iterate minus an old one over a level block.
 
-        The kernel part is the path mean of the squared fitted values,
-        taken as the quadratic form dc^T gram dc of each coefficient row.
+        None stands for the zero iterate.  The kernel part is the path
+        mean of the squared fitted values, taken as the quadratic form
+        dc^T gram dc of each coefficient row.
         """
         total = 0.0
         dt, dt2 = self.dt, self.dt**2
+        y_new, c_new = self.y, self.coeffs
         for j in range(j_lo, j_hi + 1):
             dy = y_new[:, j] if y_old is None else y_new[:, j] - y_old[:, j]
             total += float(np.mean(dy**2)) * dt
@@ -422,15 +407,15 @@ class _Sweep:
         return total
 
 
-def _upper_kernel(sweep: _Sweep, z_coeffs: np.ndarray) -> CoeffSurface:
-    return CoeffSurface(sweep.grid, sweep.driver.state, _readonly(z_coeffs), region="upper")
+def _upper_kernel(sweep: _Sweep) -> CoeffSurface:
+    return CoeffSurface(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="upper")
 
 
-def _adapted(sweep: _Sweep, y_values: np.ndarray) -> AdaptedField:
-    return AdaptedField(grid=sweep.grid, values=_readonly(y_values))
+def _adapted(sweep: _Sweep) -> AdaptedField:
+    return AdaptedField(grid=sweep.grid, values=_readonly(sweep.y))
 
 
-def _frozen_coeff_zeta(sweep: _Sweep, coeffs: np.ndarray):
+def _frozen_coeff_zeta(coeffs: np.ndarray):
     """Mirrored kernel values from a frozen symmetric upper table."""
 
     def column(j: int, design: NodeDesign, bz: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -460,15 +445,9 @@ def _frozen_martingale_zeta(sweep: _Sweep, mart_coeffs: np.ndarray):
 # public operations
 
 
-def _diagonal_solve(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray]:
-    lam, z_coeffs, y_values = sweep.fresh_state()
-    sweep.run_levels(sweep.n - 1, 0, lam, z_coeffs, y_values)
-    return y_values, z_coeffs
-
-
 def _fixed_point(
     sweep: _Sweep, freeze: Callable[[np.ndarray, np.ndarray], tuple]
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[int, bool, list[float], list[float]]:
     """Iterate frozen-data sweeps to their fixed point.
 
     ``freeze(prev_y, prev_c)`` maps the previous iterate (zeros before the
@@ -477,50 +456,49 @@ def _fixed_point(
     mirrored-kernel column.  The iteration runs on the whole level range
     and bisects a block into sub-blocks only when the block's own
     contraction ratios stay at or above one; ``max_iter`` bounds each
-    block.  Returns Y, the upper coefficient table and the bookkeeping
-    fields of :class:`SolveReport`.
+    block.  Blocks run depth first, upper half before lower half, each
+    from the ``lam`` its predecessor left.  The solution stays in the
+    sweep; returns the bookkeeping fields of :class:`SolveReport`.
     """
-    lam, z_coeffs, y_values = sweep.fresh_state()
     tol, max_iter = sweep.config.tol, sweep.config.max_iter
-    info = {"iterations": 0, "converged": True, "update_norms": [], "contraction_ratios": []}
-
-    def solve_block(j_hi: int, j_lo: int, depth: int) -> None:
-        entry = lam.copy()
-        prev_y = np.zeros_like(y_values)
-        prev_c = np.zeros_like(z_coeffs)
+    iterations, converged = 0, True
+    all_updates: list[float] = []
+    all_ratios: list[float] = []
+    blocks = [(sweep.n - 1, 0, 0)]
+    while blocks:
+        j_hi, j_lo, depth = blocks.pop()
+        entry = sweep.lam.copy()
+        prev_y = np.zeros_like(sweep.y)
+        prev_c = np.zeros_like(sweep.coeffs)
         updates: list[float] = []
         ratios: list[float] = []
         for _ in range(max_iter):
             frozen_y, zeta_column = freeze(prev_y, prev_c)
-            lam[:] = entry
-            sweep.run_levels(j_hi, j_lo, lam, z_coeffs, y_values, frozen_y, zeta_column)
-            info["iterations"] += 1
-            upd = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, y_values, prev_y, z_coeffs, prev_c))
-            base = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, y_values, None, z_coeffs, None))
+            sweep.lam[:] = entry
+            sweep.run_levels(j_hi, j_lo, frozen_y, zeta_column)
+            iterations += 1
+            upd = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, prev_y, prev_c))
+            base = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, None, None))
             if updates:
                 ratios.append(upd / max(updates[-1], 1e-300))
-                info["contraction_ratios"].append(ratios[-1])
+                all_ratios.append(ratios[-1])
             updates.append(upd)
-            info["update_norms"].append(upd)
+            all_updates.append(upd)
             # later columns hold the solved blocks, which the martingale fit reads
-            prev_y[:, j_lo:] = y_values[:, j_lo:]
-            prev_c[:, j_lo:] = z_coeffs[:, j_lo:]
+            prev_y[:, j_lo:] = sweep.y[:, j_lo:]
+            prev_c[:, j_lo:] = sweep.coeffs[:, j_lo:]
             if upd <= tol * (1.0 + base):
-                return
+                break
             diverging = len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0
             if diverging and j_hi > j_lo and depth < 8:
-                lam[:] = entry
+                sweep.lam[:] = entry
                 mid = (j_hi + j_lo + 1) // 2
-                solve_block(j_hi, mid, depth + 1)
-                solve_block(mid - 1, j_lo, depth + 1)
-                return
-        info["converged"] = False
-
-    solve_block(sweep.n - 1, 0, 0)
-    return y_values, z_coeffs, info
-
-
-_ONE_PASS = {"iterations": 1, "converged": True}
+                # popped last-in first-out: the upper half runs first
+                blocks += [(mid - 1, j_lo, depth + 1), (j_hi, mid, depth + 1)]
+                break
+        else:
+            converged = False
+    return iterations, converged, all_updates, all_ratios
 
 
 def solve_s(
@@ -541,17 +519,14 @@ def solve_s(
     config = config or SolverConfig()
     sweep = _Sweep(problem, ensemble, config, driver)
     if config.picard:
-        y_values, z_coeffs, info = _fixed_point(
-            sweep, lambda prev_y, prev_c: (prev_y, _frozen_coeff_zeta(sweep, prev_c))
+        bookkeeping = _fixed_point(
+            sweep, lambda prev_y, prev_c: (prev_y, _frozen_coeff_zeta(prev_c))
         )
     else:
-        y_values, z_coeffs = _diagonal_solve(sweep)
-        info = _ONE_PASS
+        sweep.run_levels(sweep.n - 1, 0)
+        bookkeeping = (1, True)
     return SolveReport(
-        mode="s-solution",
-        y=_adapted(sweep, y_values),
-        z=SymmetricSurface(_upper_kernel(sweep, z_coeffs)),
-        **info,
+        "s-solution", _adapted(sweep), SymmetricSurface(_upper_kernel(sweep)), *bookkeeping
     )
 
 
@@ -629,27 +604,23 @@ def solve_m(
     def martingale_coeffs(y_values: np.ndarray) -> np.ndarray:
         return _martingale_coeffs(sweep.designs, sweep.driver.increments, sweep.dt, y_values)
 
-    if not problem.uses_zeta:
-        y_values, z_coeffs = _diagonal_solve(sweep)
-        info = _ONE_PASS
-    else:
-        y_values, z_coeffs, info = _fixed_point(
+    if problem.generator.uses_zeta:
+        bookkeeping = _fixed_point(
             sweep,
             lambda prev_y, prev_c: (
                 None, _frozen_martingale_zeta(sweep, martingale_coeffs(prev_y))
             ),
         )
+    else:
+        sweep.run_levels(sweep.n - 1, 0)
+        bookkeeping = (1, True)
 
     # the martingale table is zero on i <= j, where the sweep's table lives
-    table = martingale_coeffs(y_values)
+    table = martingale_coeffs(sweep.y)
     upper = np.triu_indices(sweep.n + 1)
-    table[upper] = z_coeffs[upper]
-    return SolveReport(
-        mode="m-solution",
-        y=_adapted(sweep, y_values),
-        z=CoeffSurface(sweep.grid, sweep.driver.state, _readonly(table), region="full"),
-        **info,
-    )
+    table[upper] = sweep.coeffs[upper]
+    z = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(table), region="full")
+    return SolveReport("m-solution", _adapted(sweep), z, *bookkeeping)
 
 
 def solve_adapted(
@@ -665,17 +636,12 @@ def solve_adapted(
     symmetric sweep, whose Y this shares exactly.  Only the upper
     triangle is returned: nothing below the diagonal is defined here.
     """
-    if problem.uses_zeta:
+    if problem.generator.uses_zeta:
         raise ValueError("the mirror-free form takes a generator without zeta")
     config = config or SolverConfig()
     sweep = _Sweep(problem, ensemble, config, driver)
-    y_values, z_coeffs = _diagonal_solve(sweep)
-    return SolveReport(
-        mode="adapted",
-        y=_adapted(sweep, y_values),
-        z=_upper_kernel(sweep, z_coeffs),
-        **_ONE_PASS,
-    )
+    sweep.run_levels(sweep.n - 1, 0)
+    return SolveReport("adapted", _adapted(sweep), _upper_kernel(sweep), 1, True)
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,24 @@ def test_non_finite_terminal_exits_four_without_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("generator, terminal, message", [
+    ("y + T/T1", "wT", "generator returned non-finite values at (i=3, j=3)"),
+    ("y", "wT*T/T1", "terminal data is non-finite at node 0"),
+])
+def test_dividing_by_a_zero_start_exits_four(tmp_path, capsys, generator, terminal, message):
+    # T and T1 are numpy scalars, so T/T1 at start 0 is inf, not a ZeroDivisionError
+    out = tmp_path / "runs"
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--problem.generator", generator, "--problem.terminal", terminal,
+         "--n", "4", "--m", "256", "--output.dir", str(out)],
+    )
+    assert code == 4
+    assert lines == []
+    assert err == f"error: numerical failure: {message}\n"
+    assert not out.exists()
+
+
 def test_degenerate_ensemble_exits_four_without_run_dir(tmp_path, capsys):
     out = tmp_path / "runs"
     # without the ridge, the deterministic state at node 0 leaves the

@@ -76,6 +76,8 @@ def test_rate_expression_validation(ensemble):
         DriftSpec(r1="y").rate_values(ensemble.grid)
     with pytest.raises(DriftError):
         DriftSpec(r1="1/s").rate_values(ensemble.grid)  # diverges at s = 0
+    with pytest.raises(DriftError, match="non-finite at node 0"):
+        DriftSpec(r1="T/T1").rate_values(ensemble.grid)  # T1 = 0: inf, not ZeroDivisionError
 
 
 def test_selftest_passes_for_correct_density(ensemble):

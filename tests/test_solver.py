@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -384,7 +385,6 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
             sweep,
             solver._martingale_coeffs(sweep.designs, sweep.driver.increments, sweep.dt, y_prev),
         )
-    lam, z_coeffs, y_values = sweep.fresh_state()
     made = []
 
     class Recorded(solver._LevelWork):
@@ -396,7 +396,7 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sweep.run_levels(n - 1, 0, lam, z_coeffs, y_values, None, zeta_column)
+        sweep.run_levels(n - 1, 0, None, zeta_column)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,6 +404,40 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
     buffers = [a for a in vars(made[0]).values() if isinstance(a, np.ndarray)]
     beyond = peak - base - sum(a.nbytes for a in buffers + made[0].registers.buffers)
     assert beyond < n * m * 8, f"{beyond} bytes traced beyond the work buffers"
+
+
+@pytest.mark.parametrize("mode", ["picard", "zeta", "bisected"])
+def test_dropping_a_report_frees_the_solve(pl_small, mode):
+    # a solve leaves no reference cycle behind: with the collector off,
+    # dropping its report frees the designs, the iterate and the block
+    # copies, leaving less than one (paths x nodes) array traced
+    case, grid, ensemble = pl_small
+    picard = SolverConfig(picard=True, tol=1e-8)
+    if mode == "picard":
+        problem = case.problem(grid)
+    elif mode == "zeta":
+        problem = _zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta")
+    else:
+        grid = build_grid(1.0, 16)
+        ensemble = sample_ensemble(grid, 2048, seed=5)
+        problem = ProblemSpec(grid, Generator.from_expression("5*y"),
+                              Terminal.from_expression("wT"))
+    solve = solve_m if mode == "zeta" else solve_s
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = solve(problem, ensemble, picard)
+        blocks = report.iterations - len(report.contraction_ratios)
+        del report
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # each swept block starts a new run of contraction ratios
+    assert blocks == (3 if mode == "bisected" else 1)
+    assert left < ensemble.values.nbytes, f"{left} bytes still traced"
 
 
 def test_sweep_rejects_a_driver_on_another_grid():
@@ -437,8 +471,8 @@ def test_iterate_norm_matches_evaluated_path_mean(pl_small, tilted):
     driver = tilt(ensemble, DriftSpec(r1=0.5)) if tilted else None
     problem = case.problem(grid)
     sweep = _Sweep(problem, ensemble, SolverConfig(), driver)
-    report = solve_s(problem, ensemble, driver=driver)
-    y, c = report.y.values, report.z.base.coeffs
+    sweep.run_levels(grid.steps - 1, 0)
+    y, c = sweep.y, sweep.coeffs
     n = grid.steps
     for c_old in (None, 0.9 * c):
         expected = 0.0
@@ -446,7 +480,7 @@ def test_iterate_norm_matches_evaluated_path_mean(pl_small, tilted):
             dc = c[: j + 1, j] if c_old is None else c[: j + 1, j] - c_old[: j + 1, j]
             dz = sweep.designs[j].evaluate(dc)
             expected += float(np.sum(np.mean(dz**2, axis=1))) * grid.dt**2
-        got = sweep.block_norm_sq(n - 1, 0, y, y, c, c_old)
+        got = sweep.block_norm_sq(n - 1, 0, y, c_old)
         assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 

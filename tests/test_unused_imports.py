@@ -1,5 +1,6 @@
-"""Every package module uses each name it imports, and reads each
-private helper it defines.
+"""Every package module uses each name it imports, reads each private
+helper it defines, and reads each parameter of its private functions
+and methods.
 
 ``__init__.py`` is exempt: its imports are the public re-exports.
 """
@@ -57,6 +58,36 @@ def _unread_privates(source: str) -> list[str]:
     ]
 
 
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters that a module-level private function or a private
+    method of a module-level class never reads.  A method's ``self`` or
+    ``cls`` is not counted, and a body that only raises is exempt."""
+    tree = ast.parse(source)
+    functions = [
+        f for node in tree.body
+        for f in (node.body if isinstance(node, ast.ClassDef) else [node])
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and f.name.startswith("_") and not f.name.startswith("__")
+    ]
+    unread = []
+    for f in functions:
+        body = f.body[1:] if ast.get_docstring(f) is not None else f.body
+        if all(isinstance(stmt, ast.Raise) for stmt in body):
+            continue
+        args = f.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            sub.id for stmt in f.body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        unread += [
+            f"{f.name}: {a.arg} (line {a.lineno})" for a in params
+            if a.arg not in read and a.arg not in ("self", "cls")
+        ]
+    return unread
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
@@ -82,3 +113,25 @@ def test_guard_flags_an_unread_helper():
         "def public():\n    return _used()\n"
     )
     assert _unread_privates(source) == ["_SPARE (line 2)", "_walk (line 4)", "_Orphan (line 10)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_functions_read_every_parameter(path):
+    assert _unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_an_unread_parameter():
+    source = (
+        "def _scale(x, factor, spare):\n    return x * factor\n\n"
+        "def _outer(a, b):\n    def inner(c):\n        return a + b\n    return inner\n\n"
+        "def _abstract(x):\n    \"\"\"Doc.\"\"\"\n    raise NotImplementedError\n\n"
+        "def public(unused):\n    return 1\n\n"
+        "class Box:\n"
+        "    def _get(self, key, *args, **kwargs):\n        return key\n\n"
+        "    def __init__(self, size):\n        pass\n"
+    )
+    assert _unread_parameters(source) == [
+        "_scale: spare (line 1)",
+        "_get: args (line 17)",
+        "_get: kwargs (line 17)",
+    ]
