@@ -114,8 +114,19 @@ def read_cells(
 
 
 def design_matrix(state: np.ndarray, degree: int) -> np.ndarray:
-    """Vandermonde features 1, x, ..., x^degree of a state vector."""
-    return np.vander(state, degree + 1, increasing=True)
+    """Vandermonde features 1, x, ..., x^degree of a state vector.
+
+    Each power is the previous one times the state, the product order of
+    ``np.vander(state, degree + 1, increasing=True)``, so the bytes are
+    the same; filling the columns directly is several times faster.
+    """
+    x = np.empty((state.shape[0], degree + 1))
+    x[:, 0] = 1.0
+    if degree:
+        x[:, 1] = state
+    for p in range(2, degree + 1):
+        np.multiply(x[:, p - 1], state, out=x[:, p])
+    return x
 
 
 class CoeffSurface(SurfaceField):

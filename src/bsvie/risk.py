@@ -28,7 +28,7 @@ from .girsanov import (
     tilt,
 )
 from .grid import TimeGrid
-from .solver import Generator, ProblemSpec, SolveReport, SolverConfig, Terminal, solve_s
+from .solver import Driver, Generator, ProblemSpec, SolveReport, SolverConfig, Terminal, solve_s
 
 _AGG_NAMES = frozenset(("t", "s", "y", "T", "T1"))
 
@@ -153,25 +153,33 @@ def _direct_generator(spec: RiskSpec) -> Generator:
     )
 
 
-def _solve(spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None) -> SolveReport:
+def _route_driver(spec: RiskSpec, ensemble: PathEnsemble) -> Driver:
+    """The sweep driver of the spec's route on ``ensemble``."""
     if spec.route == "direct":
-        problem = ProblemSpec(
-            grid=ensemble.grid,
-            generator=_direct_generator(spec),
-            terminal=spec.terminal(),
-        )
-        return solve_s(problem, ensemble, config)
+        return Driver.from_ensemble(ensemble)
     # rates enter the equation with a plus sign, so absorbing them into
     # the driver means shifting it the other way: the drift-free form
     # lives on W - int(r), which is the tilt by the negated rate
-    problem = ProblemSpec(
-        grid=ensemble.grid,
-        generator=Generator.from_expression(spec.aggregator.ast()),
-        terminal=spec.terminal(),
-    )
+    return tilt(ensemble, spec.drift.negated())
+
+
+def _solve(
+    spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None,
+    driver: Driver | None = None,
+) -> SolveReport:
+    """Risk solve on the spec's route.
+
+    ``driver``, when given, is :func:`_route_driver` of the same spec
+    route and ensemble; every solve it is passed to shares its designs.
+    """
+    if spec.route == "direct":
+        generator = _direct_generator(spec)
+    else:
+        generator = Generator.from_expression(spec.aggregator.ast())
+    problem = ProblemSpec(grid=ensemble.grid, generator=generator, terminal=spec.terminal())
     # the free term stays on the physical paths; only the regression
-    # state, increments and weights move to the tilted driver
-    return solve_s(problem, ensemble, config, driver=tilt(ensemble, spec.drift.negated()))
+    # state, increments and weights move to a tilted driver
+    return solve_s(problem, ensemble, config, driver or _route_driver(spec, ensemble))
 
 
 def rho(spec: RiskSpec, ensemble: PathEnsemble,
@@ -201,12 +209,17 @@ def _sup_node_l2(values: np.ndarray) -> float:
 
 def route_agreement(spec: RiskSpec, ensemble: PathEnsemble,
                     config: SolverConfig | None = None) -> RouteReport:
-    """Direct and tilted routes on common paths; gap in sup-node L2."""
+    """Direct and tilted routes on common paths; gap in sup-node L2.
+
+    One tilt serves both the tilted solve and the self-test.
+    """
+    girsanov = replace(spec, route="girsanov")
+    tilted = _route_driver(girsanov, ensemble)
     direct = rho(replace(spec, route="direct"), ensemble, config).values
-    diff = rho(replace(spec, route="girsanov"), ensemble, config).values - direct
+    diff = _solve(girsanov, ensemble, config, tilted).y.values - direct
     scale = max(_sup_node_l2(direct), 1e-12)
     return RouteReport(
-        selftest=girsanov_selftest(tilt(ensemble, spec.drift.negated())),
+        selftest=girsanov_selftest(tilted),
         max_gap=_sup_node_l2(diff),
         relative_gap=_sup_node_l2(diff) / scale,
     )
@@ -296,19 +309,21 @@ def check_axioms(
 
     Translation and its discount factor are only checked for the linear
     aggregator; homogeneity needs a positively homogeneous one.  All
-    runs share ``ensemble``, so every defect compares common paths.
+    runs share ``ensemble``, so every defect compares common paths, and
+    one route driver, so the node designs are built once per call.
     """
     grid = ensemble.grid
     n = grid.steps
     psi = position_terminal(spec.position)
-    base = _solve(spec, ensemble, config)
+    driver = _route_driver(spec, ensemble)
+    base = _solve(spec, ensemble, config, driver)
     rho0 = base.y
     norm = max(_sup_node_l2(rho0.values), 1e-12)
     m = ensemble.n_paths
     checks: list[AxiomCheck] = []
 
     def run(position: Terminal) -> AdaptedField:
-        return _solve(replace(spec, position=position), ensemble, config).y
+        return _solve(replace(spec, position=position), ensemble, config, driver).y
 
     # past independence: the sweep reads the free term row by row and
     # never below the current node, so editing early rows must leave

@@ -132,16 +132,37 @@ class Driver:
     increments shifted by the drift's integral, plus the likelihood
     weights, so the same sweeps estimate conditional expectations under
     the tilted measure.
+
+    The driver owns the regression designs of its nodes.  They are built
+    on the first solve that reads them, one set per basis, and kept for
+    the driver's lifetime: M x (degree + 1) floats per node, 16 MB at 64
+    steps x 8192 paths.  Pass one driver to several solves on the same
+    paths to share them; a solver that is given no driver builds a fresh
+    one and frees its designs with the solve.  ``dataclasses.replace``
+    (new state or weights) starts from no designs.
     """
 
     grid: TimeGrid
     state: np.ndarray
     increments: np.ndarray
     weights: np.ndarray | None = None
+    _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_ensemble(cls, ensemble: PathEnsemble) -> "Driver":
         return cls(grid=ensemble.grid, state=ensemble.values, increments=ensemble.increments)
+
+    def _node_designs(self, basis: BasisSpec) -> list[NodeDesign]:
+        """One regression design per node 0..N-1 of the state, built once per basis."""
+        if basis not in self._designs:
+            designs = []
+            for j in range(self.state.shape[1] - 1):
+                try:
+                    designs.append(NodeDesign(self.state[:, j], basis, self.weights))
+                except DegenerateEnsembleError as e:
+                    raise DegenerateEnsembleError(f"node {j}: {e}") from None
+            self._designs[basis] = designs
+        return self._designs[basis]
 
 
 @dataclass(frozen=True)
@@ -211,17 +232,6 @@ def _check_grid(grid: TimeGrid, other: TimeGrid, what: str = "ensemble") -> None
         raise ValueError(f"problem grid and {what} grid disagree")
 
 
-def _node_designs(driver: Driver, basis: BasisSpec) -> list[NodeDesign]:
-    """One regression design per node 0..N-1 of the driver state."""
-    designs = []
-    for j in range(driver.state.shape[1] - 1):
-        try:
-            designs.append(NodeDesign(driver.state[:, j], basis, driver.weights))
-        except DegenerateEnsembleError as e:
-            raise DegenerateEnsembleError(f"node {j}: {e}") from None
-    return designs
-
-
 def _project(
     design: NodeDesign, j: int, rows: np.ndarray, increments: np.ndarray, dt: float,
     xw2: np.ndarray,
@@ -259,7 +269,7 @@ def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class _Sweep:
-    """Shared machinery: designs, terminal data, the iterate, one level step.
+    """Shared machinery: the driver's designs, terminal data, the iterate, one level step.
 
     The iterate is ``lam`` (Lambda[i][j] of the rows still being swept,
     one row per outer node), ``y`` (Y at every node, one column per
@@ -288,7 +298,7 @@ class _Sweep:
         self.m = ensemble.n_paths
         self.dt = grid.dt
         self.k = config.basis.size
-        self.designs = _node_designs(self.driver, config.basis)
+        self.designs = self.driver._node_designs(config.basis)
         self.terminal = problem.terminal.eval_all(grid, ensemble.values)
         bad = ~np.isfinite(self.terminal)
         if bad.any():
@@ -556,7 +566,7 @@ def extend_martingale(y: AdaptedField, ensemble: PathEnsemble) -> CoeffSurface:
     """
     _check_grid(y.grid, ensemble.grid)
     driver = Driver.from_ensemble(ensemble)
-    designs = _node_designs(driver, BasisSpec())
+    designs = driver._node_designs(BasisSpec())
     coeffs = _martingale_coeffs(designs, driver.increments, y.grid.dt, y.values)
     return CoeffSurface(y.grid, driver.state, _readonly(coeffs), region="lower")
 

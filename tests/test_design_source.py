@@ -1,0 +1,54 @@
+"""Per-node design matrices have one source: ``Driver._node_designs``.
+
+Every solve takes its designs from the driver it sweeps, which builds
+them once per basis and keeps them, so ``NodeDesign`` is constructed in
+exactly one place in the package.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bsvie"
+
+
+def _constructions(source: str, name: str = "NodeDesign") -> list[str]:
+    """Qualified names of the functions that call ``name(...)``."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_node_designs_are_built_in_one_place():
+    sites = [
+        f"{path.name}: {where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _constructions(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == ["solver.py: Driver._node_designs"]
+
+
+def test_guard_finds_every_construction():
+    source = (
+        "import bsvie.regression as regression\n\n"
+        "class Driver:\n"
+        "    def _node_designs(self, basis):\n"
+        "        return [NodeDesign(s, basis) for s in self.state]\n\n"
+        "def _sweep(state):\n"
+        "    def inner():\n        return regression.NodeDesign(state)\n"
+        "    return inner\n\n"
+        "SPARE = NodeDesign(0)\n"
+    )
+    assert _constructions(source) == ["Driver._node_designs", "_sweep.inner", "<module>"]

@@ -7,6 +7,7 @@ from bsvie import (
     SymmetricSurface,
     build_grid,
     design_matrix,
+    sample_ensemble,
 )
 from bsvie.fields import CoeffSurface
 
@@ -30,6 +31,19 @@ def test_design_matrix_is_increasing_vandermonde():
     np.testing.assert_array_equal(
         design_matrix(x, 2), [[1, 0, 0], [1, 1, 1], [1, 2, 4]]
     )
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_design_matrix_has_the_bytes_of_vander(degree):
+    # each power is the previous one times the state, as in np.vander's
+    # running product, on contiguous input and on a strided ensemble column
+    ensemble = sample_ensemble(build_grid(1.0, 4), 512, seed=2)
+    for state in (np.ascontiguousarray(ensemble.values[:, 3]), ensemble.values[:, 2]):
+        x = design_matrix(state, degree)
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        expected = np.vander(state, degree + 1, increasing=True)
+        assert x.shape == expected.shape
+        assert x.tobytes() == expected.tobytes()
 
 
 def test_region_bounds_checked(grid):

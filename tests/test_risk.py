@@ -14,11 +14,15 @@ from bsvie import (
     check_axioms,
     constant_position_reference,
     discount_factor,
+    girsanov_selftest,
     position_terminal,
     rho,
     route_agreement,
     sample_ensemble,
+    tilt,
 )
+from bsvie import risk
+from bsvie.risk import ROUTES
 
 N, M = 32, 16384
 
@@ -197,3 +201,41 @@ def test_edit_node_validation(grid, ensemble):
     with pytest.raises(RiskSetupError):
         check_axioms(spec, ensemble, node=0)
 
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_check_axioms_builds_each_node_design_once(built_designs, route):
+    # every solve of the ladder sweeps the same route driver, so the
+    # designs of its nodes are built by the first solve only
+    n = 8
+    small = sample_ensemble(build_grid(1.0, n), 512, seed=4)
+    spec = RiskSpec(position="0.7*wT", aggregator=Aggregator.linear(0.1),
+                    drift=DriftSpec(r1=0.3), route=route)
+    report = check_axioms(spec, small)
+    assert len(report.checks) == 6  # 8 solves on the linear preset
+    assert len(built_designs) == n
+
+
+def test_route_agreement_tilts_once(monkeypatch, built_designs):
+    small = sample_ensemble(build_grid(1.0, 8), 512, seed=4)
+    spec = RiskSpec(position="0.7*wT", aggregator=Aggregator.linear(0.1),
+                    drift=DriftSpec(r1=0.3))
+    tilts = []
+
+    def counted(*args):
+        tilts.append(args)
+        return tilt(*args)
+
+    monkeypatch.setattr(risk, "tilt", counted)
+    report = route_agreement(spec, small)
+    assert len(tilts) == 1
+    assert len(built_designs) == 2 * 8  # the ensemble's designs and the tilt's
+    # the shared tilt gives the fields of separate solves, bit for bit
+    direct = rho(replace(spec, route="direct"), small).values
+    diff = rho(replace(spec, route="girsanov"), small).values - direct
+    gap = float(np.sqrt(np.mean(diff**2, axis=0)).max())
+    assert report.max_gap == gap
+    assert report.relative_gap == gap / float(np.sqrt(np.mean(direct**2, axis=0)).max())
+    selftest = girsanov_selftest(tilt(small, spec.drift.negated()))
+    np.testing.assert_array_equal(report.selftest.mean_scores, selftest.mean_scores)
+    np.testing.assert_array_equal(report.selftest.var_scores, selftest.var_scores)
+    assert report.selftest.weight_mean_score == selftest.weight_mean_score

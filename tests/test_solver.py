@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,6 +439,54 @@ def test_dropping_a_report_frees_the_solve(pl_small, mode):
     # each swept block starts a new run of contraction ratios
     assert blocks == (3 if mode == "bisected" else 1)
     assert left < ensemble.values.nbytes, f"{left} bytes still traced"
+
+
+def _solution_bits(report):
+    z = report.z
+    coeffs = z.base.coeffs if isinstance(z, SymmetricSurface) else z.coeffs
+    return (report.y.values.tobytes(), coeffs.tobytes(), report.iterations,
+            report.converged, report.update_norms, report.contraction_ratios)
+
+
+@pytest.mark.parametrize("mode", ["one-pass", "picard", "zeta"])
+def test_a_reused_driver_solves_like_a_fresh_one(built_designs, pl_small, mode):
+    # a driver keeps its designs: its second solve builds none and gives
+    # the bits of a solve on a fresh driver
+    case, grid, ensemble = pl_small
+    config = SolverConfig(picard=mode == "picard", tol=1e-8)
+    if mode == "zeta":
+        problem, solve = _zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), solve_m
+    else:
+        problem, solve = case.problem(grid), solve_s
+    fresh = _solution_bits(solve(problem, ensemble, config, Driver.from_ensemble(ensemble)))
+    driver = Driver.from_ensemble(ensemble)
+    solve(problem, ensemble, config, driver)
+    del built_designs[:]
+    assert _solution_bits(solve(problem, ensemble, config, driver)) == fresh
+    assert built_designs == []
+    if mode == "zeta":
+        assert fresh[2] > 1 and fresh[4]  # the fixed point really iterated
+
+
+def test_designs_belong_to_one_driver_and_basis(built_designs, pl_small):
+    case, grid, ensemble = pl_small
+    n, problem = grid.steps, case.problem(grid)
+    driver = tilt(ensemble, DriftSpec(r1=0.5))
+    solve_s(problem, ensemble, driver=driver)
+    assert len(built_designs) == n
+    # new weights: replace starts the new driver from no designs
+    unit = np.ones(ensemble.n_paths)
+    solve_s(problem, ensemble, driver=replace(driver, weights=unit))
+    assert len(built_designs) == 2 * n
+    assert all(np.array_equal(d.weights, unit) for d in built_designs[n:])
+    # another basis on the same driver builds its own set, once
+    quadratic = SolverConfig(basis=BasisSpec(degree=2))
+    solve_s(problem, ensemble, quadratic, driver)
+    solve_s(problem, ensemble, quadratic, driver)
+    assert len(built_designs) == 3 * n
+    assert all(d.basis.degree == 2 for d in built_designs[2 * n:])
+    solve_s(problem, ensemble, driver=driver)
+    assert len(built_designs) == 3 * n
 
 
 def test_sweep_rejects_a_driver_on_another_grid():
