@@ -67,8 +67,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     Terminal,
-    extend_martingale,
-    martingale_reconstruction_error,
     residual,
     solve_adapted,
     solve_m,

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import PathEnsemble, sample_ensemble
-from .fields import AdaptedField, FuncSurface, SurfaceField, read_cells
+from .fields import AdaptedField, CellSum, FuncSurface, SurfaceField, surface_pass
 from .grid import TimeGrid, build_grid
 from .norms import y_l2
 from .solver import Generator, ProblemSpec, SolveReport, SolverConfig, Terminal, solve_m, solve_s
@@ -214,30 +214,59 @@ def _relative(err_sq: float, ref_sq: float) -> float:
     return err / ref if ref > 1e-12 else err
 
 
-def _region_error(
-    z_num: SurfaceField, z_ref: SurfaceField, cells, dt2: float
-) -> float:
-    """Relative error over ``cells``, summed in the order given.
-
-    The numeric kernel is read a column at a time; each cell it stands
-    for is compared with one read of the reference at that cell.
-    """
-    cells = list(cells)
-    covers: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for cell in cells:
-        covers.setdefault(z_num.representative(*cell), []).append(cell)
-    terms = {}
-    for rep, num in read_cells(z_num, cells):
-        for cell in covers[rep]:
-            ref = z_ref.at(*cell)
-            terms[cell] = (float(np.mean((num - ref) ** 2)) * dt2,
-                           float(np.mean(ref**2)) * dt2)
+def _region_error(terms: dict, cells: list[tuple[int, int]]) -> float:
+    """Relative error over ``cells``, summed in the order given."""
     err_sq = ref_sq = 0.0
     for cell in cells:
         err_term, ref_term = terms[cell]
         err_sq += err_term
         ref_sq += ref_term
     return _relative(err_sq, ref_sq)
+
+
+def _error_sum(
+    y_num: AdaptedField,
+    z_num: SurfaceField | None,
+    y_ref: AdaptedField,
+    z_ref: SurfaceField | None,
+    case: str,
+) -> CellSum:
+    """:func:`field_errors` as a consumer of a pass over ``z_num``.
+
+    Each cell's term compares the numeric kernel's values with one read
+    of the reference at that cell; the upper, diagonal and lower regions
+    sum the shared terms in their own orders.
+    """
+    grid = y_ref.grid
+    if y_num.values.shape != y_ref.values.shape:
+        raise ValueError("field shapes disagree")
+    n = grid.steps
+    dt2 = grid.dt**2
+    diff = AdaptedField(grid=grid, values=y_num.values - y_ref.values)
+    y_err = _relative(y_l2(diff), y_l2(y_ref))
+
+    has_z = z_num is not None and z_ref is not None
+    covers_lower = has_z and all(f.region in ("full", "lower") for f in (z_num, z_ref))
+    upper = [(i, j) for i in range(n) for j in range(i, n)] if has_z else []
+    diag = [(i, i) for i in range(n)]
+    lower = [(i, j) for i in range(1, n) for j in range(i)] if covers_lower else []
+
+    def term(cell: tuple[int, int], num: np.ndarray) -> tuple[float, float]:
+        ref = z_ref.at(*cell)
+        return float(np.mean((num - ref) ** 2)) * dt2, float(np.mean(ref**2)) * dt2
+
+    def total(terms: dict) -> ErrorReport:
+        return ErrorReport(
+            case=case,
+            steps=n,
+            n_paths=y_ref.n_paths,
+            y_error=y_err,
+            z_upper_error=_region_error(terms, upper) if has_z else None,
+            z_lower_error=_region_error(terms, lower) if covers_lower else None,
+            z_diag_error=_region_error(terms, diag) if has_z else None,
+        )
+
+    return CellSum(upper + lower, term, total)
 
 
 def field_errors(
@@ -248,34 +277,14 @@ def field_errors(
     case: str = "",
 ) -> ErrorReport:
     """Relative errors for Y and for Z split by triangle and diagonal."""
-    grid = y_ref.grid
-    if y_num.values.shape != y_ref.values.shape:
-        raise ValueError("field shapes disagree")
-    n = grid.steps
-    dt2 = grid.dt**2
-    diff = AdaptedField(grid=grid, values=y_num.values - y_ref.values)
-    y_err = _relative(y_l2(diff), y_l2(y_ref))
+    errors = _error_sum(y_num, z_num, y_ref, z_ref, case)
+    return errors.total({}) if z_num is None else surface_pass(z_num, [errors])[0]
 
-    z_upper = z_lower = z_diag = None
-    if z_num is not None and z_ref is not None:
-        z_upper = _region_error(
-            z_num, z_ref, ((i, j) for i in range(n) for j in range(i, n)), dt2
-        )
-        z_diag = _region_error(z_num, z_ref, ((i, i) for i in range(n)), dt2)
-        covers_lower = z_num.region in ("full", "lower") and z_ref.region in ("full", "lower")
-        if covers_lower:
-            z_lower = _region_error(
-                z_num, z_ref, ((i, j) for i in range(1, n) for j in range(i)), dt2
-            )
-    return ErrorReport(
-        case=case,
-        steps=n,
-        n_paths=y_ref.n_paths,
-        y_error=y_err,
-        z_upper_error=z_upper,
-        z_lower_error=z_lower,
-        z_diag_error=z_diag,
-    )
+
+def error_sum(numeric: SolveReport, reference: ReferenceFields, case: str = "") -> CellSum:
+    """:func:`error_metrics` as a consumer of a pass over ``numeric.z``."""
+    z_ref = reference.z_m if numeric.mode == "m-solution" else reference.z_s
+    return _error_sum(numeric.y, numeric.z, reference.y, z_ref, case)
 
 
 def error_metrics(
@@ -287,8 +296,7 @@ def error_metrics(
     symmetric one otherwise; an upper-triangle-only report is compared
     above the diagonal alone.
     """
-    z_ref = reference.z_m if numeric.mode == "m-solution" else reference.z_s
-    return field_errors(numeric.y, numeric.z, reference.y, z_ref, case=case)
+    return surface_pass(numeric.z, [error_sum(numeric, reference, case)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,14 @@ import time
 
 import numpy as np
 
-from .analytic import CASES, convergence_study, error_metrics, get_case, reference_fields
+from .analytic import CASES, convergence_study, error_sum, get_case, reference_fields
 from .ensemble import sample_ensemble
-from .fields import read_cells
-from .girsanov import DriftSpec, girsanov_selftest, tilt
+from .fields import CellSum, surface_pass
+from .girsanov import DriftSpec, girsanov_selftest
 from .grid import build_grid
-from .norms import s2_norm
+from .norms import s2_sum
 from .regression import BasisSpec, DegenerateEnsembleError, RegressionError
-from .risk import Aggregator, RiskSpec, check_axioms, discount_factor, rho_report
+from .risk import Aggregator, RiskSpec, _route_driver, _solve, check_axioms, discount_factor
 from .solver import (
     Generator,
     ProblemSpec,
@@ -407,15 +407,20 @@ def _region_cells(z, steps: int):
             yield i, j
 
 
-def _surface_rows(z, nodes: np.ndarray, steps: int):
+def _cell_stats(vals: np.ndarray) -> tuple[float, float]:
+    m = vals.shape[0]
+    stderr = float(vals.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    return float(vals.mean()), stderr
+
+
+def _surface_sum(z, nodes: np.ndarray, steps: int) -> CellSum:
+    """The ``z_surface.csv`` rows as a consumer of a pass over ``z``."""
     cells = list(_region_cells(z, steps))
-    stats = {}
-    for cell, vals in read_cells(z, cells):
-        m = vals.shape[0]
-        stderr = float(vals.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-        stats[cell] = float(vals.mean()), stderr
-    for i, j in cells:
-        yield (i, j, float(nodes[i]), float(nodes[j]), *stats[z.representative(i, j)])
+    reps = [z.representative(i, j) for i, j in cells]
+    return CellSum(reps, lambda _, vals: _cell_stats(vals), lambda stats: [
+        (i, j, float(nodes[i]), float(nodes[j]), *stats[rep])
+        for (i, j), rep in zip(cells, reps)
+    ])
 
 
 def _surface_path_rows(z, nodes: np.ndarray, steps: int):
@@ -454,8 +459,15 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
 
     emit.csv("y_table.csv", ["i", "t", "mean", "stderr", "l2"],
              _field_rows(report.y.values, grid.nodes))
+    # the table, the norm and the error metrics share one read of the kernel
+    sums = {"s2_norm": s2_sum(report.y, report.z)}
+    if config["output.csv"]:
+        sums["z_surface"] = _surface_sum(report.z, grid.nodes, grid.steps)
+    if case is not None:
+        sums["errors"] = error_sum(report, reference_fields(case, ensemble), case=case.id)
+    totals = dict(zip(sums, surface_pass(report.z, list(sums.values()))))
     emit.csv("z_surface.csv", ["i", "j", "t_i", "t_j", "mean", "stderr"],
-             _surface_rows(report.z, grid.nodes, grid.steps))
+             totals.get("z_surface", []))
     if config["output.full_paths"]:
         print(
             "warning: per-path export is O(paths * steps^2) rows "
@@ -475,12 +487,12 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
         "converged": bool(report.converged),
         "update_norms": [float(u) for u in report.update_norms],
         "contraction_ratios": [float(r) for r in report.contraction_ratios],
-        "s2_norm": float(s2_norm(report.y, report.z)),
+        "s2_norm": totals["s2_norm"],
         "steps": grid.steps,
         "paths": ensemble.n_paths,
     }
     if case is not None:
-        errors = error_metrics(report, reference_fields(case, ensemble), case=case.id)
+        errors = totals["errors"]
         summary["errors"] = {
             "y": errors.y_error,
             "z_upper": errors.z_upper_error,
@@ -522,7 +534,9 @@ def _risk_spec(prefix: str, kind_key: str, config: dict):
 
 def _cmd_risk(config: dict, emit: _Emitter) -> int:
     spec, grid, ensemble = _risk_spec("risk", "risk.aggregator", config)
-    report = rho_report(spec, ensemble, _solver_config(config))
+    # one route driver serves the solve and, on the girsanov route, the self-test
+    driver = _route_driver(spec, ensemble)
+    report = _solve(spec, ensemble, _solver_config(config), driver)
     field = report.y
 
     emit.csv("rho_table.csv", ["i", "t", "mean", "stderr", "l2"],
@@ -536,7 +550,7 @@ def _cmd_risk(config: dict, emit: _Emitter) -> int:
         "sup_node_l2": float(np.sqrt(np.mean(field.values**2, axis=0)).max()),
     }
     if spec.route == "girsanov":
-        selftest = girsanov_selftest(tilt(ensemble, spec.drift.negated()))
+        selftest = girsanov_selftest(driver)
         summary["selftest"] = {"passed": bool(selftest.passed),
                                "max_score": float(selftest.max_score)}
     emit.json("summary.json", summary)

@@ -3,7 +3,9 @@
 Path p is a pure function of (seed, p): every path owns a Philox stream
 keyed by the pair, so enlarging the ensemble extends it without
 reshuffling existing paths, and identical (seed, M, N) inputs reproduce
-bit-identical arrays on any platform.
+bit-identical arrays on any platform.  One bit generator serves every
+path; it is re-keyed, with its counter and buffer reset, before each
+path is drawn.
 """
 
 from __future__ import annotations
@@ -49,12 +51,23 @@ class PathEnsemble:
 
 
 def _path_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
-    """Standard normals for paths [first, first+count), one keyed stream each."""
+    """Standard normals for paths [first, first+count), one keyed stream each.
+
+    Philox is a pure function of (key, counter), so setting one bit
+    generator's state to a path's key, a zero counter and an empty buffer
+    draws the same stream as a generator built fresh for that key.
+    """
     out = np.empty((count, n), dtype=np.float64)
-    hi = (int(seed) & _KEY_MASK) << 64
+    bit = np.random.Philox()
+    gen = np.random.Generator(bit)
+    # a snapshot taken before any draw: zero counter, empty buffer
+    state = bit.state
+    key = state["state"]["key"]
+    key[1] = int(seed) & _KEY_MASK
     for p in range(count):
-        bit = np.random.Philox(key=hi + first + p)
-        out[p] = np.random.Generator(bit).standard_normal(n)
+        key[0] = first + p
+        bit.state = state
+        gen.standard_normal(n, out=out[p])
     return out
 
 

@@ -6,9 +6,12 @@ backings differ (regression coefficient tables, closed-form callables,
 and the mirrored view of an upper triangle) but all expose
 ``at(i, j) -> (n_paths,)`` and ``column(j, rows)``, which reads several
 cells of one column together.
-Bulk readers go through :func:`read_cells`, which visits the cells a
-column at a time so that a coefficient-backed kernel builds each node's
-design matrix once per pass instead of once per cell.
+Bulk readers are consumers (:class:`CellSum`) of :func:`surface_pass`,
+the one pass over a kernel: it reads each representative cell once,
+column by column, so that a coefficient-backed kernel builds each
+node's design matrix once, and hands the values to every consumer that
+needs the cell.  Several consumers share one pass; no more than one
+column's design and one cell's values are alive at a time.
 
 Regions: ``upper`` covers the closed triangle t_i <= t_j, ``lower`` the
 strict triangle t_i > t_j, ``full`` the whole square.  A full surface is
@@ -21,7 +24,7 @@ comes from the stochastic-integral representation of Y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,17 +103,37 @@ def read_order(
     return list(groups.items())
 
 
-def read_cells(
-    z: SurfaceField, cells: Iterable[tuple[int, int]]
-) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
-    """(representative cell, values) pairs covering ``cells``, column by column.
+@dataclass(frozen=True)
+class CellSum:
+    """One consumer of :func:`surface_pass`.
 
-    Callers that need the values of a mirrored cell look them up under
-    ``z.representative(i, j)``.
+    ``term(cell, values)`` runs once for each distinct cell of ``cells``,
+    with the values of the cell's representative; ``total`` then gets
+    the terms as a dict keyed by cell and sums them in the order that
+    its result fixes.
     """
-    for j, rows in read_order(z, cells):
+
+    cells: list[tuple[int, int]]
+    term: Callable[[tuple[int, int], np.ndarray], Any]
+    total: Callable[[dict], Any]
+
+
+def surface_pass(z: SurfaceField, sums: Sequence[CellSum]) -> list:
+    """Totals of ``sums``, from one read of each representative cell they need.
+
+    Cells come in :func:`read_order`, one ``z.column`` call per column,
+    and each cell's values are dropped once every consumer has its term.
+    """
+    needs: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
+    for k, consumer in enumerate(sums):
+        for cell in dict.fromkeys(consumer.cells):
+            needs.setdefault(z.representative(*cell), []).append((k, cell))
+    terms: list[dict] = [{} for _ in sums]
+    for j, rows in read_order(z, needs):
         for i, values in zip(rows, z.column(j, rows)):
-            yield (i, j), values
+            for k, cell in needs[i, j]:
+                terms[k][cell] = sums[k].term(cell, values)
+    return [consumer.total(t) for consumer, t in zip(sums, terms)]
 
 
 def design_matrix(state: np.ndarray, degree: int) -> np.ndarray:

@@ -8,8 +8,9 @@ Cell sums run in a canonical order (cells sorted after mapping mirrored
 pairs of a symmetric kernel to their upper representative), so the two
 rectangle integrals related by swapping the time arguments of a
 symmetric kernel agree bit for bit, not merely up to rounding.  The
-per-cell terms are computed first, reading the kernel a column at a
-time, and only then summed in that order.
+per-cell terms come from one :func:`~bsvie.fields.surface_pass` over
+the kernel and are only then summed in that order; :func:`s2_sum` is
+the norm as a consumer that can share its pass with other readers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fields import AdaptedField, SurfaceField, read_cells
+from .fields import AdaptedField, CellSum, SurfaceField, surface_pass
 
 
 def y_l2(y: AdaptedField) -> float:
@@ -28,21 +29,38 @@ def y_l2(y: AdaptedField) -> float:
     return float(sum(np.mean(vals[:, i] ** 2) * dt for i in range(vals.shape[1])))
 
 
-def z_cells_l2(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> float:
-    """E sum of |Z(t_i, t_j)|^2 dt^2 over the given cells, canonical order."""
+def _l2_sum(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> CellSum:
     cells = sorted(z.representative(i, j) for i, j in cells)
     dt2 = z.grid.dt**2
-    terms = {cell: float(np.mean(v**2)) * dt2 for cell, v in read_cells(z, cells)}
-    total = 0.0
-    for cell in cells:
-        total += terms[cell]
-    return total
+
+    def total(terms: dict) -> float:
+        out = 0.0
+        for cell in cells:
+            out += terms[cell]
+        return out
+
+    return CellSum(cells, lambda cell, v: float(np.mean(v**2)) * dt2, total)
+
+
+def _upper_cells(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def z_cells_l2(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> float:
+    """E sum of |Z(t_i, t_j)|^2 dt^2 over the given cells, canonical order."""
+    return surface_pass(z, [_l2_sum(z, cells)])[0]
 
 
 def z_upper_l2(z: SurfaceField) -> float:
     """Triangle integral over t <= s, the z-part of the S^2-style norm."""
-    n = z.grid.steps
-    return z_cells_l2(z, ((i, j) for i in range(n) for j in range(i, n)))
+    return z_cells_l2(z, _upper_cells(z.grid.steps))
+
+
+def s2_sum(y: AdaptedField, z: SurfaceField) -> CellSum:
+    """:func:`s2_norm` as a consumer of a pass over ``z``."""
+    upper = _l2_sum(z, _upper_cells(z.grid.steps))
+    return CellSum(upper.cells, upper.term,
+                   lambda terms: float(np.sqrt(y_l2(y) + upper.total(terms))))
 
 
 def s2_norm(y: AdaptedField, z: SurfaceField) -> float:
@@ -51,4 +69,4 @@ def s2_norm(y: AdaptedField, z: SurfaceField) -> float:
     This is the contraction norm of the fixed-point iteration; it reads
     only the upper triangle and therefore accepts triangle-only kernels.
     """
-    return float(np.sqrt(y_l2(y) + z_upper_l2(z)))
+    return surface_pass(z, [s2_sum(y, z)])[0]

@@ -557,39 +557,6 @@ def _martingale_coeffs(
     return coeffs
 
 
-def extend_martingale(y: AdaptedField, ensemble: PathEnsemble) -> CoeffSurface:
-    """Fill the strict lower triangle with representation integrands.
-
-    Entry (i, j), i > j, estimates the integrand at t_j of the
-    stochastic-integral representation of Y(t_i); it is a function of
-    node-j data by construction.
-    """
-    _check_grid(y.grid, ensemble.grid)
-    driver = Driver.from_ensemble(ensemble)
-    designs = driver._node_designs(BasisSpec())
-    coeffs = _martingale_coeffs(designs, driver.increments, y.grid.dt, y.values)
-    return CoeffSurface(y.grid, driver.state, _readonly(coeffs), region="lower")
-
-
-def martingale_reconstruction_error(
-    y: AdaptedField, z_lower: SurfaceField, ensemble: PathEnsemble
-) -> np.ndarray:
-    """Per-node L2 defect of Y_i against mean + sum_{j<i} Z[i][j] dW_j."""
-    n = ensemble.grid.steps
-    recon = np.empty((n + 1, ensemble.n_paths))
-    for i in range(n + 1):
-        recon[i] = float(np.mean(y.at(i)))
-    # column by column, j ascending: each path still sums its terms in j order
-    for j in range(n):
-        rows = range(j + 1, n + 1)
-        for i, values in zip(rows, z_lower.column(j, rows)):
-            recon[i] += values * ensemble.increments[:, j]
-    out = np.zeros(n + 1)
-    for i in range(n + 1):
-        out[i] = float(np.sqrt(np.mean((y.at(i) - recon[i]) ** 2)))
-    return out
-
-
 def solve_m(
     problem: ProblemSpec,
     ensemble: PathEnsemble,

@@ -21,7 +21,7 @@ from bsvie import (
 )
 from bsvie.analytic import error_metrics, get_case, reference_fields
 from bsvie.expr import ExprError, eval_expr, parse
-from bsvie.fields import read_cells
+from bsvie.fields import CellSum, surface_pass
 from bsvie.girsanov import DriftSpec, girsanov_selftest, tilt
 from bsvie.norms import s2_norm
 from bsvie.risk import (
@@ -79,14 +79,15 @@ def _mirror_equal(z, pairs):
 
 
 def _dense(z):
-    """Full-square values, each stored cell read once, column by column."""
+    """Full-square values from one pass over the kernel's stored cells."""
     n = len(z.grid)
     vals = np.empty((z.n_paths, n, n))
-    for (i, j), v in read_cells(z, [(i, j) for i in range(n) for j in range(n)]):
-        vals[:, i, j] = v
-        if z.representative(j, i) == (i, j):
-            vals[:, j, i] = v
-    return vals
+
+    def store(cell, v):
+        vals[:, cell[0], cell[1]] = v
+
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return surface_pass(z, [CellSum(cells, store, lambda _: vals)])[0]
 
 
 def _diff_surface(a, b):

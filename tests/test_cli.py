@@ -1,10 +1,22 @@
 import hashlib
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
-from bsvie.cli import CliError, _SCHEMAS, main, parse_config_text
+from bsvie import (
+    Aggregator,
+    DriftSpec,
+    RiskSpec,
+    build_grid,
+    girsanov_selftest,
+    rho_report,
+    sample_ensemble,
+    tilt,
+)
+from bsvie.cli import CliError, _SCHEMAS, _field_rows, main, parse_config_text
 
 
 def _read_json(run_dir, name):
@@ -314,6 +326,43 @@ def test_risk_girsanov_summary_includes_selftest(tmp_path, capsys):
     assert summary["route"] == "girsanov"
     assert summary["selftest"]["passed"] is True
     assert os.path.exists(os.path.join(run_dir, "rho_table.csv"))
+
+
+def test_risk_girsanov_tilts_once(tmp_path, capsys, monkeypatch):
+    tilts = []
+
+    def counted_tilt(ensemble, drift):
+        tilts.append(drift)
+        return tilt(ensemble, drift)
+
+    # every module that imported the function by name calls the counter
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bsvie") and getattr(module, "tilt", None) is tilt:
+            monkeypatch.setattr(module, "tilt", counted_tilt)
+    code, lines, _ = _run(
+        capsys,
+        ["risk", "--route", "girsanov", "--risk.r1", "0.3", "--n", "8",
+         "--m", "1024", "--output.dir", str(tmp_path / "runs")],
+    )
+    assert code == 0
+    assert len(tilts) == 1
+    run_dir = _last_run_dir(lines)
+
+    # the shared tilt gives the figures of a solve and a self-test that
+    # each tilt on their own
+    spec = RiskSpec(position="0.7*wT", aggregator=Aggregator.linear("0.1"),
+                    drift=DriftSpec(r1="0.3"), route="girsanov")
+    grid = build_grid(1.0, 8)
+    ensemble = sample_ensemble(grid, 1024, seed=1)
+    values = rho_report(spec, ensemble).y.values
+    selftest = girsanov_selftest(tilt(ensemble, spec.drift.negated()))
+    with open(os.path.join(run_dir, "rho_table.csv"), encoding="utf-8") as fh:
+        table = [[float(x) for x in line.split(",")] for line in fh.read().splitlines()[1:]]
+    assert table == [list(row) for row in _field_rows(values, grid.nodes)]
+    summary = _read_json(run_dir, "summary.json")
+    assert summary["selftest"] == {"passed": bool(selftest.passed),
+                                   "max_score": float(selftest.max_score)}
+    assert summary["sup_node_l2"] == float(np.sqrt(np.mean(values**2, axis=0)).max())
 
 
 def test_risk_direct_summary_has_no_selftest(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 Every solve takes its designs from the driver it sweeps, which builds
 them once per basis and keeps them, so ``NodeDesign`` is constructed in
-exactly one place in the package.
+exactly one place in the package.  Likewise a kernel's cells are read in
+one place, ``fields.surface_pass``, so that no reader brings back a pass
+of its own.
 """
 
 import ast
@@ -38,6 +40,17 @@ def test_node_designs_are_built_in_one_place():
         for where in _constructions(path.read_text(encoding="utf-8"))
     ]
     assert sites == ["solver.py: Driver._node_designs"]
+
+
+def test_kernel_cells_are_read_in_one_place():
+    sites = {
+        f"{path.name}: {where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in ("column", "read_cells")
+        for where in _constructions(path.read_text(encoding="utf-8"), name)
+    }
+    # a mirrored kernel's column forwards to the kernel it mirrors
+    assert sites == {"fields.py: surface_pass", "fields.py: SymmetricSurface.column"}
 
 
 def test_guard_finds_every_construction():

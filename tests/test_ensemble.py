@@ -2,6 +2,16 @@ import numpy as np
 import pytest
 
 from bsvie import build_grid, sample_ensemble
+from bsvie.ensemble import _path_normals
+
+
+def _fresh_stream_normals(seed, first, count, n):
+    """Reference sampler: a new Philox and Generator for every path."""
+    out = np.empty((count, n))
+    hi = (int(seed) & ((1 << 64) - 1)) << 64
+    for p in range(count):
+        out[p] = np.random.Generator(np.random.Philox(key=hi + first + p)).standard_normal(n)
+    return out
 
 
 def test_values_are_cumulative_increments(unit_ensemble):
@@ -30,6 +40,30 @@ def test_growing_path_count_preserves_existing_paths(unit_grid):
     small = sample_ensemble(unit_grid, 128, seed=3)
     large = sample_ensemble(unit_grid, 512, seed=3)
     np.testing.assert_array_equal(large.increments[:128], small.increments)
+
+
+@pytest.mark.parametrize(
+    "seed, first, count, n",
+    [
+        (1, 0, 200, 64),
+        (2**63 + 7, 0, 50, 16),  # the key's high word has its top bit set
+        (2**64 + 3, 0, 50, 16),  # masked to 3
+        (12345678901, 5, 40, 16),
+        (1, 9, 1, 16),
+        (1, 0, 30, 1),
+    ],
+)
+def test_reused_stream_draws_the_bytes_of_fresh_streams(seed, first, count, n):
+    assert np.array_equal(
+        _path_normals(seed, first, count, n), _fresh_stream_normals(seed, first, count, n)
+    )
+
+
+def test_growing_path_count_keeps_the_reference_paths():
+    small = _path_normals(1, 0, 64, 16)
+    large = _path_normals(1, 0, 256, 16)
+    assert np.array_equal(large[:64], small)
+    assert np.array_equal(large, _fresh_stream_normals(1, 0, 256, 16))
 
 
 def test_terminal_statistics(unit_grid):

@@ -1,22 +1,25 @@
 """Column-at-a-time surface reads against a naive row-major cell loop.
 
 Norms, error metrics and the CLI kernel table read coefficient surfaces
-a column at a time.  Every figure they report must carry the same bits
-as reading each cell on its own with ``z.at(i, j)`` in row-major order.
-Floats are compared through ``repr``, which round-trips every bit
+in one column-major pass.  Every figure they report must carry the same
+bits as reading each cell on its own with ``z.at(i, j)`` in row-major
+order, whether each reader has a pass to itself or all of them share
+one.  Floats are compared through ``repr``, which round-trips every bit
 (``-0.0`` included).
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bsvie import SymmetricSurface, sample_ensemble
-from bsvie.analytic import error_metrics, get_case, reference_fields
-from bsvie.cli import _surface_rows
-from bsvie.fields import read_order
-from bsvie.norms import z_cells_l2, z_upper_l2
+from bsvie import CoeffSurface, SymmetricSurface, sample_ensemble
+from bsvie import fields
+from bsvie.analytic import error_metrics, error_sum, get_case, reference_fields
+from bsvie.cli import _surface_sum, main
+from bsvie.fields import read_order, surface_pass
+from bsvie.norms import s2_norm, s2_sum, y_l2, z_cells_l2, z_upper_l2
 from bsvie.solver import solve_m, solve_s
 
 # at 8 steps a wrong summation order in the error metrics still gave the
@@ -73,6 +76,8 @@ def test_norms_match_row_major_reads(report):
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     assert repr(z_cells_l2(report.z, full)) == repr(_naive_cells_l2(report.z, full))
     assert repr(z_upper_l2(report.z)) == repr(_naive_cells_l2(report.z, upper))
+    naive_s2 = float(np.sqrt(y_l2(report.y) + _naive_cells_l2(report.z, upper)))
+    assert repr(s2_norm(report.y, report.z)) == repr(naive_s2)
 
 
 def test_error_metrics_match_row_major_reads(setup, report):
@@ -89,7 +94,7 @@ def test_error_metrics_match_row_major_reads(setup, report):
 
 def test_surface_rows_match_row_major_reads(setup, report):
     _, grid, _, _ = setup
-    rows = list(_surface_rows(report.z, grid.nodes, grid.steps))
+    rows = surface_pass(report.z, [_surface_sum(report.z, grid.nodes, grid.steps)])[0]
     naive = []
     for i in range(STEPS + 1):
         for j in range(STEPS + 1):
@@ -98,3 +103,41 @@ def test_surface_rows_match_row_major_reads(setup, report):
             naive.append((i, j, float(grid.nodes[i]), float(grid.nodes[j]),
                           float(vals.mean()), stderr))
     assert repr(rows) == repr(naive)
+
+
+def test_shared_pass_gives_each_reader_its_own_figures(setup, report):
+    _, grid, _, reference = setup
+    rows, norm, errors = surface_pass(report.z, [
+        _surface_sum(report.z, grid.nodes, grid.steps),
+        s2_sum(report.y, report.z),
+        error_sum(report, reference),
+    ])
+    alone = surface_pass(report.z, [_surface_sum(report.z, grid.nodes, grid.steps)])[0]
+    assert repr(rows) == repr(alone)
+    assert repr(norm) == repr(s2_norm(report.y, report.z))
+    assert repr(errors) == repr(error_metrics(report, reference))
+
+
+@pytest.mark.parametrize("mode", ["m", "s"])
+def test_cli_solve_reads_each_cell_once(tmp_path, monkeypatch, capsys, mode):
+    reads, designs = Counter(), []
+    column, design_matrix = CoeffSurface.column, fields.design_matrix
+
+    def counted_column(self, j, rows):
+        reads.update((i, j) for i in rows)
+        return column(self, j, rows)
+
+    def counted_design(state, degree):
+        designs.append(degree)
+        return design_matrix(state, degree)
+
+    monkeypatch.setattr(CoeffSurface, "column", counted_column)
+    monkeypatch.setattr(fields, "design_matrix", counted_design)
+    argv = ["solve", "--case", "product-linear", "--mode", mode, "--n", "8", "--m", "256",
+            "--output.dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # the m-solution stores all 81 cells; the s-solution mirrors its 45 upper ones
+    stored = [(i, j) for i in range(9) for j in range(9) if mode == "m" or i <= j]
+    assert reads == Counter(stored)
+    assert len(designs) == 9

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bsvie import (
-    AdaptedField,
     BasisSpec,
     DegenerateEnsembleError,
     DriftSpec,
@@ -10,10 +9,10 @@ from bsvie import (
     NodeDesign,
     RegressionError,
     design_matrix,
-    extend_martingale,
     sample_ensemble,
     tilt,
 )
+from bsvie.solver import _martingale_coeffs
 
 NODE = 8
 
@@ -123,8 +122,11 @@ def test_martingale_coeff_recovers_square_integrand(unit_grid):
     # for W(t_{k+1})^2 the representation integrand over the next step
     # is 2 W(t_k), a member of the basis
     ens = sample_ensemble(unit_grid, 65536, seed=22)
-    z = extend_martingale(AdaptedField(unit_grid, ens.values**2), ens)
-    fitted = z.at(NODE + 1, NODE)
+    driver = Driver.from_ensemble(ens)
+    coeffs = _martingale_coeffs(
+        driver._node_designs(BasisSpec()), driver.increments, ens.dt, ens.values**2
+    )
+    fitted = design_matrix(ens.values[:, NODE], 3) @ coeffs[NODE + 1, NODE]
     ref = 2.0 * ens.values[:, NODE]
     err = float(np.sqrt(np.mean((fitted - ref) ** 2)))
     assert err < 0.15

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bsvie import (
-    AdaptedField,
     BasisSpec,
     DriftSpec,
     Driver,
@@ -20,8 +19,6 @@ from bsvie import (
     SymmetricSurface,
     Terminal,
     build_grid,
-    extend_martingale,
-    martingale_reconstruction_error,
     residual,
     s2_norm,
     sample_ensemble,
@@ -240,15 +237,22 @@ def test_zeta_fixed_point_with_inert_zeta_is_the_one_pass_solve(pl_small):
     np.testing.assert_array_equal(report.z.coeffs, plain.z.coeffs)
 
 
+def _martingale_fill(y_values, ensemble):
+    """Lower-triangle coefficient table of the representation of ``y_values``."""
+    driver = Driver.from_ensemble(ensemble)
+    designs = driver._node_designs(BasisSpec())
+    return solver._martingale_coeffs(designs, driver.increments, ensemble.dt, y_values)
+
+
 def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
     case, grid, ensemble = pl_small
     report = solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble)
     assert report.converged
     assert report.contraction_ratios
     assert all(r < 1.0 for r in report.contraction_ratios)
-    lower = extend_martingale(report.y, ensemble)
+    lower = _martingale_fill(report.y.values, ensemble)
     below = np.tri(grid.steps + 1, k=-1, dtype=bool)
-    np.testing.assert_array_equal(report.z.coeffs[below], lower.coeffs[below])
+    np.testing.assert_array_equal(report.z.coeffs[below], lower[below])
 
 
 def _diff_surface(a, b):
@@ -504,12 +508,13 @@ def test_non_finite_regression_sums_name_their_node():
     grid = build_grid(1.0, 4)
     ensemble = sample_ensemble(grid, 256, seed=1)
     problem = ProblemSpec(grid, Generator.from_expression("0"), Terminal.constant(1e307))
-    huge = AdaptedField(grid, np.full(ensemble.values.shape, 1e307))
+    huge = np.full(ensemble.values.shape, 1e307)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RegressionError, match=r"^node 3: non-finite regression targets"):
             solve_s(problem, ensemble)
+        # the martingale fill regresses column 0 first
         with pytest.raises(RegressionError, match=r"^node 0: non-finite regression targets"):
-            extend_martingale(huge, ensemble)
+            _martingale_fill(huge, ensemble)
 
 
 @pytest.mark.parametrize("tilted", [False, True])
@@ -618,18 +623,25 @@ def test_residual_rejects_unknown_form(pl_setup):
         residual(problem, ref.y, ref.z_s, ensemble, form="diagonal")
 
 
-def test_martingale_extension_reconstructs_process(pl_setup, pl_s_report):
-    _, grid, _, ensemble = pl_setup
-    lower = extend_martingale(pl_s_report.y, ensemble)
-    assert lower.region == "lower"
-    defect = martingale_reconstruction_error(pl_s_report.y, lower, ensemble)
+def test_martingale_extension_reconstructs_process(pl_setup):
+    _, grid, problem, ensemble = pl_setup
+    report = solve_m(problem, ensemble)
+    y = report.y.values
+    # Y_i against its mean plus sum_{j<i} Z[i][j] dW_j, summed in j order
+    defect = []
+    for i in range(grid.steps + 1):
+        recon = np.full(M, float(np.mean(y[:, i])))
+        for j in range(i):
+            recon += report.z.at(i, j) * ensemble.increments[:, j]
+        defect.append(float(np.sqrt(np.mean((y[:, i] - recon) ** 2))))
     # Y(t) = t^2 W(t) has representation integrand t^2, inside the basis;
     # the defect is pure regression noise
-    scale = np.sqrt(np.mean(pl_s_report.y.values[:, -1] ** 2))
+    scale = np.sqrt(np.mean(y[:, -1] ** 2))
     assert np.max(defect) < 0.12 * scale
-    # a process on another grid has no representation on these paths
+    # a problem on another grid has no representation on these paths
+    other = ProblemSpec(build_grid(1.0, 8), problem.generator, problem.terminal)
     with pytest.raises(ValueError):
-        extend_martingale(AdaptedField(build_grid(1.0, 8), np.zeros((M, 9))), ensemble)
+        solve_m(other, ensemble)
 
 
 def test_symmetric_extension_wraps_upper_kernel(pl_setup):
