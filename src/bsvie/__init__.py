@@ -14,7 +14,6 @@ from .analytic import (
     ReferenceFields,
     convergence_study,
     error_metrics,
-    field_errors,
     get_case,
     reference_fields,
 )
@@ -36,7 +35,7 @@ from .girsanov import (
     tilt,
 )
 from .grid import TimeGrid, build_grid
-from .norms import s2_norm, y_l2, z_cells_l2, z_upper_l2
+from .norms import s2_norm, y_l2, z_cells_l2
 from .regression import (
     BasisSpec,
     DegenerateEnsembleError,
@@ -55,7 +54,6 @@ from .risk import (
     discount_factor,
     position_terminal,
     rho,
-    rho_report,
     route_agreement,
 )
 from .solver import (

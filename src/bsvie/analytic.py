@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import PathEnsemble, sample_ensemble
-from .fields import AdaptedField, CellSum, FuncSurface, SurfaceField, surface_pass
+from .fields import AdaptedField, CellSum, FuncSurface, SurfaceField, region_cells, surface_pass
 from .grid import TimeGrid, build_grid
 from .norms import y_l2
 from .solver import Generator, ProblemSpec, SolveReport, SolverConfig, Terminal, solve_m, solve_s
@@ -28,7 +28,7 @@ class ReferenceFields:
 
     y: AdaptedField
     z_s: SurfaceField
-    z_m: SurfaceField | None
+    z_m: SurfaceField
 
 
 @dataclass(frozen=True)
@@ -196,17 +196,18 @@ class ErrorReport:
     """Region-wise relative L2 distances between two (Y, Z) pairs.
 
     Denominators are the reference norms; when a reference norm falls
-    below 1e-12 the plain absolute distance is reported instead.  A
-    None entry means the region is undefined for one of the fields.
+    below 1e-12 the plain absolute distance is reported instead.
+    ``z_lower_error`` is None when one of the kernels covers the upper
+    triangle only.
     """
 
     case: str
     steps: int
     n_paths: int
     y_error: float
-    z_upper_error: float | None
+    z_upper_error: float
     z_lower_error: float | None
-    z_diag_error: float | None
+    z_diag_error: float
 
 
 def _relative(err_sq: float, ref_sq: float) -> float:
@@ -224,32 +225,28 @@ def _region_error(terms: dict, cells: list[tuple[int, int]]) -> float:
     return _relative(err_sq, ref_sq)
 
 
-def _error_sum(
-    y_num: AdaptedField,
-    z_num: SurfaceField | None,
-    y_ref: AdaptedField,
-    z_ref: SurfaceField | None,
-    case: str,
-) -> CellSum:
-    """:func:`field_errors` as a consumer of a pass over ``z_num``.
+def error_sum(numeric: SolveReport, reference: ReferenceFields, case: str = "") -> CellSum:
+    """:func:`error_metrics` as a consumer of a pass over ``numeric.z``.
 
     Each cell's term compares the numeric kernel's values with one read
     of the reference at that cell; the upper, diagonal and lower regions
     sum the shared terms in their own orders.
     """
-    grid = y_ref.grid
-    if y_num.values.shape != y_ref.values.shape:
+    z_num = numeric.z
+    z_ref = reference.z_m if numeric.mode == "m-solution" else reference.z_s
+    y_ref = reference.y
+    if numeric.y.values.shape != y_ref.values.shape:
         raise ValueError("field shapes disagree")
+    grid = y_ref.grid
     n = grid.steps
     dt2 = grid.dt**2
-    diff = AdaptedField(grid=grid, values=y_num.values - y_ref.values)
+    diff = AdaptedField(grid=grid, values=numeric.y.values - y_ref.values)
     y_err = _relative(y_l2(diff), y_l2(y_ref))
 
-    has_z = z_num is not None and z_ref is not None
-    covers_lower = has_z and all(f.region in ("full", "lower") for f in (z_num, z_ref))
-    upper = [(i, j) for i in range(n) for j in range(i, n)] if has_z else []
+    covers_lower = all(f.region in ("full", "lower") for f in (z_num, z_ref))
+    upper = region_cells("upper", n)
     diag = [(i, i) for i in range(n)]
-    lower = [(i, j) for i in range(1, n) for j in range(i)] if covers_lower else []
+    lower = region_cells("lower", n) if covers_lower else []
 
     def term(cell: tuple[int, int], num: np.ndarray) -> tuple[float, float]:
         ref = z_ref.at(*cell)
@@ -261,30 +258,12 @@ def _error_sum(
             steps=n,
             n_paths=y_ref.n_paths,
             y_error=y_err,
-            z_upper_error=_region_error(terms, upper) if has_z else None,
+            z_upper_error=_region_error(terms, upper),
             z_lower_error=_region_error(terms, lower) if covers_lower else None,
-            z_diag_error=_region_error(terms, diag) if has_z else None,
+            z_diag_error=_region_error(terms, diag),
         )
 
     return CellSum(upper + lower, term, total)
-
-
-def field_errors(
-    y_num: AdaptedField,
-    z_num: SurfaceField | None,
-    y_ref: AdaptedField,
-    z_ref: SurfaceField | None,
-    case: str = "",
-) -> ErrorReport:
-    """Relative errors for Y and for Z split by triangle and diagonal."""
-    errors = _error_sum(y_num, z_num, y_ref, z_ref, case)
-    return errors.total({}) if z_num is None else surface_pass(z_num, [errors])[0]
-
-
-def error_sum(numeric: SolveReport, reference: ReferenceFields, case: str = "") -> CellSum:
-    """:func:`error_metrics` as a consumer of a pass over ``numeric.z``."""
-    z_ref = reference.z_m if numeric.mode == "m-solution" else reference.z_s
-    return _error_sum(numeric.y, numeric.z, reference.y, z_ref, case)
 
 
 def error_metrics(
@@ -345,12 +324,12 @@ def convergence_study(
         report = solve(problem, ensemble, config)
         reports.append(error_metrics(report, reference_fields(case, ensemble), case=case.id))
 
-    def orders(errors: list[float | None]) -> list[float]:
+    def orders(errors: list[float]) -> list[float]:
         out = []
         for k in range(len(errors) - 1):
             a, b = errors[k], errors[k + 1]
             ratio = levels[k + 1][0] / levels[k][0]
-            if a is None or b is None or a <= 0.0 or b <= 0.0:
+            if a <= 0.0 or b <= 0.0:
                 out.append(float("nan"))
             else:
                 out.append(math.log(a / b) / math.log(ratio))

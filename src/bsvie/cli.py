@@ -7,7 +7,7 @@ hash of its resolved config, so rerunning the same config reproduces
 every table byte for byte; the manifest records one checksum per table
 (wall-clock time is recorded but hashed into nothing).
 
-Exit codes: 0 success, 1 bad configuration, 2 solver non-convergence,
+Exit codes: 0 success, 1 bad configuration or usage, 2 solver non-convergence,
 3 a verification or axiom check failed, 4 numerical failure (a sweep
 produced non-finite values or a node regression stayed degenerate).
 The run directory appears with its first table, so a run that fails
@@ -30,12 +30,12 @@ import numpy as np
 
 from .analytic import CASES, convergence_study, error_sum, get_case, reference_fields
 from .ensemble import sample_ensemble
-from .fields import CellSum, surface_pass
+from .fields import CellSum, region_cells, surface_pass
 from .girsanov import DriftSpec, girsanov_selftest
 from .grid import build_grid
 from .norms import s2_sum
 from .regression import BasisSpec, DegenerateEnsembleError, RegressionError
-from .risk import Aggregator, RiskSpec, _route_driver, _solve, check_axioms, discount_factor
+from .risk import Aggregator, RiskSpec, check_axioms, discount_factor, route
 from .solver import (
     Generator,
     ProblemSpec,
@@ -395,18 +395,6 @@ def _field_rows(field_values: np.ndarray, nodes: np.ndarray):
         yield i, float(t), mean, stderr, float(np.sqrt(np.mean(col**2)))
 
 
-def _region_cells(z, steps: int):
-    """Cells of a kernel's region in (i, j) row order."""
-    region = z.region
-    for i in range(steps + 1):
-        for j in range(steps + 1):
-            if region == "upper" and i > j:
-                continue
-            if region == "lower" and i <= j:
-                continue
-            yield i, j
-
-
 def _cell_stats(vals: np.ndarray) -> tuple[float, float]:
     m = vals.shape[0]
     stderr = float(vals.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
@@ -415,7 +403,7 @@ def _cell_stats(vals: np.ndarray) -> tuple[float, float]:
 
 def _surface_sum(z, nodes: np.ndarray, steps: int) -> CellSum:
     """The ``z_surface.csv`` rows as a consumer of a pass over ``z``."""
-    cells = list(_region_cells(z, steps))
+    cells = region_cells(z.region, steps + 1)
     reps = [z.representative(i, j) for i, j in cells]
     return CellSum(reps, lambda _, vals: _cell_stats(vals), lambda stats: [
         (i, j, float(nodes[i]), float(nodes[j]), *stats[rep])
@@ -423,11 +411,13 @@ def _surface_sum(z, nodes: np.ndarray, steps: int) -> CellSum:
     ])
 
 
-def _surface_path_rows(z, nodes: np.ndarray, steps: int):
-    for i, j in _region_cells(z, steps):
-        vals = z.at(i, j)
-        for p in range(vals.shape[0]):
-            yield p, i, j, float(nodes[i]), float(nodes[j]), float(vals[p])
+def _path_sum(z, nodes: np.ndarray, steps: int) -> CellSum:
+    """The ``z_paths.csv`` rows, kept as each representative's values until written."""
+    cells = region_cells(z.region, steps + 1)
+    return CellSum(cells, lambda _, vals: vals, lambda values: (
+        (p, i, j, float(nodes[i]), float(nodes[j]), float(v))
+        for i, j in cells for p, v in enumerate(values[i, j])
+    ))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -459,10 +449,12 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
 
     emit.csv("y_table.csv", ["i", "t", "mean", "stderr", "l2"],
              _field_rows(report.y.values, grid.nodes))
-    # the table, the norm and the error metrics share one read of the kernel
+    # the tables, the norm and the error metrics share one read of the kernel
     sums = {"s2_norm": s2_sum(report.y, report.z)}
     if config["output.csv"]:
         sums["z_surface"] = _surface_sum(report.z, grid.nodes, grid.steps)
+        if config["output.full_paths"]:
+            sums["z_paths"] = _path_sum(report.z, grid.nodes, grid.steps)
     if case is not None:
         sums["errors"] = error_sum(report, reference_fields(case, ensemble), case=case.id)
     totals = dict(zip(sums, surface_pass(report.z, list(sums.values()))))
@@ -479,7 +471,7 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
                   for p in range(ensemble.n_paths)
                   for i, v in enumerate(report.y.values[p])))
         emit.csv("z_paths.csv", ["p", "i", "j", "t_i", "t_j", "value"],
-                 _surface_path_rows(report.z, grid.nodes, grid.steps))
+                 totals.get("z_paths", []))
 
     summary = {
         "mode": report.mode,
@@ -535,8 +527,8 @@ def _risk_spec(prefix: str, kind_key: str, config: dict):
 def _cmd_risk(config: dict, emit: _Emitter) -> int:
     spec, grid, ensemble = _risk_spec("risk", "risk.aggregator", config)
     # one route driver serves the solve and, on the girsanov route, the self-test
-    driver = _route_driver(spec, ensemble)
-    report = _solve(spec, ensemble, _solver_config(config), driver)
+    driver, solve = route(spec, ensemble, _solver_config(config))
+    report = solve(spec.position)
     field = report.y
 
     emit.csv("rho_table.csv", ["i", "t", "mean", "stderr", "l2"],
@@ -557,11 +549,10 @@ def _cmd_risk(config: dict, emit: _Emitter) -> int:
     return _EXIT_OK if report.converged else _EXIT_NO_CONVERGENCE
 
 
-def _decreasing_or_zero(errors: list) -> bool:
-    vals = [e for e in errors if e is not None]
-    if all(v <= 1e-12 for v in vals):
+def _decreasing_or_zero(errors: list[float]) -> bool:
+    if all(v <= 1e-12 for v in errors):
         return True
-    return all(b < a for a, b in zip(vals, vals[1:]))
+    return all(b < a for a, b in zip(errors, errors[1:]))
 
 
 def _cmd_verify(config: dict, emit: _Emitter) -> int:
@@ -577,10 +568,9 @@ def _cmd_verify(config: dict, emit: _Emitter) -> int:
     )
     rows = []
     for (steps, paths), rep in zip(table.levels, table.reports):
-        rows.append([steps, paths, rep.y_error,
-                     "" if rep.z_upper_error is None else rep.z_upper_error,
+        rows.append([steps, paths, rep.y_error, rep.z_upper_error,
                      "" if rep.z_lower_error is None else rep.z_lower_error,
-                     "" if rep.z_diag_error is None else rep.z_diag_error])
+                     rep.z_diag_error])
     emit.csv("errors.csv", ["steps", "paths", "y_error", "z_upper", "z_lower", "z_diag"], rows)
 
     y_series = [r.y_error for r in table.reports]
@@ -597,7 +587,7 @@ def _cmd_verify(config: dict, emit: _Emitter) -> int:
     emit.svg("chart.svg", _svg_chart(
         f"{table.case}: error vs steps",
         [("Y", list(zip(steps_axis, y_series))),
-         ("Z upper", [(s, e) for s, e in zip(steps_axis, z_series) if e is not None])],
+         ("Z upper", list(zip(steps_axis, z_series)))],
     ))
     return _EXIT_OK if passed else _EXIT_CHECK_FAILED
 
@@ -668,8 +658,15 @@ _COMMANDS = {
 # -- argument plumbing ------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`CliError` (exit 1) instead of exiting 2."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bsvie",
         description="Regression Monte-Carlo solvers for two-time backward systems",
     )
@@ -689,9 +686,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
         config = _resolve_config(args.subcommand, args)
         digest = _config_digest(args.subcommand, config)
         emit = _Emitter(_run_dir(args.subcommand, config, digest),

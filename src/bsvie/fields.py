@@ -3,18 +3,19 @@
 An :class:`AdaptedField` stores one value per (path, node).  A
 :class:`SurfaceField` represents a two-time kernel Z(t_i, t_j); concrete
 backings differ (regression coefficient tables, closed-form callables,
-and the mirrored view of an upper triangle) but all expose
-``at(i, j) -> (n_paths,)`` and ``column(j, rows)``, which reads several
-cells of one column together.
+and the mirrored view of an upper triangle) but each implements one read,
+``column(j, rows)``, which reads several cells of one column together;
+``at(i, j) -> (n_paths,)`` is a one-cell column on the base class.
 Bulk readers are consumers (:class:`CellSum`) of :func:`surface_pass`,
 the one pass over a kernel: it reads each representative cell once,
 column by column, so that a coefficient-backed kernel builds each
 node's design matrix once, and hands the values to every consumer that
 needs the cell.  Several consumers share one pass; no more than one
-column's design and one cell's values are alive at a time.
+column's design and the cells a consumer keeps are alive at a time.
 
 Regions: ``upper`` covers the closed triangle t_i <= t_j, ``lower`` the
-strict triangle t_i > t_j, ``full`` the whole square.  A full surface is
+strict triangle t_i > t_j, ``full`` the whole square;
+:func:`region_cells` lists a region's cells.  A full surface is
 completed from its upper part in one of two ways: a
 :class:`SymmetricSurface` mirrors it across the diagonal, and a full
 :class:`CoeffSurface` holds one coefficient table whose lower triangle
@@ -52,17 +53,25 @@ class AdaptedField:
         return self.values[:, i]
 
 
+def _in_region(region: Region, i: int, j: int) -> bool:
+    return region == "full" or (i <= j) == (region == "upper")
+
+
 def _check_region(region: Region, i: int, j: int, steps: int) -> None:
     if not (0 <= i <= steps and 0 <= j <= steps):
         raise IndexError(f"surface index ({i}, {j}) outside the grid")
-    if region == "upper" and i > j:
-        raise IndexError(f"({i}, {j}) lies outside the upper triangle")
-    if region == "lower" and i <= j:
-        raise IndexError(f"({i}, {j}) lies outside the strict lower triangle")
+    if not _in_region(region, i, j):
+        name = "upper" if region == "upper" else "strict lower"
+        raise IndexError(f"({i}, {j}) lies outside the {name} triangle")
+
+
+def region_cells(region: Region, n: int) -> list[tuple[int, int]]:
+    """Cells (i, j) of ``region`` with both indices below ``n``, row by row."""
+    return [(i, j) for i in range(n) for j in range(n) if _in_region(region, i, j)]
 
 
 class SurfaceField:
-    """Base two-time kernel; subclasses supply ``_values``."""
+    """Base two-time kernel; subclasses supply ``column``."""
 
     region: Region = "full"
 
@@ -71,21 +80,16 @@ class SurfaceField:
         self.n_paths = n_paths
 
     def at(self, i: int, j: int) -> np.ndarray:
-        """Kernel values Z[:, i, j] across paths."""
-        _check_region(self.region, i, j, self.grid.steps)
-        return self._values(i, j)
+        """Kernel values Z[:, i, j] across paths: a column of one cell."""
+        return next(self.column(j, (i,)))
 
     def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
-        """Values of the cells (i, j) for i in ``rows``, in that order."""
-        for i in rows:
-            yield self.at(i, j)
+        """Values of the cells (i, j), i in ``rows``, in order; IndexError outside the region."""
+        raise NotImplementedError
 
     def representative(self, i: int, j: int) -> tuple[int, int]:
         """The cell whose read yields the values of (i, j)."""
         return i, j
-
-    def _values(self, i: int, j: int) -> np.ndarray:
-        raise NotImplementedError
 
 
 def read_order(
@@ -182,16 +186,10 @@ class CoeffSurface(SurfaceField):
         self.state = state
         self.coeffs = coeffs
 
-    def _design(self, j: int) -> np.ndarray:
-        return design_matrix(self.state[:, j], self.coeffs.shape[2] - 1)
-
-    def _values(self, i: int, j: int) -> np.ndarray:
-        return self._design(j) @ self.coeffs[i, j]
-
     def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
         for i in rows:
             _check_region(self.region, i, j, self.grid.steps)
-        x = self._design(j)
+        x = design_matrix(self.state[:, j], self.coeffs.shape[2] - 1)
         for i in rows:
             yield x @ self.coeffs[i, j]
 
@@ -210,11 +208,11 @@ class FuncSurface(SurfaceField):
         self.region = region
         self._fn = fn
 
-    def _values(self, i: int, j: int) -> np.ndarray:
-        out = np.asarray(self._fn(i, j), dtype=np.float64)
-        if out.ndim == 0:
-            out = np.full(self.n_paths, float(out))
-        return out
+    def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
+        for i in rows:
+            _check_region(self.region, i, j, self.grid.steps)
+            out = np.asarray(self._fn(i, j), dtype=np.float64)
+            yield np.full(self.n_paths, float(out)) if out.ndim == 0 else out
 
 
 class SymmetricSurface(SurfaceField):
@@ -234,11 +232,8 @@ class SymmetricSurface(SurfaceField):
     def representative(self, i: int, j: int) -> tuple[int, int]:
         return min(i, j), max(i, j)
 
-    def _values(self, i: int, j: int) -> np.ndarray:
-        return self.base.at(*self.representative(i, j))
-
     def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
         if all(i <= j for i in rows):
             return self.base.column(j, rows)
-        return super().column(j, rows)
+        return (self.base.at(*self.representative(i, j)) for i in rows)
 

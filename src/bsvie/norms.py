@@ -10,7 +10,9 @@ rectangle integrals related by swapping the time arguments of a
 symmetric kernel agree bit for bit, not merely up to rounding.  The
 per-cell terms come from one :func:`~bsvie.fields.surface_pass` over
 the kernel and are only then summed in that order; :func:`s2_sum` is
-the norm as a consumer that can share its pass with other readers.
+the norm as a consumer that can share its pass with other readers.  The
+z-part of the norm is :func:`z_cells_l2` over
+``region_cells("upper", N)``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fields import AdaptedField, CellSum, SurfaceField, surface_pass
+from .fields import AdaptedField, CellSum, SurfaceField, region_cells, surface_pass
 
 
 def y_l2(y: AdaptedField) -> float:
@@ -42,23 +44,14 @@ def _l2_sum(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> CellSum:
     return CellSum(cells, lambda cell, v: float(np.mean(v**2)) * dt2, total)
 
 
-def _upper_cells(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def z_cells_l2(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> float:
     """E sum of |Z(t_i, t_j)|^2 dt^2 over the given cells, canonical order."""
     return surface_pass(z, [_l2_sum(z, cells)])[0]
 
 
-def z_upper_l2(z: SurfaceField) -> float:
-    """Triangle integral over t <= s, the z-part of the S^2-style norm."""
-    return z_cells_l2(z, _upper_cells(z.grid.steps))
-
-
 def s2_sum(y: AdaptedField, z: SurfaceField) -> CellSum:
     """:func:`s2_norm` as a consumer of a pass over ``z``."""
-    upper = _l2_sum(z, _upper_cells(z.grid.steps))
+    upper = _l2_sum(z, region_cells("upper", z.grid.steps))
     return CellSum(upper.cells, upper.term,
                    lambda terms: float(np.sqrt(y_l2(y) + upper.total(terms))))
 

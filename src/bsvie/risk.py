@@ -138,10 +138,6 @@ class RiskSpec:
         if self.route not in ROUTES:
             raise RiskSetupError(f"route must be one of {ROUTES}, got {self.route!r}")
 
-    def terminal(self) -> Terminal:
-        psi = position_terminal(self.position)
-        return Terminal(lambda grid, w: -psi.eval_all(grid, w))
-
 
 def _direct_generator(spec: RiskSpec) -> Generator:
     r1 = rate_ast(spec.drift.r1, "rate r1", RiskSetupError)
@@ -153,45 +149,37 @@ def _direct_generator(spec: RiskSpec) -> Generator:
     )
 
 
-def _route_driver(spec: RiskSpec, ensemble: PathEnsemble) -> Driver:
-    """The sweep driver of the spec's route on ``ensemble``."""
-    if spec.route == "direct":
-        return Driver.from_ensemble(ensemble)
-    # rates enter the equation with a plus sign, so absorbing them into
-    # the driver means shifting it the other way: the drift-free form
-    # lives on W - int(r), which is the tilt by the negated rate
-    return tilt(ensemble, spec.drift.negated())
+def route(
+    spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None = None
+) -> tuple[Driver, Callable[[str | float | Terminal], SolveReport]]:
+    """The spec's route on ``ensemble``: its driver, and ``solve(position)`` on it.
 
-
-def _solve(
-    spec: RiskSpec, ensemble: PathEnsemble, config: SolverConfig | None,
-    driver: Driver | None = None,
-) -> SolveReport:
-    """Risk solve on the spec's route.
-
-    ``driver``, when given, is :func:`_route_driver` of the same spec
-    route and ensemble; every solve it is passed to shares its designs.
+    The driver and generator are built once, so every solve shares the
+    driver's node designs; the free term -psi stays on the physical paths.
     """
     if spec.route == "direct":
+        driver = Driver.from_ensemble(ensemble)
         generator = _direct_generator(spec)
     else:
+        # rates enter the equation with a plus sign, so absorbing them into
+        # the driver means shifting it the other way: the drift-free form
+        # lives on W - int(r), which is the tilt by the negated rate
+        driver = tilt(ensemble, spec.drift.negated())
         generator = Generator.from_expression(spec.aggregator.ast())
-    problem = ProblemSpec(grid=ensemble.grid, generator=generator, terminal=spec.terminal())
-    # the free term stays on the physical paths; only the regression
-    # state, increments and weights move to a tilted driver
-    return solve_s(problem, ensemble, config, driver or _route_driver(spec, ensemble))
+
+    def solve(position: str | float | Terminal) -> SolveReport:
+        psi = position_terminal(position)
+        terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w))
+        problem = ProblemSpec(grid=ensemble.grid, generator=generator, terminal=terminal)
+        return solve_s(problem, ensemble, config, driver)
+
+    return driver, solve
 
 
 def rho(spec: RiskSpec, ensemble: PathEnsemble,
         config: SolverConfig | None = None) -> AdaptedField:
     """Risk field rho(t_i) per path, positive for adverse positions."""
-    return _solve(spec, ensemble, config).y
-
-
-def rho_report(spec: RiskSpec, ensemble: PathEnsemble,
-               config: SolverConfig | None = None) -> SolveReport:
-    """Like :func:`rho` but with the full solver report."""
-    return _solve(spec, ensemble, config)
+    return route(spec, ensemble, config)[1](spec.position).y
 
 
 @dataclass(frozen=True)
@@ -213,10 +201,9 @@ def route_agreement(spec: RiskSpec, ensemble: PathEnsemble,
 
     One tilt serves both the tilted solve and the self-test.
     """
-    girsanov = replace(spec, route="girsanov")
-    tilted = _route_driver(girsanov, ensemble)
+    tilted, solve_tilted = route(replace(spec, route="girsanov"), ensemble, config)
     direct = rho(replace(spec, route="direct"), ensemble, config).values
-    diff = _solve(girsanov, ensemble, config, tilted).y.values - direct
+    diff = solve_tilted(spec.position).y.values - direct
     scale = max(_sup_node_l2(direct), 1e-12)
     return RouteReport(
         selftest=girsanov_selftest(tilted),
@@ -310,28 +297,32 @@ def check_axioms(
     Translation and its discount factor are only checked for the linear
     aggregator; homogeneity needs a positively homogeneous one.  All
     runs share ``ensemble``, so every defect compares common paths, and
-    one route driver, so the node designs are built once per call.
+    one route driver, so the node designs are built once per call.  The
+    arguments are checked before the first solve.
     """
     grid = ensemble.grid
     n = grid.steps
     psi = position_terminal(spec.position)
-    driver = _route_driver(spec, ensemble)
-    base = _solve(spec, ensemble, config, driver)
-    rho0 = base.y
+    other = position_terminal(companion)
+    i0 = n // 2 if node is None else int(node)
+    if not 0 < i0 <= n:
+        raise RiskSetupError(f"edit node must lie in (0, {n}], got {i0}")
+    lam = float(scale)
+    if spec.aggregator.is_homogeneous and lam <= 0:
+        raise RiskSetupError("homogeneity scale must be positive")
+
+    _, solve = route(spec, ensemble, config)
+    rho0 = solve(psi).y
     norm = max(_sup_node_l2(rho0.values), 1e-12)
     m = ensemble.n_paths
     checks: list[AxiomCheck] = []
 
     def run(position: Terminal) -> AdaptedField:
-        return _solve(replace(spec, position=position), ensemble, config, driver).y
+        return solve(position).y
 
     # past independence: the sweep reads the free term row by row and
     # never below the current node, so editing early rows must leave
     # later rows bitwise intact
-    i0 = n // 2 if node is None else int(node)
-    if not 0 < i0 <= n:
-        raise RiskSetupError(f"edit node must lie in (0, {n}], got {i0}")
-
     def edit_head(values: np.ndarray, *_) -> np.ndarray:
         values[:i0] = 2.0 * values[:i0] + 3.0
         return values
@@ -391,9 +382,6 @@ def check_axioms(
             ))
 
     if spec.aggregator.is_homogeneous:
-        lam = float(scale)
-        if lam <= 0:
-            raise RiskSetupError("homogeneity scale must be positive")
         scaled = run(_perturbed(psi, lambda v, *_: lam * v))
         homo = float(np.abs(scaled.values - lam * rho0.values).max())
         checks.append(AxiomCheck(
@@ -406,7 +394,6 @@ def check_axioms(
         ))
 
     # sub-additivity: risk of the sum at most the sum of risks
-    other = position_terminal(companion)
     rho_other = run(other)
     rho_sum = run(_perturbed(psi, lambda v, grid, w: v + other.eval_all(grid, w)))
     sub_defect = rho_sum.values - rho0.values - rho_other.values

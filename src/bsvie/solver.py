@@ -158,9 +158,11 @@ class Driver:
             designs = []
             for j in range(self.state.shape[1] - 1):
                 try:
-                    designs.append(NodeDesign(self.state[:, j], basis, self.weights))
-                except DegenerateEnsembleError as e:
-                    raise DegenerateEnsembleError(f"node {j}: {e}") from None
+                    # an overflow shows in the finiteness check of the build
+                    with np.errstate(all="ignore"):
+                        designs.append(NodeDesign(self.state[:, j], basis, self.weights))
+                except (DegenerateEnsembleError, RegressionError) as e:
+                    raise type(e)(f"node {j}: {e}") from None
             self._designs[basis] = designs
         return self._designs[basis]
 

@@ -6,6 +6,7 @@ import pytest
 from bsvie import (
     AdaptedField,
     FuncSurface,
+    SolveReport,
     SolverConfig,
     build_grid,
     residual,
@@ -16,9 +17,9 @@ from bsvie import (
 from bsvie.analytic import (
     CASES,
     ConvergenceTable,
+    ReferenceFields,
     convergence_study,
     error_metrics,
-    field_errors,
     get_case,
     reference_fields,
 )
@@ -117,21 +118,31 @@ def test_error_metrics_compare_matching_completion():
     assert s_err.n_paths == 4096
 
 
-def test_field_errors_fall_back_to_absolute_scale():
+def _zero_reference(grid, n_paths):
+    zero = FuncSurface(grid, n_paths, lambda i, j: 0.0)
+    return ReferenceFields(y=AdaptedField(grid, np.zeros((n_paths, len(grid)))),
+                           z_s=zero, z_m=zero)
+
+
+def test_error_metrics_fall_back_to_absolute_scale():
     grid = build_grid(1.0, 4)
-    zero = AdaptedField(grid, np.zeros((16, 5)))
-    off = AdaptedField(grid, np.full((16, 5), 1e-3))
-    report = field_errors(off, None, zero, None)
+    z = FuncSurface(grid, 16, lambda i, j: 2e-3)
+    numeric = SolveReport("m-solution", AdaptedField(grid, np.full((16, 5), 1e-3)), z,
+                          iterations=1, converged=True)
+    report = error_metrics(numeric, _zero_reference(grid, 16))
     assert report.y_error == pytest.approx(1e-3, rel=1e-9)
-    assert report.z_upper_error is None
+    # the absolute distance over n (n + 1) / 2 = 10 cells of area dt^2
+    assert report.z_upper_error == pytest.approx(2e-3 * math.sqrt(10) / 4, rel=1e-9)
+    assert report.z_diag_error == pytest.approx(2e-3 * 2 / 4, rel=1e-9)
 
 
-def test_field_errors_reject_shape_mismatch():
+def test_error_metrics_reject_shape_mismatch():
     grid = build_grid(1.0, 4)
-    a = AdaptedField(grid, np.zeros((16, 5)))
-    b = AdaptedField(grid, np.zeros((8, 5)))
-    with pytest.raises(ValueError):
-        field_errors(a, None, b, None)
+    z = FuncSurface(grid, 8, lambda i, j: 0.0)
+    numeric = SolveReport("s-solution", AdaptedField(grid, np.zeros((8, 5))), z,
+                          iterations=1, converged=True)
+    with pytest.raises(ValueError, match="shapes disagree"):
+        error_metrics(numeric, _zero_reference(grid, 16))
 
 
 def test_convergence_study_tabulates_levels():

@@ -12,7 +12,7 @@ from bsvie import (
     RiskSpec,
     build_grid,
     girsanov_selftest,
-    rho_report,
+    rho,
     sample_ensemble,
     tilt,
 )
@@ -239,6 +239,43 @@ def test_degenerate_ensemble_exits_four_without_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_design_names_its_node_without_warnings(tmp_path, capsys, recwarn):
+    out = tmp_path / "runs"
+    # W at node 1 is of order 1e153, so its cube overflows the design
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--problem.generator", "y", "--problem.terminal", "1", "--n", "4",
+         "--m", "64", "--grid.horizon", "1e308", "--output.dir", str(out)],
+    )
+    assert code == 4
+    assert lines == []
+    assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
+    assert "node 1" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--verify.levels", "3"],  # a flag of another subcommand
+    [],  # no subcommand
+    ["simulate"],  # not a subcommand
+])
+def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, lines, err = _run(capsys, argv)
+    assert code == 1
+    assert lines == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--full-paths" in capsys.readouterr().out
+
+
 def test_full_paths_export_warns_and_writes(tmp_path, capsys):
     out = str(tmp_path / "runs")
     code, lines, err = _run(
@@ -354,7 +391,7 @@ def test_risk_girsanov_tilts_once(tmp_path, capsys, monkeypatch):
                     drift=DriftSpec(r1="0.3"), route="girsanov")
     grid = build_grid(1.0, 8)
     ensemble = sample_ensemble(grid, 1024, seed=1)
-    values = rho_report(spec, ensemble).y.values
+    values = rho(spec, ensemble).values
     selftest = girsanov_selftest(tilt(ensemble, spec.drift.negated()))
     with open(os.path.join(run_dir, "rho_table.csv"), encoding="utf-8") as fh:
         table = [[float(x) for x in line.split(",")] for line in fh.read().splitlines()[1:]]

@@ -4,11 +4,14 @@ Every solve takes its designs from the driver it sweeps, which builds
 them once per basis and keeps them, so ``NodeDesign`` is constructed in
 exactly one place in the package.  Likewise a kernel's cells are read in
 one place, ``fields.surface_pass``, so that no reader brings back a pass
-of its own.
+of its own; a kernel backing implements one read, ``column``, and
+``SurfaceField.at`` is its one-cell case.
 """
 
 import ast
 from pathlib import Path
+
+from bsvie import fields
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bsvie"
 
@@ -49,8 +52,32 @@ def test_kernel_cells_are_read_in_one_place():
         for name in ("column", "read_cells")
         for where in _constructions(path.read_text(encoding="utf-8"), name)
     }
-    # a mirrored kernel's column forwards to the kernel it mirrors
-    assert sites == {"fields.py: surface_pass", "fields.py: SymmetricSurface.column"}
+    # a mirrored kernel's column forwards to the kernel it mirrors, and a
+    # single cell is a column of one
+    assert sites == {"fields.py: surface_pass", "fields.py: SymmetricSurface.column",
+                     "fields.py: SurfaceField.at"}
+
+
+def test_single_cell_reads_stay_at_known_sites():
+    sites = {
+        f"{path.name}: {where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _constructions(path.read_text(encoding="utf-8"), "at")
+    }
+    assert sites == {
+        "solver.py: residual",  # row and column sums of one outer node
+        "solver.py: _generator_env",  # its local helper, not a kernel read
+        "analytic.py: error_sum.term",  # the reference at the cell being read
+        "fields.py: SymmetricSurface.column",  # the mirror of a lower cell
+    }
+
+
+def test_no_backing_overrides_the_cell_read():
+    backings = [cls for cls in fields.SurfaceField.__subclasses__()
+                if cls.__module__ == fields.__name__]
+    assert {cls.__name__ for cls in backings} == {"CoeffSurface", "FuncSurface",
+                                                  "SymmetricSurface"}
+    assert all("at" not in vars(cls) for cls in backings)
 
 
 def test_guard_finds_every_construction():

@@ -19,7 +19,7 @@ from bsvie import fields
 from bsvie.analytic import error_metrics, error_sum, get_case, reference_fields
 from bsvie.cli import _surface_sum, main
 from bsvie.fields import read_order, surface_pass
-from bsvie.norms import s2_norm, s2_sum, y_l2, z_cells_l2, z_upper_l2
+from bsvie.norms import s2_norm, s2_sum, y_l2, z_cells_l2
 from bsvie.solver import solve_m, solve_s
 
 # at 8 steps a wrong summation order in the error metrics still gave the
@@ -75,7 +75,7 @@ def test_norms_match_row_major_reads(report):
     full = [(i, j) for i in range(n) for j in range(n)]
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     assert repr(z_cells_l2(report.z, full)) == repr(_naive_cells_l2(report.z, full))
-    assert repr(z_upper_l2(report.z)) == repr(_naive_cells_l2(report.z, upper))
+    assert repr(z_cells_l2(report.z, upper)) == repr(_naive_cells_l2(report.z, upper))
     naive_s2 = float(np.sqrt(y_l2(report.y) + _naive_cells_l2(report.z, upper)))
     assert repr(s2_norm(report.y, report.z)) == repr(naive_s2)
 
@@ -141,3 +141,38 @@ def test_cli_solve_reads_each_cell_once(tmp_path, monkeypatch, capsys, mode):
     stored = [(i, j) for i in range(9) for j in range(9) if mode == "m" or i <= j]
     assert reads == Counter(stored)
     assert len(designs) == 9
+
+
+def test_full_paths_export_builds_one_design_per_column(tmp_path, monkeypatch, capsys):
+    designs = []
+    design_matrix = fields.design_matrix
+
+    def counted_design(state, degree):
+        designs.append(degree)
+        return design_matrix(state, degree)
+
+    monkeypatch.setattr(fields, "design_matrix", counted_design)
+    argv = ["solve", "--case", "product-linear", "--mode", "m", "--n", "16", "--m", "64",
+            "--full-paths", "--output.dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # one per column of the 17 x 17 table; a read per cell would build 306
+    assert len(designs) == 17
+
+
+def test_path_rows_match_row_major_reads(tmp_path, capsys, setup, report):
+    _, grid, _, _ = setup
+    mode = "m" if report.mode == "m-solution" else "s"
+    argv = ["solve", "--case", "product-linear", "--mode", mode, "--n", str(STEPS),
+            "--m", str(PATHS), "--full-paths", "--output.dir", str(tmp_path)]
+    assert main(argv) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    with open(f"{run_dir}/z_paths.csv", encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\r\n")
+    naive = ["p,i,j,t_i,t_j,value"]
+    for i in range(STEPS + 1):
+        for j in range(STEPS + 1):
+            t_i, t_j = repr(float(grid.nodes[i])), repr(float(grid.nodes[j]))
+            naive += [f"{p},{i},{j},{t_i},{t_j},{v!r}"
+                      for p, v in enumerate(report.z.at(i, j).tolist())]
+    assert lines == naive + [""]

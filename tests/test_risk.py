@@ -19,6 +19,7 @@ from bsvie import (
     rho,
     route_agreement,
     sample_ensemble,
+    solve_s,
     tilt,
 )
 from bsvie import risk
@@ -85,14 +86,9 @@ def test_position_terminal_accepts_three_forms(grid, ensemble):
     assert position_terminal(base) is base
 
 
-def test_spec_terminal_carries_the_negated_position(grid, ensemble):
-    spec = RiskSpec(position="0.5*wT")
-    values = spec.terminal().eval_all(grid, ensemble.values)
-    np.testing.assert_allclose(
-        values,
-        np.broadcast_to(-0.5 * ensemble.terminal(), values.shape),
-        rtol=1e-14,
-    )
+def test_risk_at_the_horizon_is_the_negated_position(ensemble):
+    values = rho(RiskSpec(position="0.5*wT"), ensemble).values
+    np.testing.assert_array_equal(values[:, -1], -0.5 * ensemble.terminal())
 
 
 def test_invalid_route_rejected():
@@ -200,6 +196,26 @@ def test_edit_node_validation(grid, ensemble):
     spec = RiskSpec(position="0.7*wT")
     with pytest.raises(RiskSetupError):
         check_axioms(spec, ensemble, node=0)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"node": 0}, RiskSetupError),
+    ({"scale": 0.0}, RiskSetupError),
+    ({"companion": "0.5*"}, ValueError),  # does not parse
+])
+def test_check_axioms_rejects_bad_arguments_before_solving(monkeypatch, bad, error):
+    solves = []
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve_s(*args)
+
+    monkeypatch.setattr(risk, "solve_s", counted_solve)
+    small = sample_ensemble(build_grid(1.0, 8), 256, seed=4)
+    spec = RiskSpec(position="0.7*wT", aggregator=Aggregator.absolute(0.1))
+    with pytest.raises(error):
+        check_axioms(spec, small, **bad)
+    assert solves == []
 
 
 @pytest.mark.parametrize("route", ROUTES)
