@@ -50,7 +50,6 @@ from .risk import (
     RiskSpec,
     RouteReport,
     check_axioms,
-    constant_position_reference,
     discount_factor,
     position_terminal,
     rho,

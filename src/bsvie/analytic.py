@@ -243,7 +243,7 @@ def error_sum(numeric: SolveReport, reference: ReferenceFields, case: str = "") 
     diff = AdaptedField(grid=grid, values=numeric.y.values - y_ref.values)
     y_err = _relative(y_l2(diff), y_l2(y_ref))
 
-    covers_lower = all(f.region in ("full", "lower") for f in (z_num, z_ref))
+    covers_lower = z_num.region == z_ref.region == "full"
     upper = region_cells("upper", n)
     diag = [(i, i) for i in range(n)]
     lower = region_cells("lower", n) if covers_lower else []

@@ -253,32 +253,45 @@ def _json_safe(obj):
     return obj
 
 
+class _HashedFile(io.BufferedWriter):
+    """A new binary file that hashes the bytes written to it."""
+
+    def __init__(self, path: str) -> None:
+        super().__init__(io.FileIO(path, "wb"))
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return super().write(data)
+
+
 class _Emitter:
     def __init__(self, run_dir: str, flags: dict):
         self.run_dir = run_dir
         self.flags = flags
         self.tables: dict[str, str] = {}
 
-    def _open(self, name: str):
+    def _open(self, name: str) -> _HashedFile:
         # the directory appears with its first file, so a run that fails
         # before writing anything leaves nothing behind
         os.makedirs(self.run_dir, exist_ok=True)
-        return open(os.path.join(self.run_dir, name), "wb")
+        return _HashedFile(os.path.join(self.run_dir, name))
 
     def _store(self, name: str, data: bytes) -> None:
         with self._open(name) as fh:
             fh.write(data)
-        self.tables[name] = hashlib.sha256(data).hexdigest()
+        self.tables[name] = fh.sha256.hexdigest()
 
     def csv(self, name: str, header: list, rows) -> None:
         if not self.flags.get("output.csv", True):
             return
-        buf = io.StringIO()
-        writer = csv.writer(buf)  # RFC 4180: CRLF rows, minimal quoting
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(x) for x in row])
-        self._store(name, buf.getvalue().encode("utf-8"))
+        # rows stream to disk, so no copy of the table is held in memory
+        with io.TextIOWrapper(self._open(name), encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)  # RFC 4180: CRLF rows, minimal quoting
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_cell(x) for x in row])
+        self.tables[name] = fh.buffer.sha256.hexdigest()
 
     def json(self, name: str, payload) -> None:
         if not self.flags.get("output.json", True):
@@ -451,16 +464,17 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
              _field_rows(report.y.values, grid.nodes))
     # the tables, the norm and the error metrics share one read of the kernel
     sums = {"s2_norm": s2_sum(report.y, report.z)}
+    full_paths = config["output.csv"] and config["output.full_paths"]
     if config["output.csv"]:
         sums["z_surface"] = _surface_sum(report.z, grid.nodes, grid.steps)
-        if config["output.full_paths"]:
-            sums["z_paths"] = _path_sum(report.z, grid.nodes, grid.steps)
+    if full_paths:
+        sums["z_paths"] = _path_sum(report.z, grid.nodes, grid.steps)
     if case is not None:
         sums["errors"] = error_sum(report, reference_fields(case, ensemble), case=case.id)
     totals = dict(zip(sums, surface_pass(report.z, list(sums.values()))))
     emit.csv("z_surface.csv", ["i", "j", "t_i", "t_j", "mean", "stderr"],
              totals.get("z_surface", []))
-    if config["output.full_paths"]:
+    if full_paths:
         print(
             "warning: per-path export is O(paths * steps^2) rows "
             f"(~{config['ensemble.paths'] * (grid.steps + 1) ** 2} here)",
@@ -694,6 +708,7 @@ def main(argv: list | None = None) -> int:
         emit = _Emitter(_run_dir(args.subcommand, config, digest),
                         {k: config[k] for k in config if k.startswith("output.")})
         code = _COMMANDS[args.subcommand](config, emit)
+        emit.manifest(args.subcommand, config, digest, time.perf_counter() - started)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
@@ -703,7 +718,9 @@ def main(argv: list | None = None) -> int:
     except (KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
-    emit.manifest(args.subcommand, config, digest, time.perf_counter() - started)
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return _EXIT_CONFIG
     print(emit.run_dir)
     return code
 

@@ -15,8 +15,9 @@ column's design and the cells a consumer keeps are alive at a time.
 
 Regions: ``upper`` covers the closed triangle t_i <= t_j, ``lower`` the
 strict triangle t_i > t_j, ``full`` the whole square;
-:func:`region_cells` lists a region's cells.  A full surface is
-completed from its upper part in one of two ways: a
+:func:`region_cells` lists a region's cells.  A surface covers ``upper``
+or ``full``; ``lower`` only names the cells the error metrics sum.  A
+full surface is completed from its upper part in one of two ways: a
 :class:`SymmetricSurface` mirrors it across the diagonal, and a full
 :class:`CoeffSurface` holds one coefficient table whose lower triangle
 comes from the stochastic-integral representation of Y.
@@ -32,6 +33,7 @@ import numpy as np
 from .grid import TimeGrid
 
 Region = str  # "upper" | "lower" | "full"
+_SURFACE_REGIONS = ("upper", "full")
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ def _check_region(region: Region, i: int, j: int, steps: int) -> None:
     if not (0 <= i <= steps and 0 <= j <= steps):
         raise IndexError(f"surface index ({i}, {j}) outside the grid")
     if not _in_region(region, i, j):
-        name = "upper" if region == "upper" else "strict lower"
-        raise IndexError(f"({i}, {j}) lies outside the {name} triangle")
+        raise IndexError(f"({i}, {j}) lies outside the upper triangle")
 
 
 def region_cells(region: Region, n: int) -> list[tuple[int, int]]:
@@ -73,11 +74,12 @@ def region_cells(region: Region, n: int) -> list[tuple[int, int]]:
 class SurfaceField:
     """Base two-time kernel; subclasses supply ``column``."""
 
-    region: Region = "full"
-
-    def __init__(self, grid: TimeGrid, n_paths: int) -> None:
+    def __init__(self, grid: TimeGrid, n_paths: int, region: Region = "full") -> None:
+        if region not in _SURFACE_REGIONS:
+            raise ValueError(f"surface region must be one of {_SURFACE_REGIONS}, got {region!r}")
         self.grid = grid
         self.n_paths = n_paths
+        self.region = region
 
     def at(self, i: int, j: int) -> np.ndarray:
         """Kernel values Z[:, i, j] across paths: a column of one cell."""
@@ -177,12 +179,9 @@ class CoeffSurface(SurfaceField):
         coeffs: np.ndarray,
         region: Region,
     ) -> None:
-        super().__init__(grid, state.shape[0])
-        if region not in ("upper", "lower", "full"):
-            raise ValueError(f"unknown region {region!r}")
+        super().__init__(grid, state.shape[0], region)
         if coeffs.shape[:2] != (len(grid), len(grid)):
             raise ValueError("coefficient table shape disagrees with grid")
-        self.region = region
         self.state = state
         self.coeffs = coeffs
 
@@ -204,8 +203,7 @@ class FuncSurface(SurfaceField):
         fn: Callable[[int, int], np.ndarray],
         region: Region = "full",
     ) -> None:
-        super().__init__(grid, n_paths)
-        self.region = region
+        super().__init__(grid, n_paths, region)
         self._fn = fn
 
     def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:

@@ -62,21 +62,24 @@ def _chunked_ab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class NodeDesign:
-    """Factorised design of one regression node, reusable across targets."""
+    """Regression node ``node``: its factorised design, increments dW and step dt.
 
-    def __init__(
-        self,
-        state: np.ndarray,
-        basis: BasisSpec,
-        weights: np.ndarray | None = None,
-    ) -> None:
+    The increments are kept as given, a view of the driver's column; every
+    failure of the node's normal equations or regression sums names the node.
+    """
+
+    def __init__(self, node: int, state: np.ndarray, increments: np.ndarray, dt: float,
+                 basis: BasisSpec, weights: np.ndarray | None = None) -> None:
         m = state.shape[0]
         if m <= basis.degree:
             raise ValueError(
                 f"basis of size {basis.size} needs more than {basis.degree} paths, got {m}"
             )
+        self.node = node
         self.basis = basis
         self.n_paths = m
+        self.increments = increments
+        self.dt = dt
         self.x = design_matrix(state, basis.degree)
         if weights is None:
             self.weights = None
@@ -91,20 +94,21 @@ class NodeDesign:
         penalty[0, 0] = 0.0  # the constant feature is never shrunk
         self._system = gram + basis.ridge * penalty
         if not np.all(np.isfinite(self._system)):
-            raise RegressionError("non-finite normal equations")
+            raise RegressionError(f"node {node}: non-finite normal equations")
         self.condition = float(np.linalg.cond(self._system))
         if not np.isfinite(self.condition) or self.condition > _COND_LIMIT:
             raise DegenerateEnsembleError(
-                f"normal equations remain degenerate after ridge "
+                f"node {node}: normal equations remain degenerate after ridge "
                 f"(condition {self.condition:.3e})"
             )
+        self._h: np.ndarray | None = None  # X^T diag(w dW) X / M, on the first projection
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Coefficients (rows, size) for a batch of targets (rows, M)."""
         t = targets if self.weights is None else targets * self.weights
         rhs = _chunked_ab(t.T, self.x) / self.n_paths
         if not np.all(np.isfinite(rhs)):
-            raise RegressionError("non-finite regression targets")
+            raise RegressionError(f"node {self.node}: non-finite regression targets")
         return np.linalg.solve(self._system, rhs.T).T
 
     def evaluate(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -123,14 +127,12 @@ class NodeDesign:
         """
         return _chunked_ab(self.x, self.x) / self.n_paths
 
-    def project(
-        self, rows: np.ndarray, increments: np.ndarray, dt: float, xw2: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def project(self, rows: np.ndarray, xw2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Conditional-expectation and kernel coefficients of a row batch.
 
         With C the coefficient map of :meth:`fit` and dW the node's
-        ``increments``, this returns, for rows (r, M), coefficients
-        (c, bz), each (r, size), equal in exact arithmetic to
+        increments, this returns, for rows (r, M), coefficients (c, bz),
+        each (r, size), equal in exact arithmetic to
 
             bz = C((rows - X C(rows)) * dW / dt)
             c  = C(rows - (X bz) * dW)
@@ -142,7 +144,8 @@ class NodeDesign:
         A = C(rows) and B = C(rows * dW): bz = (B - S A) / dt and
         c = A - S bz.  A and B come from one path-chunked product of the
         rows with [X w, X w dW], which is written into the caller's (2k, M)
-        scratch ``xw2``; no (r, M) intermediate is formed.
+        scratch ``xw2``; no (r, M) intermediate is formed.  H depends on
+        the node alone, so it is formed once, from the first call's operand.
         """
         k, m, r = self.basis.size, self.n_paths, rows.shape[0]
         # [X w, X w dW] laid out (2k, M), so each column scales in one long loop
@@ -150,12 +153,15 @@ class NodeDesign:
             xw2[:k] = self.x.T
         else:
             np.multiply(self.x.T, self.weights, out=xw2[:k])
-        np.multiply(xw2[:k], np.ascontiguousarray(increments), out=xw2[k:])
+        # dW is copied per call: a contiguous copy kept per node would add N x M floats
+        np.multiply(xw2[:k], np.ascontiguousarray(self.increments), out=xw2[k:])
         rhs = _chunked_ab(rows.T, xw2.T) / m
         if not np.all(np.isfinite(rhs)):
-            raise RegressionError("non-finite regression targets")
-        h = _chunked_ab(self.x, xw2[k:].T) / m
-        sol = np.linalg.solve(self._system, np.concatenate((rhs.T[:k], rhs.T[k:], h), axis=1))
+            raise RegressionError(f"node {self.node}: non-finite regression targets")
+        if self._h is None:
+            self._h = _chunked_ab(self.x, xw2[k:].T) / m
+        stacked = np.concatenate((rhs.T[:k], rhs.T[k:], self._h), axis=1)
+        sol = np.linalg.solve(self._system, stacked)
         a, b, s = sol[:, :r].T, sol[:, r : 2 * r].T, sol[:, 2 * r :]
-        bz = (b - a @ s.T) / dt
+        bz = (b - a @ s.T) / self.dt
         return a - bz @ s.T, bz

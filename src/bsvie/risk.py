@@ -225,11 +225,6 @@ def discount_factor(rate: str | float, grid: TimeGrid) -> np.ndarray:
     return np.exp(tail)
 
 
-def constant_position_reference(value: float, rate: str | float, grid: TimeGrid) -> np.ndarray:
-    """Deterministic risk of a constant position under the linear preset."""
-    return -float(value) * discount_factor(rate, grid)
-
-
 # -- axioms ----------------------------------------------------------------
 
 

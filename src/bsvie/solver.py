@@ -28,7 +28,7 @@ from .ensemble import PathEnsemble
 from .expr import Node as ExprNode, Program, Registers, format_expr, free_variables, parse
 from .fields import AdaptedField, CoeffSurface, SurfaceField, SymmetricSurface
 from .grid import TimeGrid
-from .regression import BasisSpec, DegenerateEnsembleError, NodeDesign, RegressionError
+from .regression import BasisSpec, NodeDesign
 
 _ENV_NAMES = frozenset(("t", "s", "y", "z", "zeta", "w", "wt", "wT", "T1", "T"))
 _TERMINAL_NAMES = frozenset(("t", "wt", "wT", "T1", "T"))
@@ -133,13 +133,14 @@ class Driver:
     weights, so the same sweeps estimate conditional expectations under
     the tilted measure.
 
-    The driver owns the regression designs of its nodes.  They are built
-    on the first solve that reads them, one set per basis, and kept for
-    the driver's lifetime: M x (degree + 1) floats per node, 16 MB at 64
-    steps x 8192 paths.  Pass one driver to several solves on the same
-    paths to share them; a solver that is given no driver builds a fresh
-    one and frees its designs with the solve.  ``dataclasses.replace``
-    (new state or weights) starts from no designs.
+    The driver owns the regression nodes, each a design over its state
+    with a view of its increments.  They are built on the first solve
+    that reads them, one set per basis, and kept for the driver's
+    lifetime: M x (degree + 1) floats per node, 16 MB at 64 steps x 8192
+    paths.  Pass one driver to several solves on the same paths to share
+    them; a solver that is given no driver builds a fresh one and frees
+    its designs with the solve.  ``dataclasses.replace`` (new state or
+    weights) starts from no designs.
     """
 
     grid: TimeGrid
@@ -153,17 +154,15 @@ class Driver:
         return cls(grid=ensemble.grid, state=ensemble.values, increments=ensemble.increments)
 
     def _node_designs(self, basis: BasisSpec) -> list[NodeDesign]:
-        """One regression design per node 0..N-1 of the state, built once per basis."""
+        """The regression nodes 0..N-1 of the state, built once per basis."""
         if basis not in self._designs:
-            designs = []
-            for j in range(self.state.shape[1] - 1):
-                try:
-                    # an overflow shows in the finiteness check of the build
-                    with np.errstate(all="ignore"):
-                        designs.append(NodeDesign(self.state[:, j], basis, self.weights))
-                except (DegenerateEnsembleError, RegressionError) as e:
-                    raise type(e)(f"node {j}: {e}") from None
-            self._designs[basis] = designs
+            # an overflow shows in the finiteness check of the build
+            with np.errstate(all="ignore"):
+                self._designs[basis] = [
+                    NodeDesign(j, self.state[:, j], self.increments[:, j], self.grid.dt, basis,
+                               self.weights)
+                    for j in range(self.state.shape[1] - 1)
+                ]
         return self._designs[basis]
 
 
@@ -234,17 +233,6 @@ def _check_grid(grid: TimeGrid, other: TimeGrid, what: str = "ensemble") -> None
         raise ValueError(f"problem grid and {what} grid disagree")
 
 
-def _project(
-    design: NodeDesign, j: int, rows: np.ndarray, increments: np.ndarray, dt: float,
-    xw2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`NodeDesign.project` at node ``j``, failures named by the node."""
-    try:
-        return design.project(rows, increments, dt, xw2)
-    except RegressionError as e:
-        raise RegressionError(f"node {j}: {e}") from None
-
-
 class _LevelWork:
     """Work buffers of one sweep, for every (rows x paths) array of a level.
 
@@ -271,7 +259,7 @@ def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class _Sweep:
-    """Shared machinery: the driver's designs, terminal data, the iterate, one level step.
+    """Shared machinery: the driver's designs, the iterate, one level step.
 
     The iterate is ``lam`` (Lambda[i][j] of the rows still being swept,
     one row per outer node), ``y`` (Y at every node, one column per
@@ -301,15 +289,15 @@ class _Sweep:
         self.dt = grid.dt
         self.k = config.basis.size
         self.designs = self.driver._node_designs(config.basis)
-        self.terminal = problem.terminal.eval_all(grid, ensemble.values)
-        bad = ~np.isfinite(self.terminal)
+        terminal = problem.terminal.eval_all(grid, ensemble.values)
+        bad = ~np.isfinite(terminal)
         if bad.any():
             i = int(np.argwhere(bad.any(axis=1))[0][0])
             raise SolverError(f"terminal data is non-finite at node {i}")
         self.g = problem.generator
-        self.lam = self.terminal.copy()
+        self.lam = terminal.copy()
         self.y = np.empty((self.m, self.n + 1))
-        self.y[:, self.n] = self.terminal[self.n]
+        self.y[:, self.n] = terminal[self.n]
         self.coeffs = np.zeros((self.n + 1, self.n + 1, self.k))
 
     def _check_g(self, work: _LevelWork, values: np.ndarray, i_lo: int, j: int) -> None:
@@ -349,9 +337,7 @@ class _Sweep:
         # both node estimates are variance-reduced by the other (see
         # NodeDesign.project).  A constant row's kernel cancels only to
         # rounding, up to about 5e-14 at 16 steps x 2048 paths, not to zero.
-        c, bz = _project(
-            design, j, lam[: j + 1], self.driver.increments[:, j], self.dt, work.xw2
-        )
+        c, bz = design.project(lam[: j + 1], work.xw2)
         self.coeffs[: j + 1, j] = bz
         # the rows are read: their fitted conditional expectations replace them
         ce_fit = design.evaluate(c, out=lam[: j + 1])
@@ -542,9 +528,7 @@ def solve_s(
     )
 
 
-def _martingale_coeffs(
-    designs: list[NodeDesign], increments: np.ndarray, dt: float, y_values: np.ndarray
-) -> np.ndarray:
+def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray) -> np.ndarray:
     """Lower-triangle tables: row i at node j < i regresses Y_i * dW_j / dt.
 
     The fitted conditional expectation is subtracted first, as in the
@@ -554,8 +538,7 @@ def _martingale_coeffs(
     coeffs = np.zeros((n + 1, n + 1, k))
     xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection scratch
     for j, design in enumerate(designs):
-        rows = y_values[:, j + 1:].T
-        coeffs[j + 1:, j] = _project(design, j, rows, increments[:, j], dt, xw2)[1]
+        coeffs[j + 1:, j] = design.project(y_values[:, j + 1:].T, xw2)[1]
     return coeffs
 
 
@@ -580,14 +563,11 @@ def solve_m(
     config = config or SolverConfig()
     sweep = _Sweep(problem, ensemble, config, driver)
 
-    def martingale_coeffs(y_values: np.ndarray) -> np.ndarray:
-        return _martingale_coeffs(sweep.designs, sweep.driver.increments, sweep.dt, y_values)
-
     if problem.generator.uses_zeta:
         bookkeeping = _fixed_point(
             sweep,
             lambda prev_y, prev_c: (
-                None, _frozen_martingale_zeta(sweep, martingale_coeffs(prev_y))
+                None, _frozen_martingale_zeta(sweep, _martingale_coeffs(sweep.designs, prev_y))
             ),
         )
     else:
@@ -595,7 +575,7 @@ def solve_m(
         bookkeeping = (1, True)
 
     # the martingale table is zero on i <= j, where the sweep's table lives
-    table = martingale_coeffs(sweep.y)
+    table = _martingale_coeffs(sweep.designs, sweep.y)
     upper = np.triu_indices(sweep.n + 1)
     table[upper] = sweep.coeffs[upper]
     z = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(table), region="full")

@@ -1,7 +1,10 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from bsvie import (
     sample_ensemble,
     tilt,
 )
-from bsvie.cli import CliError, _SCHEMAS, _field_rows, main, parse_config_text
+from bsvie.cli import CliError, _Emitter, _SCHEMAS, _cell, _field_rows, main, parse_config_text
 
 
 def _read_json(run_dir, name):
@@ -288,6 +291,63 @@ def test_full_paths_export_warns_and_writes(tmp_path, capsys):
     run_dir = _last_run_dir(lines)
     assert os.path.exists(os.path.join(run_dir, "y_paths.csv"))
     assert os.path.exists(os.path.join(run_dir, "z_paths.csv"))
+
+
+def test_full_paths_without_csv_tables_is_silent(tmp_path, capsys):
+    # nothing per path is written, so nothing is warned about
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--case", "zero", "--n", "4", "--m", "64", "--output.csv", "false",
+         "--full-paths", "--output.dir", str(tmp_path / "runs")],
+    )
+    assert code == 0
+    assert err == ""
+    assert not any(name.endswith(".csv") for name in os.listdir(_last_run_dir(lines)))
+
+
+def test_unwritable_output_dir_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n")
+    code, lines, err = _run(
+        capsys,
+        ["solve", "--case", "zero", "--n", "4", "--m", "64",
+         "--output.dir", str(blocker / "x")],
+    )
+    assert code == 1
+    assert lines == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_csv_tables_stream_to_disk(tmp_path):
+    # the bytes are those of the whole table written at once, and the
+    # manifest checksum is theirs, but no copy of the table is held
+    header = ["p", "label", "value"]
+    odd = [(0, "a,b", 1.5), (1, 'say "hi"', -0.0), (2, "two\nlines", float("nan")),
+           (3, "äö", True), (4, "", 7)]
+    whole = io.StringIO()
+    writer = csv.writer(whole)
+    writer.writerow(header)
+    for row in odd:
+        writer.writerow([_cell(x) for x in row])
+    emit = _Emitter(str(tmp_path / "run"), {"output.csv": True})
+    emit.csv("odd.csv", header, odd)
+    data = (tmp_path / "run" / "odd.csv").read_bytes()
+    assert data == whole.getvalue().encode("utf-8")
+    assert emit.tables["odd.csv"] == hashlib.sha256(data).hexdigest()
+
+    rows = ((p, i, 0.1 * p + i) for p in range(25000) for i in range(10))
+    tracemalloc.start()
+    try:
+        emit.csv("big.csv", ["p", "i", "value"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "run" / "big.csv").stat().st_size
+    assert size > 4_000_000
+    assert peak < size // 20, f"{peak} bytes traced for a {size}-byte table"
+    with open(tmp_path / "run" / "big.csv", "rb") as fh:
+        assert emit.tables["big.csv"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 # -- determinism ------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every solve takes its designs from the driver it sweeps, which builds
 them once per basis and keeps them, so ``NodeDesign`` is constructed in
-exactly one place in the package.  Likewise a kernel's cells are read in
+exactly one place in the package.  A node names itself in its failures,
+so regression errors are raised in ``regression.py`` alone and no caller
+re-raises them with a node prefix.  Likewise a kernel's cells are read in
 one place, ``fields.surface_pass``, so that no reader brings back a pass
 of its own; a kernel backing implements one read, ``column``, and
 ``SurfaceField.at`` is its one-cell case.
@@ -43,6 +45,39 @@ def test_node_designs_are_built_in_one_place():
         for where in _constructions(path.read_text(encoding="utf-8"))
     ]
     assert sites == ["solver.py: Driver._node_designs"]
+
+
+_REGRESSION_ERRORS = ("RegressionError", "DegenerateEnsembleError")
+
+
+def _regression_error_sites(sources: dict) -> set:
+    """``file: scope`` of every construction of a regression error."""
+    return {
+        f"{name}: {where}"
+        for name, source in sources.items()
+        for error in _REGRESSION_ERRORS
+        for where in _constructions(source, error)
+    }
+
+
+def test_regression_errors_are_raised_by_the_node_alone():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert {site.split(":")[0] for site in _regression_error_sites(sources)} == {"regression.py"}
+
+
+def test_error_guard_finds_a_re_raise_outside_the_node():
+    caller = (
+        "from .regression import RegressionError\n\n"
+        "def _project(design, j, rows):\n"
+        "    try:\n        return design.project(rows)\n"
+        "    except RegressionError as e:\n"
+        "        raise RegressionError(f'node {j}: {e}') from None\n\n"
+        "class Driver:\n"
+        "    def build(self):\n"
+        "        raise regression.DegenerateEnsembleError('node 0')\n"
+    )
+    assert _regression_error_sites({"regression.py": "", "solver.py": caller}) == {
+        "solver.py: _project", "solver.py: Driver.build"}
 
 
 def test_kernel_cells_are_read_in_one_place():

@@ -56,15 +56,20 @@ def test_region_bounds_checked(grid):
 
 def test_triangle_regions_enforced(grid):
     upper = FuncSurface(grid, 2, lambda i, j: np.zeros(2), region="upper")
-    lower = FuncSurface(grid, 2, lambda i, j: np.zeros(2), region="lower")
+    full = FuncSurface(grid, 2, lambda i, j: np.zeros(2), region="full")
     upper.at(1, 1)
-    lower.at(2, 1)
-    with pytest.raises(IndexError):
+    upper.at(1, 2)
+    full.at(2, 1)
+    with pytest.raises(IndexError, match="outside the upper triangle"):
         upper.at(2, 1)
-    with pytest.raises(IndexError):
-        lower.at(1, 1)
-    with pytest.raises(IndexError):
-        lower.at(1, 2)
+
+
+@pytest.mark.parametrize("region", ["lower", "diagonal", "Upper"])
+def test_unknown_surface_region_rejected(grid, region):
+    with pytest.raises(ValueError, match="surface region"):
+        FuncSurface(grid, 2, lambda i, j: np.zeros(2), region=region)
+    with pytest.raises(ValueError, match="surface region"):
+        CoeffSurface(grid, np.zeros((2, 5)), np.zeros((5, 5, 2)), region=region)
 
 
 def test_symmetric_surface_mirrors_same_array(grid):

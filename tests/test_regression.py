@@ -12,6 +12,7 @@ from bsvie import (
     sample_ensemble,
     tilt,
 )
+from bsvie import regression
 from bsvie.solver import _martingale_coeffs
 
 NODE = 8
@@ -21,9 +22,15 @@ def _cubic(w):
     return 2.0 + 3.0 * w - 0.5 * w**2 + 0.25 * w**3
 
 
+def node_design(ensemble, node, basis=BasisSpec(), weights=None, state=None):
+    """The regression node ``node`` of the ensemble, on its own state unless given one."""
+    state = ensemble.values[:, node] if state is None else state
+    return NodeDesign(node, state, ensemble.increments[:, node], ensemble.dt, basis, weights)
+
+
 def cond_expect(target, ensemble, node):
     """Fitted node projection of one target (M,) or a batch (rows, M)."""
-    design = NodeDesign(ensemble.values[:, node], BasisSpec())
+    design = node_design(ensemble, node)
     fitted = design.evaluate(design.fit(np.atleast_2d(target)))
     return fitted[0] if np.ndim(target) == 1 else fitted
 
@@ -81,7 +88,7 @@ def test_coefficients_match_normal_equations_oracle(unit_ensemble):
     penalty = np.eye(4)
     penalty[0, 0] = 0.0
     expected = np.linalg.solve(gram + basis.ridge * penalty, x.T @ target / ens.n_paths)
-    design = NodeDesign(ens.values[:, NODE], basis)
+    design = node_design(ens, NODE, basis)
     np.testing.assert_allclose(design.fit(target[None, :])[0], expected, rtol=1e-9)
     assert np.isfinite(design.condition)
 
@@ -123,9 +130,7 @@ def test_martingale_coeff_recovers_square_integrand(unit_grid):
     # is 2 W(t_k), a member of the basis
     ens = sample_ensemble(unit_grid, 65536, seed=22)
     driver = Driver.from_ensemble(ens)
-    coeffs = _martingale_coeffs(
-        driver._node_designs(BasisSpec()), driver.increments, ens.dt, ens.values**2
-    )
+    coeffs = _martingale_coeffs(driver._node_designs(BasisSpec()), ens.values**2)
     fitted = design_matrix(ens.values[:, NODE], 3) @ coeffs[NODE + 1, NODE]
     ref = 2.0 * ens.values[:, NODE]
     err = float(np.sqrt(np.mean((fitted - ref) ** 2)))
@@ -136,7 +141,7 @@ def test_weighted_design_reproduces_in_span_target(unit_ensemble):
     ens = unit_ensemble
     w = ens.values[:, NODE]
     weights = np.exp(0.1 * w)
-    design = NodeDesign(w, BasisSpec(), weights=weights)
+    design = node_design(ens, NODE, weights=weights)
     target = _cubic(w)
     fitted = design.evaluate(design.fit(target[None, :]))
     np.testing.assert_allclose(fitted[0], target, rtol=1e-7, atol=1e-9)
@@ -144,13 +149,13 @@ def test_weighted_design_reproduces_in_span_target(unit_ensemble):
 
 def test_weight_shape_mismatch_rejected(unit_ensemble):
     with pytest.raises(ValueError):
-        NodeDesign(unit_ensemble.values[:, NODE], BasisSpec(), weights=np.ones(3))
+        node_design(unit_ensemble, NODE, weights=np.ones(3))
 
 
 def test_degenerate_state_raises(unit_ensemble):
     state = np.full(unit_ensemble.n_paths, 1e8)
-    with pytest.raises(DegenerateEnsembleError):
-        NodeDesign(state, BasisSpec())
+    with pytest.raises(DegenerateEnsembleError, match=rf"^node {NODE}: normal equations"):
+        node_design(unit_ensemble, NODE, state=state)
 
 
 def test_origin_node_collapses_to_plain_mean(unit_ensemble):
@@ -164,18 +169,18 @@ def test_origin_node_collapses_to_plain_mean(unit_ensemble):
 def test_non_finite_target_rejected(unit_ensemble):
     target = unit_ensemble.terminal().copy()
     target[0] = np.nan
-    with pytest.raises(RegressionError):
+    with pytest.raises(RegressionError, match=rf"^node {NODE}: non-finite regression targets"):
         cond_expect(target, unit_ensemble, NODE)
 
 
 def test_too_few_paths_rejected(unit_grid):
     tiny = sample_ensemble(unit_grid, 3, seed=1)
     with pytest.raises(ValueError):
-        NodeDesign(tiny.values[:, NODE], BasisSpec(degree=3))
+        node_design(tiny, NODE, BasisSpec(degree=3))
 
 
 def test_target_shape_validation(unit_ensemble):
-    design = NodeDesign(unit_ensemble.values[:, NODE], BasisSpec())
+    design = node_design(unit_ensemble, NODE)
     with pytest.raises(ValueError):
         design.fit(np.ones((1, 7)))
 
@@ -192,8 +197,9 @@ def test_batched_targets_match_single_calls(unit_ensemble):
     )
 
 
-def _three_fits(design, rows, increments, dt):
+def _three_fits(design, rows):
     """The fit/evaluate chain that NodeDesign.project computes in one pass."""
+    increments, dt = design.increments, design.dt
     ce_plain = design.evaluate(design.fit(rows))
     bz = design.fit((rows - ce_plain) * (increments / dt))
     c = design.fit(rows - design.evaluate(bz) * increments)
@@ -204,36 +210,64 @@ def _three_fits(design, rows, increments, dt):
 def test_project_matches_the_three_fit_sequence(unit_ensemble, tilted):
     ens = unit_ensemble
     driver = tilt(ens, DriftSpec(r1=0.5)) if tilted else Driver.from_ensemble(ens)
-    design = NodeDesign(driver.state[:, NODE], BasisSpec(), driver.weights)
+    design = driver._node_designs(BasisSpec())[NODE]
     assert (design.weights is None) != tilted
     w = ens.values
     rows = np.stack([
         w[:, -1], w[:, 12] ** 2, np.sin(3.0 * w[:, 15]), np.exp(0.3 * w[:, 10]),
         w[:, NODE + 1] * w[:, -1], np.full(ens.n_paths, 2.5),
     ])
-    increments = driver.increments[:, NODE]
     # the caller's scratch is written in full before it is read
     scratch = np.full((2 * BasisSpec().size, ens.n_paths), np.nan)
-    c, bz = design.project(rows, increments, ens.dt, scratch)
-    c_ref, bz_ref = _three_fits(design, rows, increments, ens.dt)
+    c, bz = design.project(rows, scratch)
+    c_ref, bz_ref = _three_fits(design, rows)
     assert c.shape == bz.shape == (rows.shape[0], BasisSpec().size)
     for new, ref in ((c, c_ref), (bz, bz_ref)):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_project_rejects_non_finite_rows(unit_ensemble):
-    design = NodeDesign(unit_ensemble.values[:, NODE], BasisSpec())
+    design = node_design(unit_ensemble, NODE)
     rows = np.ones((3, unit_ensemble.n_paths))
     rows[1, 7] = np.inf
-    with pytest.raises(RegressionError, match="non-finite"):
-        design.project(rows, unit_ensemble.increments[:, NODE], unit_ensemble.dt,
-                       np.empty((2 * BasisSpec().size, unit_ensemble.n_paths)))
+    with pytest.raises(RegressionError, match=rf"^node {NODE}: non-finite regression targets$"):
+        design.project(rows, np.empty((2 * BasisSpec().size, unit_ensemble.n_paths)))
+
+
+def test_design_keeps_its_node_data_without_copies(unit_ensemble):
+    driver = Driver.from_ensemble(unit_ensemble)
+    for j, design in enumerate(driver._node_designs(BasisSpec())):
+        assert design.node == j
+        assert design.dt == unit_ensemble.dt
+        assert np.shares_memory(design.increments, driver.increments)
+        np.testing.assert_array_equal(design.increments, driver.increments[:, j])
+
+
+def test_kernel_product_is_formed_once_per_design(unit_ensemble, monkeypatch):
+    # H = X^T diag(w dW) X / M depends on the node alone: two projections
+    # make one product of the rows each and one H between them
+    calls = []
+    original = regression._chunked_ab
+
+    def counted(a, b):
+        calls.append(b.shape)
+        return original(a, b)
+
+    design = node_design(unit_ensemble, NODE)
+    rows = np.stack([unit_ensemble.terminal(), unit_ensemble.terminal() ** 2])
+    scratch = np.empty((2 * BasisSpec().size, unit_ensemble.n_paths))
+    monkeypatch.setattr(regression, "_chunked_ab", counted)
+    first = design.project(rows, scratch)
+    second = design.project(rows, scratch)
+    assert len(calls) == 3
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_gram_quadratic_form_is_the_path_mean_square(unit_ensemble, weighted):
     w = unit_ensemble.values[:, NODE]
-    design = NodeDesign(w, BasisSpec(), np.exp(0.4 * w) if weighted else None)
+    design = node_design(unit_ensemble, NODE, weights=np.exp(0.4 * w) if weighted else None)
     coeffs = np.random.default_rng(3).standard_normal((5, BasisSpec().size))
     quadratic = np.sum((coeffs @ design.gram) * coeffs, axis=1)
     mean_square = np.mean(design.evaluate(coeffs) ** 2, axis=1)

@@ -12,7 +12,6 @@ from bsvie import (
     Terminal,
     build_grid,
     check_axioms,
-    constant_position_reference,
     discount_factor,
     girsanov_selftest,
     position_terminal,
@@ -125,7 +124,7 @@ def test_constant_position_matches_ode_oracle(grid, ensemble):
     eta, c = 0.1, 1.0
     spec = RiskSpec(position=c, aggregator=Aggregator.linear(eta))
     field = rho(spec, ensemble)
-    exact = constant_position_reference(c, eta, grid)
+    exact = -c * discount_factor(eta, grid)
     err = np.abs(np.mean(field.values, axis=0) - exact)
     assert float(err.max()) < 5e-3 * abs(c)
     # a deterministic position keeps every path on the same value
@@ -137,7 +136,7 @@ def test_discount_factor_values(grid):
     np.testing.assert_allclose(
         factor, np.exp(0.1 * (grid.horizon - grid.nodes)), rtol=1e-12
     )
-    assert constant_position_reference(2.0, 0.1, grid)[0] == pytest.approx(
+    assert -2.0 * discount_factor(0.1, grid)[0] == pytest.approx(
         -2.0 * np.exp(0.1), rel=1e-12
     )
 

@@ -239,9 +239,8 @@ def test_zeta_fixed_point_with_inert_zeta_is_the_one_pass_solve(pl_small):
 
 def _martingale_fill(y_values, ensemble):
     """Lower-triangle coefficient table of the representation of ``y_values``."""
-    driver = Driver.from_ensemble(ensemble)
-    designs = driver._node_designs(BasisSpec())
-    return solver._martingale_coeffs(designs, driver.increments, ensemble.dt, y_values)
+    designs = Driver.from_ensemble(ensemble)._node_designs(BasisSpec())
+    return solver._martingale_coeffs(designs, y_values)
 
 
 def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
@@ -350,7 +349,8 @@ def test_generator_declaring_z_reads_the_fitted_kernel():
                 continue
             calls = iter(calls)
             for j in range(n - 1, -1, -1):
-                design = NodeDesign(driver.state[:, j], BasisSpec(), driver.weights)
+                design = NodeDesign(j, driver.state[:, j], driver.increments[:, j], grid.dt,
+                                    BasisSpec(), driver.weights)
                 fitted = design.evaluate(report.z.base.coeffs[: j + 1, j])
                 np.testing.assert_array_equal(next(calls), fitted[j])
                 if j:
@@ -388,7 +388,7 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
         y_prev = solve_s(case.problem(grid), ensemble).y.values
         zeta_column = solver._frozen_martingale_zeta(
             sweep,
-            solver._martingale_coeffs(sweep.designs, sweep.driver.increments, sweep.dt, y_prev),
+            solver._martingale_coeffs(sweep.designs, y_prev),
         )
     made = []
 
@@ -443,6 +443,24 @@ def test_dropping_a_report_frees_the_solve(pl_small, mode):
     # each swept block starts a new run of contraction ratios
     assert blocks == (3 if mode == "bisected" else 1)
     assert left < ensemble.values.nbytes, f"{left} bytes still traced"
+
+
+def test_a_sweep_keeps_its_iterate_and_no_copy_of_the_free_term(pl_small):
+    # the free term seeds ``lam`` and the last column of ``y``; once they
+    # hold it, the sweep keeps no (nodes x paths) array beside its iterate
+    case, grid, ensemble = pl_small
+    driver = Driver.from_ensemble(ensemble)
+    driver._node_designs(BasisSpec())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep = _Sweep(case.problem(grid), ensemble, SolverConfig(), driver)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    iterate = sweep.lam.nbytes + sweep.y.nbytes + sweep.coeffs.nbytes
+    assert kept < iterate + sweep.lam.nbytes // 2, f"{kept} bytes kept, iterate {iterate}"
 
 
 def _solution_bits(report):
