@@ -201,9 +201,6 @@ class ErrorReport:
     triangle only.
     """
 
-    case: str
-    steps: int
-    n_paths: int
     y_error: float
     z_upper_error: float
     z_lower_error: float | None
@@ -225,7 +222,7 @@ def _region_error(terms: dict, cells: list[tuple[int, int]]) -> float:
     return _relative(err_sq, ref_sq)
 
 
-def error_sum(numeric: SolveReport, reference: ReferenceFields, case: str = "") -> CellSum:
+def error_sum(numeric: SolveReport, reference: ReferenceFields) -> CellSum:
     """:func:`error_metrics` as a consumer of a pass over ``numeric.z``.
 
     Each cell's term compares the numeric kernel's values with one read
@@ -254,9 +251,6 @@ def error_sum(numeric: SolveReport, reference: ReferenceFields, case: str = "") 
 
     def total(terms: dict) -> ErrorReport:
         return ErrorReport(
-            case=case,
-            steps=n,
-            n_paths=y_ref.n_paths,
             y_error=y_err,
             z_upper_error=_region_error(terms, upper),
             z_lower_error=_region_error(terms, lower) if covers_lower else None,
@@ -266,16 +260,14 @@ def error_sum(numeric: SolveReport, reference: ReferenceFields, case: str = "") 
     return CellSum(upper + lower, term, total)
 
 
-def error_metrics(
-    numeric: SolveReport, reference: ReferenceFields, case: str = ""
-) -> ErrorReport:
+def error_metrics(numeric: SolveReport, reference: ReferenceFields) -> ErrorReport:
     """Errors of a solver report against the matching reference fields.
 
     The martingale completion is compared for an m-mode report, the
     symmetric one otherwise; an upper-triangle-only report is compared
     above the diagonal alone.
     """
-    return surface_pass(numeric.z, [error_sum(numeric, reference, case)])[0]
+    return surface_pass(numeric.z, [error_sum(numeric, reference)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +314,7 @@ def convergence_study(
         problem = case.problem(grid)
         ensemble = sample_ensemble(grid, n_paths=n_paths, seed=seed)
         report = solve(problem, ensemble, config)
-        reports.append(error_metrics(report, reference_fields(case, ensemble), case=case.id))
+        reports.append(error_metrics(report, reference_fields(case, ensemble)))
 
     def orders(errors: list[float]) -> list[float]:
         out = []

@@ -139,9 +139,7 @@ _COMMON_ALIASES = {"n": "grid.steps", "m": "ensemble.paths", "seed": "ensemble.s
                    "degree": "solver.degree"}
 
 
-def _coerce(key: str, kind: str, raw):
-    if not isinstance(raw, str):
-        return raw
+def _coerce(key: str, kind: str, raw: str):
     text = raw.strip()
     try:
         if kind == "int":
@@ -470,7 +468,7 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
     if full_paths:
         sums["z_paths"] = _path_sum(report.z, grid.nodes, grid.steps)
     if case is not None:
-        sums["errors"] = error_sum(report, reference_fields(case, ensemble), case=case.id)
+        sums["errors"] = error_sum(report, reference_fields(case, ensemble))
     totals = dict(zip(sums, surface_pass(report.z, list(sums.values()))))
     emit.csv("z_surface.csv", ["i", "j", "t_i", "t_j", "mean", "stderr"],
              totals.get("z_surface", []))

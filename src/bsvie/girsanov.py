@@ -87,13 +87,14 @@ def _trapezoid_cumulative(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def tilt(ensemble: PathEnsemble, drift: DriftSpec) -> Driver:
-    """Sweep driver of the tilted measure: the physical paths shifted by
-    the drift's cumulative integral, node by node, with the likelihood
-    weights under which the shifted paths are a Brownian motion.
+    """Sweep driver of the tilted measure over ``ensemble``: the physical
+    paths shifted by the drift's cumulative integral, node by node, with
+    the likelihood weights under which the shifted paths are a Brownian
+    motion.
 
     The weights are positive with sample mean near one.  The ensemble
-    itself is left as it is; the free term and the generator keep
-    reading the physical paths.
+    itself is left as it is and held by the driver; the free term and the
+    generator keep reading its physical paths.
     """
     rates = drift.rate_values(ensemble.grid)
     dt = ensemble.grid.dt
@@ -111,12 +112,8 @@ def tilt(ensemble: PathEnsemble, drift: DriftSpec) -> Driver:
         raise DriftError("likelihood weights degenerate; drift too large for the horizon")
     for a in (tilted_values, tilted_increments, weights):
         a.flags.writeable = False
-    return Driver(
-        grid=ensemble.grid,
-        state=tilted_values,
-        increments=tilted_increments,
-        weights=weights,
-    )
+    return Driver(ensemble=ensemble, state=tilted_values, increments=tilted_increments,
+                  weights=weights)
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,10 @@ def _chunked_ab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class NodeDesign:
     """Regression node ``node``: its factorised design, increments dW and step dt.
 
-    The increments are kept as given, a view of the driver's column; every
-    failure of the node's normal equations or regression sums names the node.
+    The increments are kept as given, a view of the driver's column, and so
+    are the weights, which arrive normalized to mean one: the driver's one
+    array, shared by all of its nodes.  Every failure of the node's normal
+    equations or regression sums names the node.
     """
 
     def __init__(self, node: int, state: np.ndarray, increments: np.ndarray, dt: float,
@@ -81,14 +83,10 @@ class NodeDesign:
         self.increments = increments
         self.dt = dt
         self.x = design_matrix(state, basis.degree)
-        if weights is None:
-            self.weights = None
-            xw = self.x
-        else:
-            if weights.shape != (m,):
-                raise ValueError("weight vector shape disagrees with paths")
-            self.weights = weights / np.mean(weights)
-            xw = self.x * self.weights[:, None]
+        if weights is not None and weights.shape != (m,):
+            raise ValueError("weight vector shape disagrees with paths")
+        self.weights = weights
+        xw = self.x if weights is None else self.x * weights[:, None]
         gram = _chunked_ab(self.x, xw) / m
         penalty = np.eye(basis.size)
         penalty[0, 0] = 0.0  # the constant feature is never shrunk

@@ -171,7 +171,7 @@ def route(
         psi = position_terminal(position)
         terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w))
         problem = ProblemSpec(grid=ensemble.grid, generator=generator, terminal=terminal)
-        return solve_s(problem, ensemble, config, driver)
+        return solve_s(problem, driver, config)
 
     return driver, solve
 
@@ -303,8 +303,10 @@ def check_axioms(
     if not 0 < i0 <= n:
         raise RiskSetupError(f"edit node must lie in (0, {n}], got {i0}")
     lam = float(scale)
-    if spec.aggregator.is_homogeneous and lam <= 0:
-        raise RiskSetupError("homogeneity scale must be positive")
+    if spec.aggregator.is_homogeneous and not 0 < lam < np.inf:
+        raise RiskSetupError(f"homogeneity scale must be positive and finite, got {lam!r}")
+    if shift == 0 or not np.isfinite(shift):
+        raise RiskSetupError(f"position shift must be nonzero and finite, got {shift!r}")
 
     _, solve = route(spec, ensemble, config)
     rho0 = solve(psi).y

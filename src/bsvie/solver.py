@@ -25,12 +25,12 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import PathEnsemble
-from .expr import Node as ExprNode, Program, Registers, format_expr, free_variables, parse
+from .expr import (VARIABLES, Node as ExprNode, Program, Registers, format_expr,
+                   free_variables, parse)
 from .fields import AdaptedField, CoeffSurface, SurfaceField, SymmetricSurface
 from .grid import TimeGrid
 from .regression import BasisSpec, NodeDesign
 
-_ENV_NAMES = frozenset(("t", "s", "y", "z", "zeta", "w", "wt", "wT", "T1", "T"))
 _TERMINAL_NAMES = frozenset(("t", "wt", "wT", "T1", "T"))
 
 
@@ -55,7 +55,7 @@ class Generator:
     """
 
     def __init__(self, fn: Callable[[dict], np.ndarray], needs):
-        unknown = frozenset(needs) - _ENV_NAMES
+        unknown = frozenset(needs).difference(VARIABLES)
         if unknown:
             raise ValueError(f"generator reads unknown names {sorted(unknown)}")
         self._fn = fn
@@ -125,42 +125,55 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Driver:
-    """Regression state and martingale increments on a grid, feeding the sweeps.
+    """The path input of a solve: an ensemble and the regressions that sweep it.
 
-    For plain problems this mirrors the ensemble.  A measure change
-    (:func:`bsvie.girsanov.tilt`) is itself a driver: the state and
-    increments shifted by the drift's integral, plus the likelihood
-    weights, so the same sweeps estimate conditional expectations under
-    the tilted measure.
+    The ensemble's physical paths feed the free term and the generator;
+    the regression state and martingale increments feed the node
+    designs.  For plain problems they are the ensemble's own
+    (:meth:`from_ensemble`).  A measure change
+    (:func:`bsvie.girsanov.tilt`) shifts them by the drift's integral and
+    adds the likelihood weights, so the same sweeps estimate conditional
+    expectations under the tilted measure.  ``weights`` stays the raw
+    density; the designs share one copy of it divided by its mean.
 
     The driver owns the regression nodes, each a design over its state
     with a view of its increments.  They are built on the first solve
     that reads them, one set per basis, and kept for the driver's
     lifetime: M x (degree + 1) floats per node, 16 MB at 64 steps x 8192
-    paths.  Pass one driver to several solves on the same paths to share
-    them; a solver that is given no driver builds a fresh one and frees
-    its designs with the solve.  ``dataclasses.replace`` (new state or
-    weights) starts from no designs.
+    paths.  Pass one driver to several solves to share them; a solve
+    given an ensemble builds a fresh driver and frees its designs with
+    the solve.  ``dataclasses.replace`` (new state or weights) starts
+    from no designs.
     """
 
-    grid: TimeGrid
+    ensemble: PathEnsemble
     state: np.ndarray
     increments: np.ndarray
     weights: np.ndarray | None = None
     _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.state.shape != self.ensemble.values.shape \
+                or self.increments.shape != self.ensemble.increments.shape:
+            raise ValueError("driver state or increments disagree with its ensemble")
+
     @classmethod
     def from_ensemble(cls, ensemble: PathEnsemble) -> "Driver":
-        return cls(grid=ensemble.grid, state=ensemble.values, increments=ensemble.increments)
+        return cls(ensemble=ensemble, state=ensemble.values, increments=ensemble.increments)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.ensemble.grid
 
     def _node_designs(self, basis: BasisSpec) -> list[NodeDesign]:
         """The regression nodes 0..N-1 of the state, built once per basis."""
         if basis not in self._designs:
             # an overflow shows in the finiteness check of the build
             with np.errstate(all="ignore"):
+                # one normalized array, shared by every node
+                w = None if self.weights is None else self.weights / np.mean(self.weights)
                 self._designs[basis] = [
-                    NodeDesign(j, self.state[:, j], self.increments[:, j], self.grid.dt, basis,
-                               self.weights)
+                    NodeDesign(j, self.state[:, j], self.increments[:, j], self.grid.dt, basis, w)
                     for j in range(self.state.shape[1] - 1)
                 ]
         return self._designs[basis]
@@ -227,10 +240,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_grid(grid: TimeGrid, other: TimeGrid, what: str = "ensemble") -> None:
+def _check_grid(grid: TimeGrid, other: TimeGrid) -> None:
     if len(grid) != len(other) or grid.nodes[0] != other.nodes[0] \
             or grid.nodes[-1] != other.nodes[-1]:
-        raise ValueError(f"problem grid and {what} grid disagree")
+        raise ValueError("problem grid and ensemble grid disagree")
 
 
 class _LevelWork:
@@ -261,35 +274,29 @@ def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
 class _Sweep:
     """Shared machinery: the driver's designs, the iterate, one level step.
 
-    The iterate is ``lam`` (Lambda[i][j] of the rows still being swept,
-    one row per outer node), ``y`` (Y at every node, one column per
-    node) and ``coeffs`` (the kernel coefficients of cell (i, j) in
+    ``paths`` is a :class:`Driver`, or an ensemble for a fresh plain one;
+    the driver's ensemble must lie on the problem's grid.  The iterate is
+    ``lam`` (Lambda[i][j] of the rows still being swept, one row per
+    outer node), ``y`` (Y at every node, one column per node) and
+    ``coeffs`` (the kernel coefficients of cell (i, j) in
     ``coeffs[i, j]``); levels read and write them in place.
     """
 
     def __init__(
-        self,
-        problem: ProblemSpec,
-        ensemble: PathEnsemble,
-        config: SolverConfig,
-        driver: Driver | None = None,
+        self, problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig
     ) -> None:
+        self.driver = paths if isinstance(paths, Driver) else Driver.from_ensemble(paths)
+        self.ensemble = self.driver.ensemble
         grid = problem.grid
-        _check_grid(grid, ensemble.grid)
-        self.problem = problem
+        _check_grid(grid, self.ensemble.grid)
         self.grid = grid
-        self.ensemble = ensemble
         self.config = config
-        self.driver = driver or Driver.from_ensemble(ensemble)
-        _check_grid(grid, self.driver.grid, "driver")
-        if self.driver.state.shape != ensemble.values.shape:
-            raise ValueError("driver state shape disagrees with ensemble")
         self.n = grid.steps
-        self.m = ensemble.n_paths
+        self.m = self.ensemble.n_paths
         self.dt = grid.dt
         self.k = config.basis.size
         self.designs = self.driver._node_designs(config.basis)
-        terminal = problem.terminal.eval_all(grid, ensemble.values)
+        terminal = problem.terminal.eval_all(grid, self.ensemble.values)
         bad = ~np.isfinite(terminal)
         if bad.any():
             i = int(np.argwhere(bad.any(axis=1))[0][0])
@@ -500,14 +507,13 @@ def _fixed_point(
 
 
 def solve_s(
-    problem: ProblemSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig | None = None,
-    driver: Driver | None = None,
+    problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig | None = None
 ) -> SolveReport:
     """Symmetric-kernel solution: the mirrored value is the value itself.
 
-    The default one-pass diagonal sweep resolves the diagonal coupling
+    ``paths`` is a :class:`Driver`, whose node designs the solve builds
+    or reuses, or an ensemble, solved on a fresh plain driver.  The
+    default one-pass diagonal sweep resolves the diagonal coupling
     level by level; ``config.picard`` switches to the frozen-data
     iteration, which freezes y and the upper coefficient table and
     converges to the same discrete fixed point.  Its ``iterations``
@@ -515,7 +521,7 @@ def solve_s(
     each block, so the total can exceed it.
     """
     config = config or SolverConfig()
-    sweep = _Sweep(problem, ensemble, config, driver)
+    sweep = _Sweep(problem, paths, config)
     if config.picard:
         bookkeeping = _fixed_point(
             sweep, lambda prev_y, prev_c: (prev_y, _frozen_coeff_zeta(prev_c))
@@ -543,10 +549,7 @@ def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray) -> np.nd
 
 
 def solve_m(
-    problem: ProblemSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig | None = None,
-    driver: Driver | None = None,
+    problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig | None = None
 ) -> SolveReport:
     """Martingale-extended solution.
 
@@ -555,13 +558,14 @@ def solve_m(
     triangles agree bit for bit) plus a lower-triangle fill from the
     representation of Y.  Otherwise each sweep reads its mirrored values
     from the martingale table fitted to the previous Y, iterated to the
-    fixed point by the same driver as the Picard mode of :func:`solve_s`.
+    fixed point by the same loop as the Picard mode of :func:`solve_s`.
     The kernel is one full coefficient table: rows i <= j of column j
     come from the sweep and rows i > j from the representation of Y,
-    all of them polynomials in the state at node j.
+    all of them polynomials in the state at node j.  ``paths`` is read as
+    by :func:`solve_s`.
     """
     config = config or SolverConfig()
-    sweep = _Sweep(problem, ensemble, config, driver)
+    sweep = _Sweep(problem, paths, config)
 
     if problem.generator.uses_zeta:
         bookkeeping = _fixed_point(
@@ -583,10 +587,7 @@ def solve_m(
 
 
 def solve_adapted(
-    problem: ProblemSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig | None = None,
-    driver: Driver | None = None,
+    problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig | None = None
 ) -> SolveReport:
     """Adapted solution of the mirror-free equation.
 
@@ -594,11 +595,12 @@ def solve_adapted(
     mirrored slot with the kernel itself reduces the problem to the
     symmetric sweep, whose Y this shares exactly.  Only the upper
     triangle is returned: nothing below the diagonal is defined here.
+    ``paths`` is read as by :func:`solve_s`.
     """
     if problem.generator.uses_zeta:
         raise ValueError("the mirror-free form takes a generator without zeta")
     config = config or SolverConfig()
-    sweep = _Sweep(problem, ensemble, config, driver)
+    sweep = _Sweep(problem, paths, config)
     sweep.run_levels(sweep.n - 1, 0)
     return SolveReport("adapted", _adapted(sweep), _upper_kernel(sweep), 1, True)
 
@@ -626,6 +628,7 @@ def residual(
     in both, so for an exactly symmetric kernel the two residuals agree
     bit for bit.
     """
+    _check_grid(problem.grid, ensemble.grid)
     if form not in ("row", "column"):
         raise ValueError(f"unknown residual form {form!r}")
     grid = problem.grid

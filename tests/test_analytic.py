@@ -107,15 +107,12 @@ def test_error_metrics_compare_matching_completion():
     ens = sample_ensemble(grid, 4096, seed=2)
     problem = case.problem(grid)
     ref = reference_fields(case, ens)
-    s_err = error_metrics(solve_s(problem, ens), ref, case=case.id)
-    m_err = error_metrics(solve_m(problem, ens), ref, case=case.id)
+    s_err = error_metrics(solve_s(problem, ens), ref)
+    m_err = error_metrics(solve_m(problem, ens), ref)
     assert s_err.y_error == m_err.y_error
     assert s_err.z_upper_error < 0.5
     assert m_err.z_lower_error is not None
     assert m_err.z_lower_error < 0.5
-    assert s_err.case == case.id
-    assert s_err.steps == 8
-    assert s_err.n_paths == 4096
 
 
 def _zero_reference(grid, n_paths):
@@ -151,7 +148,8 @@ def test_convergence_study_tabulates_levels():
     )
     assert isinstance(table, ConvergenceTable)
     assert table.case == "product-linear"
-    assert [r.steps for r in table.reports] == [8, 16]
+    assert table.levels == [(8, 2048), (16, 2048)]
+    assert len(table.reports) == 2
     assert all(r.y_error < 0.5 for r in table.reports)
     assert len(table.y_orders) == 1
     assert len(table.z_orders) == 1

@@ -262,6 +262,8 @@ def test_overflowing_design_names_its_node_without_warnings(tmp_path, capsys, re
     ["solve", "--verify.levels", "3"],  # a flag of another subcommand
     [],  # no subcommand
     ["simulate"],  # not a subcommand
+    # a zero shift would compare the base risk with itself
+    ["axioms", "--preset", "linear", "--axioms.shift", "0", "--n", "4", "--m", "64"],
 ])
 def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -4,7 +4,10 @@ Every solve takes its designs from the driver it sweeps, which builds
 them once per basis and keeps them, so ``NodeDesign`` is constructed in
 exactly one place in the package.  A node names itself in its failures,
 so regression errors are raised in ``regression.py`` alone and no caller
-re-raises them with a node prefix.  Likewise a kernel's cells are read in
+re-raises them with a node prefix.  A driver pairs a regression state
+with the ensemble it was computed from, so ``Driver(...)`` is called
+only by the tilt, and every other driver mirrors its ensemble through
+``Driver.from_ensemble``.  Likewise a kernel's cells are read in
 one place, ``fields.surface_pass``, so that no reader brings back a pass
 of its own; a kernel backing implements one read, ``column``, and
 ``SurfaceField.at`` is its one-cell case.
@@ -78,6 +81,30 @@ def test_error_guard_finds_a_re_raise_outside_the_node():
     )
     assert _regression_error_sites({"regression.py": "", "solver.py": caller}) == {
         "solver.py: _project", "solver.py: Driver.build"}
+
+
+def _driver_sites(sources: dict) -> set:
+    """``file: scope`` of every ``Driver(...)`` call."""
+    return {f"{name}: {where}" for name, source in sources.items()
+            for where in _constructions(source, "Driver")}
+
+
+def test_drivers_with_their_own_state_are_built_by_the_tilt_alone():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _driver_sites(sources) == {"girsanov.py: tilt"}
+
+
+def test_driver_guard_finds_a_third_site():
+    source = (
+        "class Driver:\n"
+        "    @classmethod\n"
+        "    def from_ensemble(cls, ensemble):\n"
+        "        return cls(ensemble, ensemble.values, ensemble.increments)\n\n"
+        "def route(spec, ensemble):\n"
+        "    return solver.Driver(ensemble, spec.state, ensemble.increments)\n"
+    )
+    assert _driver_sites({"girsanov.py": "def tilt(e):\n    return Driver(e)\n",
+                          "risk.py": source}) == {"girsanov.py: tilt", "risk.py: route"}
 
 
 def test_kernel_cells_are_read_in_one_place():

@@ -111,9 +111,10 @@ def test_weighted_mean_of_tilted_terminal_vanishes(ensemble):
 
 
 def test_driver_carries_tilted_arrays(ensemble):
-    # the tilt is itself the sweep driver, on the ensemble's grid
+    # the tilt is itself the sweep driver, over the ensemble it tilts
     tilted = tilt(ensemble, DriftSpec(r1=0.5))
     assert isinstance(tilted, Driver)
+    assert tilted.ensemble is ensemble
     assert tilted.grid is ensemble.grid
     assert tilted.state.shape == ensemble.values.shape
     assert tilted.increments.shape == ensemble.increments.shape

@@ -243,6 +243,14 @@ def test_design_keeps_its_node_data_without_copies(unit_ensemble):
         np.testing.assert_array_equal(design.increments, driver.increments[:, j])
 
 
+def test_a_tilted_driver_normalizes_its_weights_once(unit_ensemble):
+    driver = tilt(unit_ensemble, DriftSpec(r1=0.5))
+    designs = driver._node_designs(BasisSpec())
+    assert all(d.weights is designs[0].weights for d in designs)
+    np.testing.assert_array_equal(designs[0].weights,
+                                  driver.weights / np.mean(driver.weights))
+
+
 def test_kernel_product_is_formed_once_per_design(unit_ensemble, monkeypatch):
     # H = X^T diag(w dW) X / M depends on the node alone: two projections
     # make one product of the rows each and one H between them

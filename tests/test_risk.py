@@ -201,6 +201,8 @@ def test_edit_node_validation(grid, ensemble):
     ({"node": 0}, RiskSetupError),
     ({"scale": 0.0}, RiskSetupError),
     ({"companion": "0.5*"}, ValueError),  # does not parse
+    ({"scale": float("inf")}, RiskSetupError),
+    ({"shift": 0.0}, RiskSetupError),  # would compare the base risk with itself
 ])
 def test_check_axioms_rejects_bad_arguments_before_solving(monkeypatch, bad, error):
     solves = []

@@ -264,14 +264,14 @@ def _diff_surface(a, b):
 
 
 def test_unit_weight_driver_is_the_plain_solver(pl_setup, pl_s_report):
-    _, grid, problem, ensemble = pl_setup
+    _, _, problem, ensemble = pl_setup
     driver = Driver(
-        grid=grid,
+        ensemble=ensemble,
         state=ensemble.values,
         increments=ensemble.increments,
         weights=np.ones(ensemble.n_paths),
     )
-    weighted = solve_s(problem, ensemble, driver=driver)
+    weighted = solve_s(problem, driver)
     # not bitwise: the weighted normal equations multiply by the unit
     # weights through a separate array, which changes the BLAS kernel
     np.testing.assert_allclose(
@@ -296,9 +296,9 @@ def test_generator_reads_paths_at_its_nodes():
     paths, nodes, n = ensemble.values, grid.nodes, grid.steps
     tilted = tilt(ensemble, DriftSpec(r1=0.5))
     assert not np.array_equal(tilted.state, paths)
-    for driver in (None, tilted):
+    for given in (ensemble, tilted):
         problem, calls = _recording_problem(grid)
-        report = solve_s(problem, ensemble, driver=driver)
+        report = solve_s(problem, given)
         # per level j = n-1 .. 0: the diagonal call, then the rows 0..j-1
         expected = []
         for j in range(n - 1, -1, -1):
@@ -342,7 +342,7 @@ def test_generator_declaring_z_reads_the_fitted_kernel():
                 return 0.1 * env["wT"]
 
             problem = ProblemSpec(grid, Generator(fn, needs), Terminal.from_expression("wT"))
-            report = solve_s(problem, ensemble, driver=driver)
+            report = solve_s(problem, driver)
             assert len(calls) == 2 * n - 1
             if "z" not in needs:
                 assert all(z is None for z in calls)
@@ -350,7 +350,7 @@ def test_generator_declaring_z_reads_the_fitted_kernel():
             calls = iter(calls)
             for j in range(n - 1, -1, -1):
                 design = NodeDesign(j, driver.state[:, j], driver.increments[:, j], grid.dt,
-                                    BasisSpec(), driver.weights)
+                                    BasisSpec())
                 fitted = design.evaluate(report.z.base.coeffs[: j + 1, j])
                 np.testing.assert_array_equal(next(calls), fitted[j])
                 if j:
@@ -455,7 +455,7 @@ def test_a_sweep_keeps_its_iterate_and_no_copy_of_the_free_term(pl_small):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sweep = _Sweep(case.problem(grid), ensemble, SolverConfig(), driver)
+        sweep = _Sweep(case.problem(grid), driver, SolverConfig())
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -480,11 +480,11 @@ def test_a_reused_driver_solves_like_a_fresh_one(built_designs, pl_small, mode):
         problem, solve = _zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), solve_m
     else:
         problem, solve = case.problem(grid), solve_s
-    fresh = _solution_bits(solve(problem, ensemble, config, Driver.from_ensemble(ensemble)))
+    fresh = _solution_bits(solve(problem, ensemble, config))
     driver = Driver.from_ensemble(ensemble)
-    solve(problem, ensemble, config, driver)
+    solve(problem, driver, config)
     del built_designs[:]
-    assert _solution_bits(solve(problem, ensemble, config, driver)) == fresh
+    assert _solution_bits(solve(problem, driver, config)) == fresh
     assert built_designs == []
     if mode == "zeta":
         assert fresh[2] > 1 and fresh[4]  # the fixed point really iterated
@@ -494,31 +494,39 @@ def test_designs_belong_to_one_driver_and_basis(built_designs, pl_small):
     case, grid, ensemble = pl_small
     n, problem = grid.steps, case.problem(grid)
     driver = tilt(ensemble, DriftSpec(r1=0.5))
-    solve_s(problem, ensemble, driver=driver)
+    solve_s(problem, driver)
     assert len(built_designs) == n
     # new weights: replace starts the new driver from no designs
     unit = np.ones(ensemble.n_paths)
-    solve_s(problem, ensemble, driver=replace(driver, weights=unit))
+    solve_s(problem, replace(driver, weights=unit))
     assert len(built_designs) == 2 * n
     assert all(np.array_equal(d.weights, unit) for d in built_designs[n:])
     # another basis on the same driver builds its own set, once
     quadratic = SolverConfig(basis=BasisSpec(degree=2))
-    solve_s(problem, ensemble, quadratic, driver)
-    solve_s(problem, ensemble, quadratic, driver)
+    solve_s(problem, driver, quadratic)
+    solve_s(problem, driver, quadratic)
     assert len(built_designs) == 3 * n
     assert all(d.basis.degree == 2 for d in built_designs[2 * n:])
-    solve_s(problem, ensemble, driver=driver)
+    solve_s(problem, driver)
     assert len(built_designs) == 3 * n
 
 
 def test_sweep_rejects_a_driver_on_another_grid():
     grid = build_grid(1.0, 8)
-    ensemble = sample_ensemble(grid, 256, seed=1)
     other = sample_ensemble(build_grid(2.0, 8, 0.5), 256, seed=2)
     problem = ProblemSpec(grid, Generator.from_expression("-0.3*y"),
                           Terminal.from_expression("wT"))
-    with pytest.raises(ValueError, match="problem grid and driver grid disagree"):
-        solve_s(problem, ensemble, driver=tilt(other, DriftSpec(r1=0.5)))
+    with pytest.raises(ValueError, match="problem grid and ensemble grid disagree"):
+        solve_s(problem, tilt(other, DriftSpec(r1=0.5)))
+
+
+@pytest.mark.parametrize("array", ["state", "increments"])
+def test_driver_rejects_arrays_of_another_shape(array):
+    ensemble = sample_ensemble(build_grid(1.0, 8), 256, seed=1)
+    arrays = {"state": ensemble.values, "increments": ensemble.increments}
+    arrays[array] = arrays[array][:, 1:]
+    with pytest.raises(ValueError, match="disagree with its ensemble"):
+        Driver(ensemble=ensemble, **arrays)
 
 
 def test_non_finite_regression_sums_name_their_node():
@@ -540,9 +548,9 @@ def test_iterate_norm_matches_evaluated_path_mean(pl_small, tilted):
     # the kernel part of the iterate norm, as the quadratic form of the
     # unweighted Gram, against the path mean of the evaluated rows
     case, grid, ensemble = pl_small
-    driver = tilt(ensemble, DriftSpec(r1=0.5)) if tilted else None
+    paths = tilt(ensemble, DriftSpec(r1=0.5)) if tilted else ensemble
     problem = case.problem(grid)
-    sweep = _Sweep(problem, ensemble, SolverConfig(), driver)
+    sweep = _Sweep(problem, paths, SolverConfig())
     sweep.run_levels(grid.steps - 1, 0)
     y, c = sweep.y, sweep.coeffs
     n = grid.steps
@@ -639,6 +647,17 @@ def test_residual_rejects_unknown_form(pl_setup):
     ref = reference_fields(case, ensemble)
     with pytest.raises(ValueError):
         residual(problem, ref.y, ref.z_s, ensemble, form="diagonal")
+
+
+def test_residual_rejects_an_ensemble_on_another_grid():
+    # same shape, other interval: read as if it lay on the problem's grid,
+    # the fields would give a wrong number instead of an error
+    case = get_case("product-linear")
+    grid = case.grid(8)
+    ref = reference_fields(case, sample_ensemble(grid, 256, seed=1))
+    other = sample_ensemble(build_grid(2.0, 8), 256, seed=1)
+    with pytest.raises(ValueError, match="problem grid and ensemble grid disagree"):
+        residual(case.problem(grid), ref.y, ref.z_s, other)
 
 
 def test_martingale_extension_reconstructs_process(pl_setup):
