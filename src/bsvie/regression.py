@@ -153,7 +153,9 @@ class NodeDesign:
             np.multiply(self.x.T, self.weights, out=xw2[:k])
         # dW is copied per call: a contiguous copy kept per node would add N x M floats
         np.multiply(xw2[:k], np.ascontiguousarray(self.increments), out=xw2[k:])
-        rhs = _chunked_ab(rows.T, xw2.T) / m
+        # an overflow of the sums shows in their finiteness check
+        with np.errstate(all="ignore"):
+            rhs = _chunked_ab(rows.T, xw2.T) / m
         if not np.all(np.isfinite(rhs)):
             raise RegressionError(f"node {self.node}: non-finite regression targets")
         if self._h is None:

@@ -142,11 +142,13 @@ class RiskSpec:
 def _direct_generator(spec: RiskSpec) -> Generator:
     r1 = rate_ast(spec.drift.r1, "rate r1", RiskSetupError)
     r2 = rate_ast(spec.drift.r2, "rate r2", RiskSetupError)
+    f = spec.aggregator.ast()
     # the symmetric solver identifies the mirrored kernel with the
-    # kernel, so both rates act on z: f + (r1 + r2) * z
-    return Generator.from_expression(
-        Bin("+", spec.aggregator.ast(), Bin("*", Bin("+", r1, r2), Var("z")))
-    )
+    # kernel, so both rates act on z: f + (r1 + r2) * z.  Two literal
+    # zero rates leave f alone, so the sweep never evaluates the kernel
+    if r1 == Num(0.0) and r2 == Num(0.0):
+        return Generator.from_expression(f)
+    return Generator.from_expression(Bin("+", f, Bin("*", Bin("+", r1, r2), Var("z"))))
 
 
 def route(
@@ -271,8 +273,8 @@ def _perturbed(psi: Terminal, edit: Callable) -> Terminal:
 
 def _positive_part_stats(defect: np.ndarray, scale: float) -> tuple[float, dict]:
     viol = np.maximum(defect, 0.0) / scale
-    qs = {"q50": float(np.quantile(viol, 0.5)), "q90": float(np.quantile(viol, 0.9)),
-          "q99": float(np.quantile(viol, 0.99)), "max": float(viol.max())}
+    q50, q90, q99 = np.quantile(viol, (0.5, 0.9, 0.99))
+    qs = {"q50": float(q50), "q90": float(q90), "q99": float(q99), "max": float(viol.max())}
     return qs["max"], qs
 
 
@@ -307,6 +309,8 @@ def check_axioms(
         raise RiskSetupError(f"homogeneity scale must be positive and finite, got {lam!r}")
     if shift == 0 or not np.isfinite(shift):
         raise RiskSetupError(f"position shift must be nonzero and finite, got {shift!r}")
+    if isinstance(companion, (int, float)) and not np.isfinite(companion):
+        raise RiskSetupError(f"companion position must be finite, got {companion!r}")
 
     _, solve = route(spec, ensemble, config)
     rho0 = solve(psi).y

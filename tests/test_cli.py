@@ -259,11 +259,27 @@ def test_overflowing_design_names_its_node_without_warnings(tmp_path, capsys, re
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "--problem.generator", "y", "--problem.terminal", "1e307*wT"],
+    ["risk", "--risk.position", "1e307*wT"],
+])
+def test_overflowing_projection_prints_one_error_line(tmp_path, capsys, recwarn, argv):
+    out = tmp_path / "runs"
+    # the last node's regression sums of 1e307 * W(T) overflow
+    code, lines, err = _run(capsys, argv + ["--n", "8", "--m", "256", "--output.dir", str(out)])
+    assert code == 4
+    assert lines == []
+    assert err == "error: numerical failure: node 7: non-finite regression targets\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["solve", "--verify.levels", "3"],  # a flag of another subcommand
     [],  # no subcommand
     ["simulate"],  # not a subcommand
     # a zero shift would compare the base risk with itself
     ["axioms", "--preset", "linear", "--axioms.shift", "0", "--n", "4", "--m", "64"],
+    ["axioms", "--preset", "linear", "--axioms.companion", "inf", "--n", "4", "--m", "64"],
 ])
 def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

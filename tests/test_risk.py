@@ -21,7 +21,8 @@ from bsvie import (
     solve_s,
     tilt,
 )
-from bsvie import risk
+from bsvie import Generator, NodeDesign, ProblemSpec, risk
+from bsvie.expr import Bin, Num, Var
 from bsvie.risk import ROUTES
 
 N, M = 32, 16384
@@ -203,6 +204,7 @@ def test_edit_node_validation(grid, ensemble):
     ({"companion": "0.5*"}, ValueError),  # does not parse
     ({"scale": float("inf")}, RiskSetupError),
     ({"shift": 0.0}, RiskSetupError),  # would compare the base risk with itself
+    ({"companion": float("inf")}, RiskSetupError),
 ])
 def test_check_axioms_rejects_bad_arguments_before_solving(monkeypatch, bad, error):
     solves = []
@@ -256,3 +258,68 @@ def test_route_agreement_tilts_once(monkeypatch, built_designs):
     np.testing.assert_array_equal(report.selftest.mean_scores, selftest.mean_scores)
     np.testing.assert_array_equal(report.selftest.var_scores, selftest.var_scores)
     assert report.selftest.weight_mean_score == selftest.weight_mean_score
+
+
+# -- the zero-rate fold of the direct generator -----------------------------
+
+
+def _unfolded_rho(spec, ensemble):
+    """rho under f + (0 + 0) * z, the direct generator before the fold."""
+    zero_rates = Bin("*", Bin("+", Num(0.0), Num(0.0)), Var("z"))
+    generator = Generator.from_expression(Bin("+", spec.aggregator.ast(), zero_rates))
+    psi = position_terminal(spec.position)
+    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w))
+    return solve_s(ProblemSpec(ensemble.grid, generator, terminal), ensemble).y.values
+
+
+@pytest.mark.parametrize("rate", [0, "0", 0.0])
+def test_direct_generator_drops_literal_zero_rates(rate):
+    spec = RiskSpec(position="wT", aggregator=Aggregator.absolute(0.1),
+                    drift=DriftSpec(r1=rate, r2=rate))
+    assert "z" not in risk._direct_generator(spec).needs
+
+
+@pytest.mark.parametrize("rate", ["0.3", "0*s"])  # "0*s" is zero but not a literal
+def test_direct_generator_keeps_other_rates(rate):
+    spec = RiskSpec(position="wT", aggregator=Aggregator.absolute(0.1),
+                    drift=DriftSpec(r1=rate))
+    assert "z" in risk._direct_generator(spec).needs
+
+
+@pytest.mark.parametrize("aggregator", [
+    Aggregator.linear(0.1), Aggregator.absolute(0.1), Aggregator.zero(),
+], ids=lambda a: a.kind)
+def test_folded_generator_is_bitwise_the_unfolded_one(aggregator):
+    ensemble = sample_ensemble(build_grid(1.0, 16), 2048, seed=1)
+    spec = RiskSpec(position="0.7*wT", aggregator=aggregator)
+    folded = rho(spec, ensemble).values
+    assert folded.tobytes() == _unfolded_rho(spec, ensemble).tobytes()
+
+
+def test_folded_generator_keeps_signed_zeros():
+    # the aggregator returns -0.0 at y = 0, where adding 0 * z could flip the sign
+    ensemble = sample_ensemble(build_grid(1.0, 8), 256, seed=3)
+    spec = RiskSpec(position="0*wT", aggregator=Aggregator.expression("-0.02*abs(y)"))
+    folded = rho(spec, ensemble).values
+    assert not np.any(folded)
+    assert np.signbit(folded).any() and not np.signbit(folded).all()
+    assert folded.tobytes() == _unfolded_rho(spec, ensemble).tobytes()
+
+
+def test_absolute_ladder_evaluates_no_kernel_rows(monkeypatch):
+    n = 8
+    calls = []
+    original = NodeDesign.evaluate
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.node)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeDesign, "evaluate", counted)
+    small = sample_ensemble(build_grid(1.0, n), 512, seed=4)
+    report = check_axioms(RiskSpec(position="0.7*wT", aggregator=Aggregator.absolute(0.1)),
+                          small)
+    solves = 6  # base, past independence, monotonicity, homogeneity, sub-additivity x 2
+    assert len(report.checks) == 4
+    # one conditional-expectation fit per level and solve, and no kernel rows
+    assert len(calls) == solves * n

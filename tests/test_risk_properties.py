@@ -11,7 +11,22 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bsvie import Aggregator, DriftSpec, RiskSpec, build_grid, check_axioms, rho, sample_ensemble
+from bsvie import (
+    Aggregator,
+    DriftSpec,
+    Generator,
+    ProblemSpec,
+    RiskSpec,
+    Terminal,
+    build_grid,
+    check_axioms,
+    position_terminal,
+    rho,
+    sample_ensemble,
+    solve_s,
+)
+from bsvie import risk
+from bsvie.expr import Bin, Num, Var
 
 ROUNDING = 1e-10
 
@@ -58,3 +73,31 @@ def test_risk_measure_properties(setup):
 
     zero = rho(RiskSpec(0.0, spec.aggregator, spec.drift, spec.route), ensemble)
     assert not np.any(zero.values)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    steps=st.integers(2, 12),
+    paths=st.sampled_from((128, 256, 512)),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(("zero", "linear", "absolute")),
+    rate=_coefficient(1.0),
+    coefficient=_coefficient(5.0),
+    zero_rates=st.tuples(*[st.sampled_from((0, 0.0, "0", "0.0", "0e3"))] * 2),
+)
+def test_zero_rates_fold_bitwise(steps, paths, seed, kind, rate, coefficient, zero_rates):
+    # dropping (0 + 0) * z from the direct generator moves no bit of rho
+    ensemble = sample_ensemble(build_grid(1.0, steps), paths, seed=seed)
+    aggregator = Aggregator.zero() if kind == "zero" else getattr(Aggregator, kind)(rate)
+    spec = RiskSpec(position=f"{coefficient!r}*wT", aggregator=aggregator,
+                    drift=DriftSpec(*zero_rates))
+    assert "z" not in risk._direct_generator(spec).needs
+    folded = rho(spec, ensemble).values
+
+    unfolded = Generator.from_expression(
+        Bin("+", aggregator.ast(), Bin("*", Bin("+", Num(0.0), Num(0.0)), Var("z")))
+    )
+    psi = position_terminal(spec.position)
+    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w))
+    oracle = solve_s(ProblemSpec(ensemble.grid, unfolded, terminal), ensemble).y.values
+    assert folded.tobytes() == oracle.tobytes()
