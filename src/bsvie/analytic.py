@@ -132,17 +132,6 @@ CASES: dict[str, ReferenceCase] = {
             terminal_src="wT*(T+1)*(t+1)",
             build_fields=_shifted_fields,
         ),
-        # product-linear again, for the column residual: the kernel with
-        # the two completions swapped above the diagonal (s^2 there, t*s
-        # below) solves the equation whose stochastic sum reads the column
-        ReferenceCase(
-            id="mirror-pair",
-            start=0.5,
-            horizon=1.0,
-            generator_src="-t*y/s^2",
-            terminal_src="t*T*wT",
-            build_fields=_product_fields,
-        ),
         ReferenceCase(
             id="zero",
             start=0.0,

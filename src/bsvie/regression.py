@@ -7,7 +7,9 @@ target * dW / dt.  The ridge never touches the constant feature, so
 constants survive the projection exactly and the (weighted) sample mean
 of the fitted values equals that of the target to rounding.
 :meth:`NodeDesign.project` gives both estimates of a row batch from one
-pass over the paths, using that the projection is linear.
+pass over the paths, using that the projection is linear; the node's
+operand for it (:meth:`NodeDesign.operand`) is filled once and serves
+every batch.
 
 Cross-path reductions are accumulated over fixed-size path chunks in a
 fixed order, which keeps results bitwise identical run to run.
@@ -125,6 +127,23 @@ class NodeDesign:
         """
         return _chunked_ab(self.x, self.x) / self.n_paths
 
+    def operand(self, xw2: np.ndarray) -> np.ndarray:
+        """Write the node's projection operand [X w, X w dW] into ``xw2``.
+
+        ``xw2`` is a caller's (2k, M) scratch; it is returned.  Every
+        :meth:`project` call reads the operand of its node, so one fill
+        serves any number of row batches.
+        """
+        k = self.basis.size
+        # laid out (2k, M), so each column scales in one long loop
+        if self.weights is None:
+            xw2[:k] = self.x.T
+        else:
+            np.multiply(self.x.T, self.weights, out=xw2[:k])
+        # dW is copied per call: a contiguous copy kept per node would add N x M floats
+        np.multiply(xw2[:k], np.ascontiguousarray(self.increments), out=xw2[k:])
+        return xw2
+
     def project(self, rows: np.ndarray, xw2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Conditional-expectation and kernel coefficients of a row batch.
 
@@ -141,18 +160,12 @@ class NodeDesign:
         system, H = X^T diag(w dW) X / M and S = G^-1 H, both follow from
         A = C(rows) and B = C(rows * dW): bz = (B - S A) / dt and
         c = A - S bz.  A and B come from one path-chunked product of the
-        rows with [X w, X w dW], which is written into the caller's (2k, M)
-        scratch ``xw2``; no (r, M) intermediate is formed.  H depends on
-        the node alone, so it is formed once, from the first call's operand.
+        rows with the node's operand [X w, X w dW], which ``xw2`` must
+        hold (:meth:`operand`); no (r, M) intermediate is formed.  H
+        depends on the node alone, so it is formed once, from the first
+        call's operand.
         """
         k, m, r = self.basis.size, self.n_paths, rows.shape[0]
-        # [X w, X w dW] laid out (2k, M), so each column scales in one long loop
-        if self.weights is None:
-            xw2[:k] = self.x.T
-        else:
-            np.multiply(self.x.T, self.weights, out=xw2[:k])
-        # dW is copied per call: a contiguous copy kept per node would add N x M floats
-        np.multiply(xw2[:k], np.ascontiguousarray(self.increments), out=xw2[k:])
         # an overflow of the sums shows in their finiteness check
         with np.errstate(all="ignore"):
             rhs = _chunked_ab(rows.T, xw2.T) / m

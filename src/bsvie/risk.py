@@ -171,7 +171,7 @@ def route(
 
     def solve(position: str | float | Terminal) -> SolveReport:
         psi = position_terminal(position)
-        terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w))
+        terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w), splits=psi.splits)
         problem = ProblemSpec(grid=ensemble.grid, generator=generator, terminal=terminal)
         return solve_s(problem, driver, config)
 
@@ -262,13 +262,17 @@ class AxiomReport:
         raise KeyError(f"no check named {axiom!r}; have {[c.axiom for c in self.checks]}")
 
 
-def _perturbed(psi: Terminal, edit: Callable) -> Terminal:
+def _perturbed(psi: Terminal, edit: Callable, splits=()) -> Terminal:
     """``psi`` with ``edit(values, grid, w)`` applied to its values.
 
     The edit runs inside the evaluation, so each solve builds its own
     perturbed free term and none outlives the solve that reads it.
+    ``splits`` are the outer nodes at which the edit may make a row
+    differ from the one before it, or None if it may at any node; they
+    are added to the rows ``psi`` declares equal (:attr:`Terminal.splits`).
     """
-    return Terminal(lambda grid, w: edit(psi.eval_all(grid, w), grid, w))
+    declared = None if psi.splits is None or splits is None else psi.splits | set(splits)
+    return Terminal(lambda grid, w: edit(psi.eval_all(grid, w), grid, w), splits=declared)
 
 
 def _positive_part_stats(defect: np.ndarray, scale: float) -> tuple[float, dict]:
@@ -309,8 +313,12 @@ def check_axioms(
         raise RiskSetupError(f"homogeneity scale must be positive and finite, got {lam!r}")
     if shift == 0 or not np.isfinite(shift):
         raise RiskSetupError(f"position shift must be nonzero and finite, got {shift!r}")
-    if isinstance(companion, (int, float)) and not np.isfinite(companion):
-        raise RiskSetupError(f"companion position must be finite, got {companion!r}")
+    bad = ~np.isfinite(other.eval_all(grid, ensemble.values)).all(axis=1)
+    if bad.any():
+        raise RiskSetupError(
+            f"companion position {other.source or '?'} is not finite at node "
+            f"{int(np.argmax(bad))}"
+        )
 
     _, solve = route(spec, ensemble, config)
     rho0 = solve(psi).y
@@ -328,7 +336,7 @@ def check_axioms(
         values[:i0] = 2.0 * values[:i0] + 3.0
         return values
 
-    edited = run(_perturbed(psi, edit_head))
+    edited = run(_perturbed(psi, edit_head, (i0,)))
     tail_gap = float(np.abs(edited.values[:, i0:] - rho0.values[:, i0:]).max())
     head_changed = bool(np.any(edited.values[:, :i0] != rho0.values[:, :i0]))
     checks.append(AxiomCheck(
@@ -396,7 +404,8 @@ def check_axioms(
 
     # sub-additivity: risk of the sum at most the sum of risks
     rho_other = run(other)
-    rho_sum = run(_perturbed(psi, lambda v, grid, w: v + other.eval_all(grid, w)))
+    rho_sum = run(_perturbed(psi, lambda v, grid, w: v + other.eval_all(grid, w),
+                             other.splits))
     sub_defect = rho_sum.values - rho0.values - rho_other.values
     sub_max, sub_q = _positive_part_stats(sub_defect, norm)
     detail = "companion position " + (other.source or "?")

@@ -32,6 +32,8 @@ from .grid import TimeGrid
 from .regression import BasisSpec, NodeDesign
 
 _TERMINAL_NAMES = frozenset(("t", "wt", "wT", "T1", "T"))
+# the names that vary with the outer node
+_OUTER_NAMES = frozenset(("t", "wt"))
 
 
 class SolverError(RuntimeError):
@@ -46,6 +48,11 @@ class Generator:
     generator that declares ``z`` or ``zeta``, and mirrored values only
     for one that declares ``zeta``; otherwise ``z`` and ``zeta`` are
     passed as None.
+
+    On the class path of the sweep (see :class:`_Sweep`), taken only for
+    a generator that declares neither ``t`` nor ``wt``, the off-diagonal
+    arguments are one row per row class, not per outer node, and ``t``
+    and ``wt`` are None there.
 
     The arrays in ``env`` are borrowed for the duration of the call.
     The sweep reuses their memory at later cells, so a generator that
@@ -78,11 +85,20 @@ class Generator:
 
 
 class Terminal:
-    """Free term of the system: per-path values at every outer node."""
+    """Free term of the system: per-path values at every outer node.
 
-    def __init__(self, fn: Callable[[TimeGrid, np.ndarray], np.ndarray], source: str | None = None):
+    ``splits`` declares which rows coincide.  None declares nothing.  A
+    set of outer nodes declares that the rows form runs of bitwise-equal
+    rows, each starting at node 0 or at a node of the set; an empty set
+    declares one run.  The sweep carries one iterate row per run when
+    the generator allows it, and checks the declaration first.
+    """
+
+    def __init__(self, fn: Callable[[TimeGrid, np.ndarray], np.ndarray],
+                 source: str | None = None, splits=None):
         self._fn = fn
         self.source = source
+        self.splits = None if splits is None else frozenset(splits)
 
     @classmethod
     def from_expression(cls, src: str | ExprNode) -> "Terminal":
@@ -100,12 +116,14 @@ class Terminal:
             out = program(env)
             return np.broadcast_to(out, (len(grid), w.shape[0])).astype(np.float64, copy=True)
 
-        return cls(fn, format_expr(ast))
+        # without an outer-node name every row is the same broadcast row
+        splits = None if free_variables(ast) & _OUTER_NAMES else ()
+        return cls(fn, format_expr(ast), splits)
 
     @classmethod
     def constant(cls, value: float) -> "Terminal":
         v = float(value)
-        return cls(lambda grid, w: np.full((len(grid), w.shape[0]), v), source=repr(v))
+        return cls(lambda grid, w: np.full((len(grid), w.shape[0]), v), repr(v), ())
 
     def eval_all(self, grid: TimeGrid, w: np.ndarray) -> np.ndarray:
         out = np.asarray(self._fn(grid, w), dtype=np.float64)
@@ -210,14 +228,15 @@ class SolveReport:
 
 
 def _generator_env(
-    grid: TimeGrid, paths: np.ndarray, t: int | slice, s: int | slice, y, z, zeta
+    grid: TimeGrid, paths: np.ndarray, t: int | slice | None, s: int | slice, y, z, zeta
 ) -> dict:
     """Arguments of g at outer node(s) ``t`` and inner node(s) ``s``.
 
-    A slice stands for a batch of nodes laid out one row per node.  The
-    path arguments always come from the physical paths, whatever driver
-    the regressions use: ``w`` at the inner nodes, ``wt`` at the outer
-    nodes and ``wT`` at the horizon.
+    A slice stands for a batch of nodes laid out one row per node, and
+    None for the row classes of the sweep's class path, which leaves
+    ``t`` and ``wt`` None.  The path arguments always come from the
+    physical paths, whatever driver the regressions use: ``w`` at the
+    inner nodes, ``wt`` at the outer nodes and ``wT`` at the horizon.
     """
 
     def at(k: int | slice) -> tuple:
@@ -225,7 +244,7 @@ def _generator_env(
             return grid.nodes[k, None], paths[:, k].T
         return grid.nodes[k], paths[:, k]
 
-    t_nodes, wt = at(t)
+    t_nodes, wt = (None, None) if t is None else at(t)
     s_nodes, w = at(s)
     return {
         "t": t_nodes, "s": s_nodes, "y": y, "z": z, "zeta": zeta,
@@ -249,17 +268,18 @@ def _check_grid(grid: TimeGrid, other: TimeGrid) -> None:
 class _LevelWork:
     """Work buffers of one sweep, for every (rows x paths) array of a level.
 
-    A level of rows 0..j < ``rows`` writes its kernel rows, mirrored
-    rows, dt * g, finiteness mask and generator intermediates into the
-    front of these, so its levels allocate no array of that size.  The
-    exception is an expression reading ``wt``: the rows' outer-node
-    paths are a transposed view, so what is computed from them is
-    allocated as numpy lays it out.
+    A level of iterate rows 0..r < ``rows`` writes its kernel rows,
+    mirrored rows, dt * g, finiteness mask and generator intermediates
+    into the front of these, so its levels allocate no array of that
+    size.  The exception is an expression reading ``wt``: the rows'
+    outer-node paths are a transposed view, so what is computed from
+    them is allocated as numpy lays it out.
     """
 
     def __init__(self, rows: int, m: int, k: int) -> None:
         self.z = np.empty((rows, m))
         self.zeta = np.empty((rows, m))
+        self.bz = np.empty((rows, k))
         self.scaled = np.empty(rows * m)
         self.finite = np.empty(rows * m, dtype=bool)
         self.xw2 = np.empty((2 * k, m))  # the operand of NodeDesign.project
@@ -276,14 +296,29 @@ class _Sweep:
 
     ``paths`` is a :class:`Driver`, or an ensemble for a fresh plain one;
     the driver's ensemble must lie on the problem's grid.  The iterate is
-    ``lam`` (Lambda[i][j] of the rows still being swept, one row per
-    outer node), ``y`` (Y at every node, one column per node) and
-    ``coeffs`` (the kernel coefficients of cell (i, j) in
-    ``coeffs[i, j]``); levels read and write them in place.
+    ``lam`` (Lambda[i][j] of the rows still being swept), ``y`` (Y at
+    every node, one column per node) and ``coeffs`` (the kernel
+    coefficients of cell (i, j) in ``coeffs[i, j]``); levels read and
+    write them in place.
+
+    ``lam`` is held per row class: a run of outer nodes whose free-term
+    rows are bitwise equal, as the terminal declares
+    (:attr:`Terminal.splits`).  When the generator reads neither ``t``
+    nor ``wt``, the rows of one class stay equal at every level, so the
+    class path sweeps each class as one row, projected and evaluated
+    alone: a row's projection bits depend on the size of its batch, and
+    alone they do not depend on the other classes.  A class's kernel
+    coefficients fill its cells of ``coeffs`` by broadcast.  Without a
+    declaration, for a generator that reads ``t`` or ``wt``, or with
+    ``row_classes`` off (the mirrored martingale column differs row by
+    row), every outer node is a class of its own and a level projects
+    its rows in one batch: the row path.  Row r of ``lam`` starts at
+    outer node ``lo[r]``, and outer node i lies in row ``row_of[i]``.
     """
 
     def __init__(
-        self, problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig
+        self, problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig,
+        row_classes: bool = True,
     ) -> None:
         self.driver = paths if isinstance(paths, Driver) else Driver.from_ensemble(paths)
         self.ensemble = self.driver.ensemble
@@ -302,19 +337,31 @@ class _Sweep:
             i = int(np.argwhere(bad.any(axis=1))[0][0])
             raise SolverError(f"terminal data is non-finite at node {i}")
         self.g = problem.generator
-        self.lam = terminal.copy()
+        splits = problem.terminal.splits
+        self.batched = not row_classes or splits is None or bool(self.g.needs & _OUTER_NAMES)
+        if self.batched:
+            self.lo = list(range(self.n + 1))
+        else:
+            self.lo = [0, *sorted(i for i in splits if 0 < i <= self.n)]
+        self.row_of = np.repeat(np.arange(len(self.lo)), np.diff([*self.lo, self.n + 1]))
+        bits = terminal.view(np.uint64)
+        for i in np.flatnonzero(self.row_of[1:] == self.row_of[:-1]) + 1:
+            if not np.array_equal(bits[i], bits[i - 1]):
+                raise SolverError(
+                    f"terminal row at node {i} differs from node {i - 1} of its declared class"
+                )
+        self.lam = terminal[self.lo]
         self.y = np.empty((self.m, self.n + 1))
         self.y[:, self.n] = terminal[self.n]
         self.coeffs = np.zeros((self.n + 1, self.n + 1, self.k))
 
-    def _check_g(self, work: _LevelWork, values: np.ndarray, i_lo: int, j: int) -> None:
+    def _check_g(self, work: _LevelWork, values: np.ndarray, nodes, j: int) -> None:
+        """Raise at the first non-finite row; row r of ``values`` is outer node nodes[r]."""
         finite = np.isfinite(values, out=_front(work.finite, values.shape))
         if finite.all():
             return
-        if values.ndim < 2:
-            raise SolverError(f"generator returned non-finite values at (i={i_lo}, j={j})")
-        row = int(np.argwhere(~finite.all(axis=1))[0][0])
-        raise SolverError(f"generator returned non-finite values at (i={row + i_lo}, j={j})")
+        row = 0 if values.ndim < 2 else int(np.argwhere(~finite.all(axis=1))[0][0])
+        raise SolverError(f"generator returned non-finite values at (i={nodes[row]}, j={j})")
 
     def _times_dt(self, work: _LevelWork, g: np.ndarray) -> np.ndarray:
         if g.ndim == 0:
@@ -328,57 +375,68 @@ class _Sweep:
         j: int,
         work: _LevelWork,
         frozen_y: np.ndarray | None,
-        zeta_column: Callable[[int, NodeDesign, np.ndarray], np.ndarray] | None,
+        zeta_column: Callable[[int, slice, NodeDesign, np.ndarray, np.ndarray], object] | None,
     ) -> None:
-        """Advance rows 0..j of the iterate from column j+1 to column j.
+        """Advance the rows of outer nodes 0..j from column j+1 to column j.
 
-        ``zeta_column(j, design, bz, out)`` must write mirrored kernel
-        values for rows 0..j into ``out`` and return it, given this
-        level's kernel coefficients; None means the kernel is identified
-        with its mirror (the symmetric mode) or is simply never read.
-        Kernel values are evaluated only for a generator that declares
-        ``z`` or ``zeta``.  Every (rows x paths) array goes to ``lam`` or
-        to ``work``, but for the exception :class:`_LevelWork` names.
+        ``zeta_column(j, nodes, design, bz, out)`` must write mirrored
+        kernel values for the outer nodes ``nodes`` (one per row of
+        ``bz``, the kernel coefficients this level fitted for them) into
+        ``out``; None means the kernel is identified with its mirror (the
+        symmetric mode) or is simply never read.  Kernel values are
+        evaluated only for a generator that declares ``z`` or ``zeta``.
+        Every (rows x paths) array goes to ``lam`` or to ``work``, but for
+        the exception :class:`_LevelWork` names.
         """
-        design, lam = self.designs[j], self.lam
-        # both node estimates are variance-reduced by the other (see
-        # NodeDesign.project).  A constant row's kernel cancels only to
-        # rounding, up to about 5e-14 at 16 steps x 2048 paths, not to zero.
-        c, bz = design.project(lam[: j + 1], work.xw2)
-        self.coeffs[: j + 1, j] = bz
-        # the rows are read: their fitted conditional expectations replace them
-        ce_fit = design.evaluate(c, out=lam[: j + 1])
+        design, lam, lo = self.designs[j], self.lam, self.lo
+        top = int(self.row_of[j])  # the row holding the diagonal
+        off = top + (lo[top] < j)  # the rows that hold nodes below j
+        if self.batched:
+            batches = [(slice(0, j + 1), slice(0, j + 1))]  # (lam rows, their outer nodes)
+        else:
+            batches = [(slice(r, r + 1), slice(lo[r], lo[r] + 1)) for r in range(top + 1)]
         symmetric_zeta = self.g.uses_zeta and zeta_column is None
-        z_fit = None
-        if "z" in self.g.needs or symmetric_zeta:
-            z_fit = design.evaluate(bz, out=work.z[: j + 1])
-
+        kernel_rows = "z" in self.g.needs or symmetric_zeta
+        design.operand(work.xw2)
+        for rows, nodes in batches:
+            # both node estimates are variance-reduced by the other (see
+            # NodeDesign.project).  A constant row's kernel cancels only to
+            # rounding, up to about 5e-14 at 16 steps x 2048 paths, not to zero.
+            c, bz = design.project(lam[rows], work.xw2)
+            work.bz[rows] = bz
+            # the rows are read: their fitted conditional expectations replace them
+            design.evaluate(c, out=lam[rows])
+            if kernel_rows:
+                design.evaluate(bz, out=work.z[rows])
+            if self.g.uses_zeta and zeta_column is not None:
+                zeta_column(j, nodes, design, bz, work.zeta[rows])
+        self.coeffs[: j + 1, j] = work.bz[self.row_of[: j + 1]]
+        z_fit = work.z if kernel_rows else None
         zeta_rows = None
         if self.g.uses_zeta:
-            zeta_rows = z_fit if zeta_column is None else zeta_column(
-                j, design, bz, work.zeta[: j + 1]
-            )
+            zeta_rows = z_fit if symmetric_zeta else work.zeta
 
         paths = self.ensemble.values
         # diagonal first: its y-argument is the regressed predictor
-        z_diag = None if z_fit is None else z_fit[j]
-        zeta_diag = None if zeta_rows is None else zeta_rows[j]
-        env = _generator_env(self.grid, paths, j, j, ce_fit[j], z_diag, zeta_diag)
+        z_diag = None if z_fit is None else z_fit[top]
+        zeta_diag = None if zeta_rows is None else zeta_rows[top]
+        env = _generator_env(self.grid, paths, j, j, lam[top], z_diag, zeta_diag)
         g_diag = np.asarray(self.g(env, work.registers), dtype=np.float64)
-        self._check_g(work, g_diag, j, j)
-        np.add(ce_fit[j], self._times_dt(work, g_diag), out=lam[j])
-        self.y[:, j] = lam[j]
+        self._check_g(work, g_diag, (j,), j)
+        # the row keeps its predictor, which its nodes below j still read
+        np.add(lam[top], self._times_dt(work, g_diag), out=self.y[:, j])
 
-        if j == 0:
+        if off == 0:
             return
         y_rows = self.y[:, j] if frozen_y is None else frozen_y[:, j]
-        z_off = None if z_fit is None else z_fit[:j]
-        zeta_off = None if zeta_rows is None else zeta_rows[:j]
-        env = _generator_env(self.grid, paths, slice(0, j), j, y_rows, z_off, zeta_off)
+        z_off = None if z_fit is None else z_fit[:off]
+        zeta_off = None if zeta_rows is None else zeta_rows[:off]
+        t = slice(0, j) if self.batched else None
+        env = _generator_env(self.grid, paths, t, j, y_rows, z_off, zeta_off)
         # a generator independent of the row index returns one row, broadcast here
         g_rows = np.asarray(self.g(env, work.registers), dtype=np.float64)
-        self._check_g(work, g_rows, 0, j)
-        np.add(ce_fit[:j], self._times_dt(work, g_rows), out=lam[:j])
+        self._check_g(work, g_rows, lo, j)
+        np.add(lam[:off], self._times_dt(work, g_rows), out=lam[:off])
 
     # -- full passes -------------------------------------------------------
 
@@ -386,7 +444,7 @@ class _Sweep:
         self, j_hi: int, j_lo: int, frozen_y: np.ndarray | None = None, zeta_column=None
     ) -> None:
         # one set of buffers for the block, dropped once it is swept
-        work = _LevelWork(j_hi + 1, self.m, self.k)
+        work = _LevelWork(int(self.row_of[j_hi]) + 1, self.m, self.k)
         for j in range(j_hi, j_lo - 1, -1):
             self.level(j, work, frozen_y, zeta_column)
 
@@ -423,8 +481,9 @@ def _adapted(sweep: _Sweep) -> AdaptedField:
 def _frozen_coeff_zeta(coeffs: np.ndarray):
     """Mirrored kernel values from a frozen symmetric upper table."""
 
-    def column(j: int, design: NodeDesign, bz: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return design.evaluate(coeffs[: j + 1, j], out=out)
+    def column(j: int, nodes: slice, design: NodeDesign, bz: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+        return design.evaluate(coeffs[nodes, j], out=out)
 
     return column
 
@@ -434,10 +493,12 @@ def _frozen_martingale_zeta(sweep: _Sweep, mart_coeffs: np.ndarray):
 
     Row i of the returned block is a polynomial in the state at node i,
     so each row needs its own design; the diagonal keeps the identity
-    zeta = z, which is exact there, and reads the kernel's own row.
+    zeta = z, which is exact there, and reads the kernel's own row.  The
+    rows differ, so it runs on the row path, where ``nodes`` is 0..j.
     """
 
-    def column(j: int, design: NodeDesign, bz: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def column(j: int, nodes: slice, design: NodeDesign, bz: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
         for i in range(j):
             np.matmul(sweep.designs[i].x, mart_coeffs[j, i], out=out[i])
         np.matmul(design.x, bz[j], out=out[j])
@@ -542,9 +603,9 @@ def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray) -> np.nd
     """
     n, k = len(designs), designs[0].basis.size
     coeffs = np.zeros((n + 1, n + 1, k))
-    xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection scratch
+    xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection operand
     for j, design in enumerate(designs):
-        coeffs[j + 1:, j] = design.project(y_values[:, j + 1:].T, xw2)[1]
+        coeffs[j + 1:, j] = design.project(y_values[:, j + 1:].T, design.operand(xw2))[1]
     return coeffs
 
 
@@ -565,7 +626,8 @@ def solve_m(
     by :func:`solve_s`.
     """
     config = config or SolverConfig()
-    sweep = _Sweep(problem, paths, config)
+    # the mirrored martingale column reads each row's own node design
+    sweep = _Sweep(problem, paths, config, row_classes=not problem.generator.uses_zeta)
 
     if problem.generator.uses_zeta:
         bookkeeping = _fixed_point(

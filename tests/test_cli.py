@@ -280,6 +280,9 @@ def test_overflowing_projection_prints_one_error_line(tmp_path, capsys, recwarn,
     # a zero shift would compare the base risk with itself
     ["axioms", "--preset", "linear", "--axioms.shift", "0", "--n", "4", "--m", "64"],
     ["axioms", "--preset", "linear", "--axioms.companion", "inf", "--n", "4", "--m", "64"],
+    # the companion key is a number, so an expression is rejected before any solve
+    ["axioms", "--preset", "linear", "--axioms.companion", "1e308*wT*wT", "--n", "4",
+     "--m", "64"],
 ])
 def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -592,7 +595,7 @@ def test_residual_symmetric_forms_match(tmp_path, capsys):
     out = str(tmp_path / "runs")
     code, lines, _ = _run(
         capsys,
-        ["residual", "--case", "mirror-pair", "--n", "8", "--m", "512",
+        ["residual", "--case", "product-linear", "--n", "8", "--m", "512",
          "--output.dir", out],
     )
     assert code == 0

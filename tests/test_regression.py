@@ -217,9 +217,9 @@ def test_project_matches_the_three_fit_sequence(unit_ensemble, tilted):
         w[:, -1], w[:, 12] ** 2, np.sin(3.0 * w[:, 15]), np.exp(0.3 * w[:, 10]),
         w[:, NODE + 1] * w[:, -1], np.full(ens.n_paths, 2.5),
     ])
-    # the caller's scratch is written in full before it is read
+    # the operand fill writes the caller's scratch in full
     scratch = np.full((2 * BasisSpec().size, ens.n_paths), np.nan)
-    c, bz = design.project(rows, scratch)
+    c, bz = design.project(rows, design.operand(scratch))
     c_ref, bz_ref = _three_fits(design, rows)
     assert c.shape == bz.shape == (rows.shape[0], BasisSpec().size)
     for new, ref in ((c, c_ref), (bz, bz_ref)):
@@ -231,7 +231,8 @@ def test_project_rejects_non_finite_rows(unit_ensemble):
     rows = np.ones((3, unit_ensemble.n_paths))
     rows[1, 7] = np.inf
     with pytest.raises(RegressionError, match=rf"^node {NODE}: non-finite regression targets$"):
-        design.project(rows, np.empty((2 * BasisSpec().size, unit_ensemble.n_paths)))
+        design.project(rows, design.operand(np.empty((2 * BasisSpec().size,
+                                                      unit_ensemble.n_paths))))
 
 
 def test_design_keeps_its_node_data_without_copies(unit_ensemble):
@@ -263,7 +264,7 @@ def test_kernel_product_is_formed_once_per_design(unit_ensemble, monkeypatch):
 
     design = node_design(unit_ensemble, NODE)
     rows = np.stack([unit_ensemble.terminal(), unit_ensemble.terminal() ** 2])
-    scratch = np.empty((2 * BasisSpec().size, unit_ensemble.n_paths))
+    scratch = design.operand(np.empty((2 * BasisSpec().size, unit_ensemble.n_paths)))
     monkeypatch.setattr(regression, "_chunked_ab", counted)
     first = design.project(rows, scratch)
     second = design.project(rows, scratch)

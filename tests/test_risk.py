@@ -205,6 +205,7 @@ def test_edit_node_validation(grid, ensemble):
     ({"scale": float("inf")}, RiskSetupError),
     ({"shift": 0.0}, RiskSetupError),  # would compare the base risk with itself
     ({"companion": float("inf")}, RiskSetupError),
+    ({"companion": "1e308*wT*wT"}, RiskSetupError),  # overflows on the ensemble
 ])
 def test_check_axioms_rejects_bad_arguments_before_solving(monkeypatch, bad, error):
     solves = []
@@ -268,7 +269,8 @@ def _unfolded_rho(spec, ensemble):
     zero_rates = Bin("*", Bin("+", Num(0.0), Num(0.0)), Var("z"))
     generator = Generator.from_expression(Bin("+", spec.aggregator.ast(), zero_rates))
     psi = position_terminal(spec.position)
-    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w))
+    # the same declared row classes as rho's free term, so the same sweep path
+    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w), splits=psi.splits)
     return solve_s(ProblemSpec(ensemble.grid, generator, terminal), ensemble).y.values
 
 
@@ -308,18 +310,66 @@ def test_folded_generator_keeps_signed_zeros():
 
 def test_absolute_ladder_evaluates_no_kernel_rows(monkeypatch):
     n = 8
-    calls = []
-    original = NodeDesign.evaluate
+    calls, kernels = [], []
+    evaluate, project = NodeDesign.evaluate, NodeDesign.project
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.node)
-        return original(self, *args, **kwargs)
+    def counted(self, coeffs, *args, **kwargs):
+        calls.append(coeffs)
+        return evaluate(self, coeffs, *args, **kwargs)
+
+    def recorded(self, *args):
+        c, bz = project(self, *args)
+        kernels.append(bz)
+        return c, bz
 
     monkeypatch.setattr(NodeDesign, "evaluate", counted)
+    monkeypatch.setattr(NodeDesign, "project", recorded)
     small = sample_ensemble(build_grid(1.0, n), 512, seed=4)
     report = check_axioms(RiskSpec(position="0.7*wT", aggregator=Aggregator.absolute(0.1)),
                           small)
     solves = 6  # base, past independence, monotonicity, homogeneity, sub-additivity x 2
     assert len(report.checks) == 4
-    # one conditional-expectation fit per level and solve, and no kernel rows
-    assert len(calls) == solves * n
+    # one conditional-expectation fit per live row class and level: one
+    # class per solve, but the past-independence edit at node 4 keeps a
+    # second class live at levels 7..4
+    assert len(calls) == solves * n + 4 == 52
+    # and no evaluation of kernel coefficients
+    assert not any(c is bz for c in calls for bz in kernels)
+
+
+# -- row classes of the ladder's free terms ---------------------------------
+
+
+def test_ladder_edits_carry_the_declared_row_classes():
+    psi = position_terminal("0.7*wT")
+    keep = lambda v, *_: v  # noqa: E731
+    assert risk._perturbed(psi, keep).splits == frozenset()  # a shift or a scale
+    assert risk._perturbed(psi, keep, (4,)).splits == {4}  # the head edit
+    assert risk._perturbed(risk._perturbed(psi, keep, (4,)), keep, {2}).splits == {2, 4}
+    # a sum with a free term that declares nothing declares nothing
+    assert risk._perturbed(psi, keep, position_terminal("wt").splits).splits is None
+    assert risk._perturbed(position_terminal("0.7*wt"), keep, (4,)).splits is None
+
+
+def test_check_axioms_rejects_a_non_finite_companion_by_node():
+    small = sample_ensemble(build_grid(1.0, 4), 64, seed=4)
+    with pytest.raises(RiskSetupError, match=r"companion position 1/t is not finite at node 0"):
+        check_axioms(RiskSpec(position="0.7*wT"), small, companion="1/t")
+
+
+_PRESETS = {
+    "absolute": RiskSpec(position="wT*abs(t-0.5)", aggregator=Aggregator.absolute("0.1")),
+    "linear": RiskSpec(position="wT*abs(t-0.5)", aggregator=Aggregator.linear("0.1"),
+                       drift=DriftSpec(r1="0.3"), route="girsanov"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESETS))
+def test_outer_time_position_keeps_past_independence_exact(preset):
+    # rows t = 0.25 and t = 0.75 of this free term are equal, but it reads
+    # t, so it declares no row classes: the edited and the unedited solve
+    # both take the row path and batch their rows alike
+    small = sample_ensemble(build_grid(1.0, 16), 1024, seed=3)
+    check = check_axioms(_PRESETS[preset], small).check("past-independence")
+    assert check.max_violation == 0.0
+    assert check.passed

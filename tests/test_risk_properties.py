@@ -98,6 +98,7 @@ def test_zero_rates_fold_bitwise(steps, paths, seed, kind, rate, coefficient, ze
         Bin("+", aggregator.ast(), Bin("*", Bin("+", Num(0.0), Num(0.0)), Var("z")))
     )
     psi = position_terminal(spec.position)
-    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w))
+    # the same declared row classes as rho's free term, so the same sweep path
+    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w), splits=psi.splits)
     oracle = solve_s(ProblemSpec(ensemble.grid, unfolded, terminal), ensemble).y.values
     assert folded.tobytes() == oracle.tobytes()

@@ -328,7 +328,8 @@ def test_generator_reads_paths_at_its_nodes():
 def test_generator_declaring_z_reads_the_fitted_kernel():
     # the kernel rows a generator receives are the node design evaluated
     # at the stored coefficients, bit for bit; without a declared z the
-    # sweep evaluates no kernel rows at all
+    # sweep evaluates no kernel rows at all.  The free term wT declares
+    # one row class, so each level evaluates that class alone: one row
     grid = build_grid(1.0, 4)
     ensemble = sample_ensemble(grid, 64, seed=7)
     n = grid.steps
@@ -348,13 +349,16 @@ def test_generator_declaring_z_reads_the_fitted_kernel():
                 assert all(z is None for z in calls)
                 continue
             calls = iter(calls)
+            coeffs = report.z.base.coeffs
             for j in range(n - 1, -1, -1):
                 design = NodeDesign(j, driver.state[:, j], driver.increments[:, j], grid.dt,
                                     BasisSpec())
-                fitted = design.evaluate(report.z.base.coeffs[: j + 1, j])
-                np.testing.assert_array_equal(next(calls), fitted[j])
+                # the class's coefficients fill every cell of its rows
+                np.testing.assert_array_equal(coeffs[: j + 1, j], coeffs[:1, j].repeat(j + 1, 0))
+                fitted = design.evaluate(coeffs[:1, j])
+                np.testing.assert_array_equal(next(calls), fitted[0])
                 if j:
-                    np.testing.assert_array_equal(next(calls), fitted[:j])
+                    np.testing.assert_array_equal(next(calls), fitted)
 
 
 @pytest.mark.parametrize("picard", [False, True])
@@ -686,3 +690,122 @@ def test_symmetric_extension_wraps_upper_kernel(pl_setup):
     report = solve_adapted(problem, ensemble)
     full = SymmetricSurface(report.z)
     np.testing.assert_array_equal(full.at(3, 1), report.z.at(1, 3))
+
+
+# -- row classes ------------------------------------------------------------
+
+
+def test_free_terms_declare_their_row_classes():
+    assert Terminal.from_expression("-0.7*wT*T + T1").splits == frozenset()
+    assert Terminal.constant(2.0).splits == frozenset()
+    # an outer-node name makes every row its own, and a raw free term declares nothing
+    assert Terminal.from_expression("0.7*wt").splits is None
+    assert Terminal.from_expression("wT*abs(t-0.5)").splits is None
+    assert Terminal(lambda grid, w: np.zeros((len(grid), w.shape[0]))).splits is None
+
+
+def _head_edited(terminal: Terminal, node: int) -> Terminal:
+    """``terminal`` with the rows below ``node`` changed: two row classes."""
+
+    def fn(grid, w):
+        values = terminal.eval_all(grid, w)
+        values[:node] = 2.0 * values[:node] + 3.0
+        return values
+
+    return Terminal(fn, splits=terminal.splits | {node})
+
+
+def _declaring_t(generator: Generator) -> Generator:
+    """``generator`` with ``t`` declared besides its needs, which forces the row path."""
+    return Generator(lambda env: generator(env), generator.needs | {"t"})
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """(node, rows) of every NodeDesign.project call while the test runs."""
+    made = []
+    original = NodeDesign.project
+
+    def recorded(self, rows, xw2):
+        made.append((self.node, rows.shape[0]))
+        return original(self, rows, xw2)
+
+    monkeypatch.setattr(NodeDesign, "project", recorded)
+    return made
+
+
+@pytest.mark.parametrize("picard", [False, True])
+@pytest.mark.parametrize("tilted", [False, True])
+@pytest.mark.parametrize("src", ["0.1*abs(y)", "0.1*y + 0.3*z", "-0.1*y + 0.2*zeta"])
+def test_class_path_agrees_with_the_forced_row_path(src, tilted, picard):
+    # the risk ladder's problems: the generators ignore the outer time and
+    # the free term declares one class, or two after the past-independence
+    # edit; declaring t as well sweeps every outer node on its own
+    grid = build_grid(1.0, 16)
+    ensemble = sample_ensemble(grid, 1024, seed=3)
+    paths = tilt(ensemble, DriftSpec(r1=-0.3)) if tilted else Driver.from_ensemble(ensemble)
+    generator = Generator.from_expression(src)
+    config = SolverConfig(picard=picard, tol=1e-10)
+    base = Terminal.from_expression("-0.7*wT")
+    for terminal in (base, _head_edited(base, 8)):
+        classes = solve_s(ProblemSpec(grid, generator, terminal), paths, config)
+        rows = solve_s(ProblemSpec(grid, _declaring_t(generator), terminal), paths, config)
+        assert classes.iterations == rows.iterations
+        for got, ref in ((classes.y.values, rows.y.values),
+                         (classes.z.base.coeffs, rows.z.base.coeffs)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("generator, terminal", [
+    ("-t*y/s^2", "t*T*wT"),  # product-linear
+    ("0.1*abs(y)", "0.7*wt"),
+    ("0.1*abs(y) + 0*t", "0.7*wT"),
+])
+def test_outer_time_keeps_one_batch_of_every_row_per_level(batches, generator, terminal):
+    # a generator that reads t, or a free term that reads wt, is swept as
+    # today: one projection per level over rows 0..j, so its bits stay
+    grid = build_grid(1.0, 8, 0.5)
+    ensemble = sample_ensemble(grid, 256, seed=2)
+    problem = ProblemSpec(grid, Generator.from_expression(generator),
+                          Terminal.from_expression(terminal))
+    solve_s(problem, ensemble)
+    assert batches == [(j, j + 1) for j in range(grid.steps - 1, -1, -1)]
+
+
+def test_class_path_projects_each_live_class_alone(batches):
+    grid = build_grid(1.0, 8)
+    ensemble = sample_ensemble(grid, 256, seed=2)
+    terminal = _head_edited(Terminal.from_expression("wT"), 3)
+    report = solve_s(ProblemSpec(grid, Generator.from_expression("0.1*abs(y)"), terminal),
+                     ensemble)
+    # the class of nodes 3..8 is live down to level 3, the class of 0..2 at every level
+    both = [(j, 1) for j in range(7, 2, -1) for _ in range(2)]
+    assert batches == both + [(2, 1), (1, 1), (0, 1)]
+    # rows of one class share their kernel coefficients and their history
+    coeffs = report.z.base.coeffs
+    np.testing.assert_array_equal(coeffs[:3, 2], coeffs[:1, 2].repeat(3, 0))
+    np.testing.assert_array_equal(coeffs[3:7, 6], coeffs[3:4, 6].repeat(4, 0))
+
+
+def test_a_false_row_class_declaration_names_its_node():
+    grid = build_grid(1.0, 4)
+    ensemble = sample_ensemble(grid, 64, seed=1)
+    lying = Terminal(lambda grid, w: grid.nodes[:, None] * w[:, -1], splits={3})
+    problem = ProblemSpec(grid, Generator.from_expression("0.1*y"), lying)
+    message = r"^terminal row at node 1 differs from node 0 of its declared class$"
+    with pytest.raises(SolverError, match=message):
+        solve_s(problem, ensemble)
+    # the row path reads no declaration
+    solve_s(ProblemSpec(grid, Generator.from_expression("0.1*y + 0*t"), lying), ensemble)
+
+
+def test_the_mirrored_martingale_column_keeps_the_row_path(batches):
+    # zeta(i, j) reads the design of row i's own node, so the rows differ
+    grid = build_grid(1.0, 4)
+    ensemble = sample_ensemble(grid, 64, seed=1)
+    problem = ProblemSpec(grid, Generator.from_expression("0.1*y + 0.1*zeta"),
+                          Terminal.from_expression("wT"))
+    solve_m(problem, ensemble)
+    assert (3, 4) in batches  # the top level of a sweep, all four rows in one batch
+    assert not _Sweep(problem, ensemble, SolverConfig()).batched
+    assert _Sweep(problem, ensemble, SolverConfig(), row_classes=False).batched

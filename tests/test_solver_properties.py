@@ -140,7 +140,10 @@ def test_past_independence_in_one_pass_modes(ensemble, data):
     # the sweep reads the free term row by row, and row i of level j only
     # meets rows below it inside batched products whose shape does not
     # depend on their values: editing the rows of outer nodes below i0
-    # leaves every figure of the outer nodes from i0 on bitwise intact
+    # leaves every figure of the outer nodes from i0 on bitwise intact.
+    # The edited free term declares the base's row classes split at i0,
+    # so both solves take the same path: one batch of every row, or one
+    # row per class, each projected alone
     n = ensemble.grid.steps
     i0 = data.draw(st.integers(1, n))
     generator = data.draw(generators(zeta=False))
@@ -153,7 +156,9 @@ def test_past_independence_in_one_pass_modes(ensemble, data):
 
     for solve in (solve_s, solve_m, solve_adapted):
         before = solve(_problem(ensemble, generator, base), ensemble)
-        after = solve(_problem(ensemble, generator, Terminal(edited_rows)), ensemble)
+        splits = None if base.splits is None else base.splits | {i0}
+        after = solve(_problem(ensemble, generator, Terminal(edited_rows, splits=splits)),
+                      ensemble)
         np.testing.assert_array_equal(after.y.values[:, i0:], before.y.values[:, i0:])
         assert np.any(after.y.values[:, :i0] != before.y.values[:, :i0])
         np.testing.assert_array_equal(_coeffs(after)[i0:], _coeffs(before)[i0:])
