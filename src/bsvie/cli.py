@@ -455,8 +455,9 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
     solvers = {"s": solve_s, "m": solve_m, "adapted": solve_adapted}
     if mode not in solvers:
         raise CliError(f"problem.mode must be one of {sorted(solvers)}, got {mode!r}")
+    solver_config = _solver_config(config)
     ensemble = sample_ensemble(grid, config["ensemble.paths"], config["ensemble.seed"])
-    report = solvers[mode](problem, ensemble, _solver_config(config))
+    report = solvers[mode](problem, ensemble, solver_config)
 
     emit.csv("y_table.csv", ["i", "t", "mean", "stderr", "l2"],
              _field_rows(report.y.values, grid.nodes))
@@ -537,9 +538,10 @@ def _risk_spec(prefix: str, kind_key: str, config: dict):
 
 
 def _cmd_risk(config: dict, emit: _Emitter) -> int:
+    solver_config = _solver_config(config)
     spec, grid, ensemble = _risk_spec("risk", "risk.aggregator", config)
     # one route driver serves the solve and, on the girsanov route, the self-test
-    driver, solve = route(spec, ensemble, _solver_config(config))
+    driver, solve = route(spec, ensemble, solver_config)
     report = solve(spec.position)
     field = report.y
 
@@ -605,9 +607,10 @@ def _cmd_verify(config: dict, emit: _Emitter) -> int:
 
 
 def _cmd_axioms(config: dict, emit: _Emitter) -> int:
+    solver_config = _solver_config(config)
     spec, grid, ensemble = _risk_spec("axioms", "axioms.preset", config)
     report = check_axioms(
-        spec, ensemble, _solver_config(config),
+        spec, ensemble, solver_config,
         shift=config["axioms.shift"],
         scale=config["axioms.scale"],
         companion=config["axioms.companion"],

@@ -17,6 +17,7 @@ fixed order, which keeps results bitwise identical run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,8 +47,8 @@ class BasisSpec:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {self.degree}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be nonnegative, got {self.ridge}")
+        if not (self.ridge >= 0 and math.isfinite(self.ridge)):
+            raise ValueError(f"ridge must be nonnegative and finite, got {self.ridge}")
 
     @property
     def size(self) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -155,13 +156,15 @@ class Driver:
     density; the designs share one copy of it divided by its mean.
 
     The driver owns the regression nodes, each a design over its state
-    with a view of its increments.  They are built on the first solve
-    that reads them, one set per basis, and kept for the driver's
-    lifetime: M x (degree + 1) floats per node, 16 MB at 64 steps x 8192
-    paths.  Pass one driver to several solves to share them; a solve
-    given an ensemble builds a fresh driver and frees its designs with
-    the solve.  ``dataclasses.replace`` (new state or weights) starts
-    from no designs.
+    with a view of its increments.  A driver given to a solve builds
+    them on the first solve that reads them, one set per basis, and
+    keeps them for its lifetime: M x (degree + 1) floats per node, 16 MB
+    at 64 steps x 8192 paths.  Pass one driver to several solves to
+    share them.  A solve given an ensemble sweeps a fresh driver of its
+    own: swept once, it builds node j's design at level j and drops it
+    when the level ends; swept again (the Picard mode, the zeta fixed
+    point), it keeps them for the solve.  ``dataclasses.replace`` (new
+    state or weights) starts from no designs.
     """
 
     ensemble: PathEnsemble
@@ -183,17 +186,27 @@ class Driver:
     def grid(self) -> TimeGrid:
         return self.ensemble.grid
 
+    @cached_property
+    def _unit_weights(self) -> np.ndarray | None:
+        """The weights divided by their mean: one array, shared by every node."""
+        if self.weights is None:
+            return None
+        with np.errstate(all="ignore"):
+            return self.weights / np.mean(self.weights)
+
+    def _node_design(self, basis: BasisSpec, j: int) -> NodeDesign:
+        """A new design of regression node j of the state."""
+        # an overflow shows in the finiteness check of the build
+        with np.errstate(all="ignore"):
+            return NodeDesign(j, self.state[:, j], self.increments[:, j], self.grid.dt, basis,
+                              self._unit_weights)
+
     def _node_designs(self, basis: BasisSpec) -> list[NodeDesign]:
-        """The regression nodes 0..N-1 of the state, built once per basis."""
+        """The regression nodes 0..N-1 of the state, built once per basis and kept."""
         if basis not in self._designs:
-            # an overflow shows in the finiteness check of the build
-            with np.errstate(all="ignore"):
-                # one normalized array, shared by every node
-                w = None if self.weights is None else self.weights / np.mean(self.weights)
-                self._designs[basis] = [
-                    NodeDesign(j, self.state[:, j], self.increments[:, j], self.grid.dt, basis, w)
-                    for j in range(self.state.shape[1] - 1)
-                ]
+            self._designs[basis] = [
+                self._node_design(basis, j) for j in range(self.state.shape[1] - 1)
+            ]
         return self._designs[basis]
 
 
@@ -205,6 +218,8 @@ class SolverConfig:
     max_iter: int = 50
 
     def __post_init__(self) -> None:
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -295,7 +310,10 @@ class _Sweep:
     """Shared machinery: the driver's designs, the iterate, one level step.
 
     ``paths`` is a :class:`Driver`, or an ensemble for a fresh plain one;
-    the driver's ensemble must lie on the problem's grid.  The iterate is
+    the driver's ensemble must lie on the problem's grid.  ``designs``
+    holds the driver's kept node designs, or is None for a sweep that
+    runs ``once`` on a driver of its own: each level then builds its
+    node's design and drops it when the level ends.  The iterate is
     ``lam`` (Lambda[i][j] of the rows still being swept), ``y`` (Y at
     every node, one column per node) and ``coeffs`` (the kernel
     coefficients of cell (i, j) in ``coeffs[i, j]``); levels read and
@@ -318,9 +336,10 @@ class _Sweep:
 
     def __init__(
         self, problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig,
-        row_classes: bool = True,
+        row_classes: bool = True, once: bool = False,
     ) -> None:
-        self.driver = paths if isinstance(paths, Driver) else Driver.from_ensemble(paths)
+        shared = isinstance(paths, Driver)
+        self.driver = paths if shared else Driver.from_ensemble(paths)
         self.ensemble = self.driver.ensemble
         grid = problem.grid
         _check_grid(grid, self.ensemble.grid)
@@ -330,7 +349,8 @@ class _Sweep:
         self.m = self.ensemble.n_paths
         self.dt = grid.dt
         self.k = config.basis.size
-        self.designs = self.driver._node_designs(config.basis)
+        # a shared driver's designs, or ones read again by a later sweep, are kept
+        self.designs = None if once and not shared else self.driver._node_designs(config.basis)
         terminal = problem.terminal.eval_all(grid, self.ensemble.values)
         bad = ~np.isfinite(terminal)
         if bad.any():
@@ -376,6 +396,7 @@ class _Sweep:
         work: _LevelWork,
         frozen_y: np.ndarray | None,
         zeta_column: Callable[[int, slice, NodeDesign, np.ndarray, np.ndarray], object] | None,
+        martingale: bool = False,
     ) -> None:
         """Advance the rows of outer nodes 0..j from column j+1 to column j.
 
@@ -385,10 +406,17 @@ class _Sweep:
         ``out``; None means the kernel is identified with its mirror (the
         symmetric mode) or is simply never read.  Kernel values are
         evaluated only for a generator that declares ``z`` or ``zeta``.
-        Every (rows x paths) array goes to ``lam`` or to ``work``, but for
-        the exception :class:`_LevelWork` names.
+        ``martingale`` also fills the rows i > j of column j of
+        ``coeffs`` with the martingale rows of Y (:func:`_martingale_rows`),
+        which is right only where Y's columns after j are final, as in a
+        one-pass sweep.  Every (rows x paths) array goes to ``lam`` or to
+        ``work``, but for the exception :class:`_LevelWork` names.
         """
-        design, lam, lo = self.designs[j], self.lam, self.lo
+        if self.designs is None:
+            design = self.driver._node_design(self.config.basis, j)
+        else:
+            design = self.designs[j]
+        lam, lo = self.lam, self.lo
         top = int(self.row_of[j])  # the row holding the diagonal
         off = top + (lo[top] < j)  # the rows that hold nodes below j
         if self.batched:
@@ -411,6 +439,8 @@ class _Sweep:
             if self.g.uses_zeta and zeta_column is not None:
                 zeta_column(j, nodes, design, bz, work.zeta[rows])
         self.coeffs[: j + 1, j] = work.bz[self.row_of[: j + 1]]
+        if martingale:
+            self.coeffs[j + 1:, j] = _martingale_rows(design, self.y, work.xw2)
         z_fit = work.z if kernel_rows else None
         zeta_rows = None
         if self.g.uses_zeta:
@@ -441,12 +471,13 @@ class _Sweep:
     # -- full passes -------------------------------------------------------
 
     def run_levels(
-        self, j_hi: int, j_lo: int, frozen_y: np.ndarray | None = None, zeta_column=None
+        self, j_hi: int, j_lo: int, frozen_y: np.ndarray | None = None, zeta_column=None,
+        martingale: bool = False,
     ) -> None:
         # one set of buffers for the block, dropped once it is swept
         work = _LevelWork(int(self.row_of[j_hi]) + 1, self.m, self.k)
         for j in range(j_hi, j_lo - 1, -1):
-            self.level(j, work, frozen_y, zeta_column)
+            self.level(j, work, frozen_y, zeta_column, martingale)
 
     # -- iterate distances -------------------------------------------------
 
@@ -582,7 +613,7 @@ def solve_s(
     each block, so the total can exceed it.
     """
     config = config or SolverConfig()
-    sweep = _Sweep(problem, paths, config)
+    sweep = _Sweep(problem, paths, config, once=not config.picard)
     if config.picard:
         bookkeeping = _fixed_point(
             sweep, lambda prev_y, prev_c: (prev_y, _frozen_coeff_zeta(prev_c))
@@ -595,17 +626,23 @@ def solve_s(
     )
 
 
-def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray) -> np.ndarray:
-    """Lower-triangle tables: row i at node j < i regresses Y_i * dW_j / dt.
+def _martingale_rows(design: NodeDesign, y_values: np.ndarray, xw2: np.ndarray) -> np.ndarray:
+    """Rows i > j of kernel column j: node j regresses Y_i * dW_j / dt.
 
-    The fitted conditional expectation is subtracted first, as in the
-    sweep: same projection, far less regressand variance.
+    ``xw2`` must hold the node's operand.  The fitted conditional
+    expectation is subtracted first, as in the sweep: same projection,
+    far less regressand variance.
     """
+    return design.project(y_values[:, design.node + 1:].T, xw2)[1]
+
+
+def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray) -> np.ndarray:
+    """Lower-triangle tables: the martingale rows of every node."""
     n, k = len(designs), designs[0].basis.size
     coeffs = np.zeros((n + 1, n + 1, k))
     xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection operand
     for j, design in enumerate(designs):
-        coeffs[j + 1:, j] = design.project(y_values[:, j + 1:].T, design.operand(xw2))[1]
+        coeffs[j + 1:, j] = _martingale_rows(design, y_values, design.operand(xw2))
     return coeffs
 
 
@@ -617,7 +654,8 @@ def solve_m(
     When the generator never reads the mirrored kernel this is the
     diagonal sweep (same code path as :func:`solve_s`, so the upper
     triangles agree bit for bit) plus a lower-triangle fill from the
-    representation of Y.  Otherwise each sweep reads its mirrored values
+    representation of Y, made at each level once Y is final after it.
+    Otherwise each sweep reads its mirrored values
     from the martingale table fitted to the previous Y, iterated to the
     fixed point by the same loop as the Picard mode of :func:`solve_s`.
     The kernel is one full coefficient table: rows i <= j of column j
@@ -626,25 +664,26 @@ def solve_m(
     by :func:`solve_s`.
     """
     config = config or SolverConfig()
+    zeta = problem.generator.uses_zeta
     # the mirrored martingale column reads each row's own node design
-    sweep = _Sweep(problem, paths, config, row_classes=not problem.generator.uses_zeta)
+    sweep = _Sweep(problem, paths, config, row_classes=not zeta, once=not zeta)
 
-    if problem.generator.uses_zeta:
+    if zeta:
         bookkeeping = _fixed_point(
             sweep,
             lambda prev_y, prev_c: (
                 None, _frozen_martingale_zeta(sweep, _martingale_coeffs(sweep.designs, prev_y))
             ),
         )
+        # a sweep is known to be the last only after it ran, so the martingale
+        # rows are fitted once Y is final
+        lower = np.tril_indices(sweep.n + 1, -1)
+        sweep.coeffs[lower] = _martingale_coeffs(sweep.designs, sweep.y)[lower]
     else:
-        sweep.run_levels(sweep.n - 1, 0)
+        sweep.run_levels(sweep.n - 1, 0, martingale=True)
         bookkeeping = (1, True)
 
-    # the martingale table is zero on i <= j, where the sweep's table lives
-    table = _martingale_coeffs(sweep.designs, sweep.y)
-    upper = np.triu_indices(sweep.n + 1)
-    table[upper] = sweep.coeffs[upper]
-    z = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(table), region="full")
+    z = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="full")
     return SolveReport("m-solution", _adapted(sweep), z, *bookkeeping)
 
 
@@ -662,7 +701,7 @@ def solve_adapted(
     if problem.generator.uses_zeta:
         raise ValueError("the mirror-free form takes a generator without zeta")
     config = config or SolverConfig()
-    sweep = _Sweep(problem, paths, config)
+    sweep = _Sweep(problem, paths, config, once=True)
     sweep.run_levels(sweep.n - 1, 0)
     return SolveReport("adapted", _adapted(sweep), _upper_kernel(sweep), 1, True)
 

@@ -244,7 +244,8 @@ def test_degenerate_ensemble_exits_four_without_run_dir(tmp_path, capsys):
 
 def test_overflowing_design_names_its_node_without_warnings(tmp_path, capsys, recwarn):
     out = tmp_path / "runs"
-    # W at node 1 is of order 1e153, so its cube overflows the design
+    # W is of order 1e153 from node 1 on, so its cube overflows the design;
+    # the backward sweep builds node 3's design first
     code, lines, err = _run(
         capsys,
         ["solve", "--problem.generator", "y", "--problem.terminal", "1", "--n", "4",
@@ -253,7 +254,7 @@ def test_overflowing_design_names_its_node_without_warnings(tmp_path, capsys, re
     assert code == 4
     assert lines == []
     assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
-    assert "node 1" in err
+    assert "node 3" in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
@@ -283,6 +284,15 @@ def test_overflowing_projection_prints_one_error_line(tmp_path, capsys, recwarn,
     # the companion key is a number, so an expression is rejected before any solve
     ["axioms", "--preset", "linear", "--axioms.companion", "1e308*wT*wT", "--n", "4",
      "--m", "64"],
+    # an infinite tolerance would accept the first sweep as converged
+    ["solve", "--case", "product-linear", "--solver.picard", "true", "--solver.tol", "inf",
+     "--n", "8", "--m", "256"],
+    ["solve", "--case", "product-linear", "--solver.picard", "true", "--solver.tol", "-1",
+     "--n", "8", "--m", "256"],
+    ["solve", "--case", "product-linear", "--solver.picard", "true", "--solver.tol", "nan",
+     "--n", "8", "--m", "256"],
+    ["solve", "--case", "product-linear", "--solver.ridge", "nan", "--n", "8", "--m", "256"],
+    ["risk", "--solver.ridge", "inf", "--n", "8", "--m", "256"],
 ])
 def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

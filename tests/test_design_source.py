@@ -1,8 +1,9 @@
-"""Per-node design matrices have one source: ``Driver._node_designs``.
+"""Per-node design matrices have one source: ``Driver._node_design``.
 
 Every solve takes its designs from the driver it sweeps, which builds
-them once per basis and keeps them, so ``NodeDesign`` is constructed in
-exactly one place in the package.  A node names itself in its failures,
+each of them in that one method, whether it keeps them or the sweep
+drops each with its level, so ``NodeDesign`` is constructed in exactly
+one place in the package.  A node names itself in its failures,
 so regression errors are raised in ``regression.py`` alone and no caller
 re-raises them with a node prefix.  A driver pairs a regression state
 with the ensemble it was computed from, so ``Driver(...)`` is called
@@ -47,7 +48,7 @@ def test_node_designs_are_built_in_one_place():
         for path in sorted(PACKAGE.glob("*.py"))
         for where in _constructions(path.read_text(encoding="utf-8"))
     ]
-    assert sites == ["solver.py: Driver._node_designs"]
+    assert sites == ["solver.py: Driver._node_design"]
 
 
 _REGRESSION_ERRORS = ("RegressionError", "DegenerateEnsembleError")

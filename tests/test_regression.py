@@ -47,6 +47,9 @@ def test_basis_spec_validation():
         BasisSpec(degree=-1)
     with pytest.raises(ValueError):
         BasisSpec(ridge=-1e-3)
+    for ridge in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"ridge must be nonnegative and finite, got {ridge}"):
+            BasisSpec(ridge=ridge)
 
 
 def test_in_span_target_reproduced(unit_ensemble):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +253,59 @@ def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
     lower = _martingale_fill(report.y.values, ensemble)
     below = np.tri(grid.steps + 1, k=-1, dtype=bool)
     np.testing.assert_array_equal(report.z.coeffs[below], lower[below])
+
+
+@pytest.mark.parametrize("path", ["rows", "classes", "tilted"])
+def test_one_pass_martingale_rows_are_the_separate_fill(pl_small, path):
+    # a one-pass solve_m fills node j's martingale rows inside level j, on
+    # Y columns that are final there: the bits of a fill after the sweep
+    case, grid, ensemble = pl_small
+    if path == "classes":
+        problem = ProblemSpec(grid, Generator.from_expression("0.1*abs(y)"),
+                              Terminal.from_expression("0.7*wT"))
+    else:
+        problem = case.problem(grid)
+    if path == "tilted":
+        paths = tilt(ensemble, DriftSpec(r1=0.5))
+        designs = paths._node_designs(BasisSpec())
+    else:
+        paths = ensemble
+        designs = Driver.from_ensemble(ensemble)._node_designs(BasisSpec())
+    report = solve_m(problem, paths)
+    lower = solver._martingale_coeffs(designs, report.y.values)
+    below = np.tri(grid.steps + 1, k=-1, dtype=bool)
+    assert np.any(lower[below])
+    np.testing.assert_array_equal(report.z.coeffs[below], lower[below])
+
+
+@pytest.fixture
+def live_designs(monkeypatch):
+    """The number of NodeDesign instances alive after each construction."""
+    live, counts = weakref.WeakSet(), []
+    original = NodeDesign.__init__
+
+    def counted(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        live.add(self)
+        counts.append(len(live))
+
+    monkeypatch.setattr(NodeDesign, "__init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("solve", [solve_s, solve_m, solve_adapted])
+def test_a_one_pass_solve_of_an_ensemble_holds_one_design_at_a_time(live_designs, pl_small,
+                                                                     solve):
+    case, grid, ensemble = pl_small
+    n, problem = grid.steps, case.problem(grid)
+    solve(problem, ensemble)
+    assert live_designs == [1] * n
+    # a driver given to the solve keeps every design, and its next solve builds none
+    driver = Driver.from_ensemble(ensemble)
+    solve(problem, driver)
+    assert live_designs[n:] == list(range(1, n + 1))
+    solve(problem, driver)
+    assert len(live_designs) == 2 * n
 
 
 def _diff_surface(a, b):
@@ -571,6 +625,12 @@ def test_iterate_norm_matches_evaluated_path_mean(pl_small, tilted):
 def test_solver_config_rejects_zero_iterations():
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+def test_solver_config_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+        SolverConfig(tol=tol)
 
 
 def test_non_finite_generator_located(pl_setup):
