@@ -146,21 +146,27 @@ def girsanov_selftest(tilted: Driver, threshold: float = 4.0) -> SelftestReport:
 
     Scores are standardized by the weighted standard errors, so a sign
     mistake in the density shifts every mean score by about 2 r sqrt(dt
-    M) and fails loudly.
+    M) and fails loudly.  ``threshold`` must be positive and finite.
     """
     w = tilted.weights
     if w is None:
         raise ValueError("the self-test needs a tilted driver; this one carries no weights")
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     m = w.shape[0]
     dt = tilted.grid.dt
     w_sum = float(np.sum(w))
     incs = tilted.increments
     means = (w @ incs) / w_sum
-    centered = incs - means[None, :]
-    se_mean = np.sqrt((w**2) @ (centered**2)) / w_sum
+    # the squared centred increments, then their squared spread, in one array
+    sq = incs - means[None, :]
+    np.square(sq, out=sq)
+    se_mean = np.sqrt((w**2) @ sq) / w_sum
     mean_scores = means / np.maximum(se_mean, 1e-300)
-    variances = (w @ (centered**2)) / w_sum
-    spread = (w**2) @ ((centered**2 - variances[None, :]) ** 2)
+    variances = (w @ sq) / w_sum
+    sq -= variances[None, :]
+    np.square(sq, out=sq)
+    spread = (w**2) @ sq
     se_var = np.sqrt(spread) / w_sum
     var_scores = (variances - dt) / np.maximum(se_var, 1e-300)
     weight_mean = w_sum / m

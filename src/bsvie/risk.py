@@ -171,7 +171,12 @@ def route(
 
     def solve(position: str | float | Terminal) -> SolveReport:
         psi = position_terminal(position)
-        terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w), splits=psi.splits)
+
+        def negated(grid: TimeGrid, w: np.ndarray) -> np.ndarray:
+            values = psi.eval_all(grid, w)
+            return np.negative(values, out=values)
+
+        terminal = Terminal(negated, splits=psi.splits)
         problem = ProblemSpec(grid=ensemble.grid, generator=generator, terminal=terminal)
         return solve_s(problem, driver, config)
 
@@ -276,10 +281,16 @@ def _perturbed(psi: Terminal, edit: Callable, splits=()) -> Terminal:
 
 
 def _positive_part_stats(defect: np.ndarray, scale: float) -> tuple[float, dict]:
-    viol = np.maximum(defect, 0.0) / scale
-    q50, q90, q99 = np.quantile(viol, (0.5, 0.9, 0.99))
-    qs = {"q50": float(q50), "q90": float(q90), "q99": float(q99), "max": float(viol.max())}
-    return qs["max"], qs
+    """Largest and quantiles of max(defect, 0) / scale.
+
+    Consumes ``defect``: its positive part is formed in place and the
+    quantiles partition it, so pass an array nobody reads afterwards.
+    """
+    viol = np.maximum(defect, 0.0, out=defect)
+    viol /= scale
+    top = float(viol.max())
+    q50, q90, q99 = np.quantile(viol, (0.5, 0.9, 0.99), overwrite_input=True)
+    return top, {"q50": float(q50), "q90": float(q90), "q99": float(q99), "max": top}
 
 
 def check_axioms(
@@ -299,7 +310,10 @@ def check_axioms(
     aggregator; homogeneity needs a positively homogeneous one.  All
     runs share ``ensemble``, so every defect compares common paths, and
     one route driver, so the node designs are built once per call.  The
-    arguments are checked before the first solve.
+    arguments are checked before the first solve.  Each perturbed field
+    lives only until its defect is formed, and each defect is built in
+    the one array it allocates, so every solve runs beside the base risk
+    and at most one other field of paths x nodes.
     """
     grid = ensemble.grid
     n = grid.steps
@@ -322,12 +336,14 @@ def check_axioms(
 
     _, solve = route(spec, ensemble, config)
     rho0 = solve(psi).y
-    norm = max(_sup_node_l2(rho0.values), 1e-12)
+    base = rho0.values
+    norm = max(_sup_node_l2(base), 1e-12)
     m = ensemble.n_paths
+    size = m * (n + 1)
     checks: list[AxiomCheck] = []
 
-    def run(position: Terminal) -> AdaptedField:
-        return solve(position).y
+    def run(position: Terminal) -> np.ndarray:
+        return solve(position).y.values
 
     # past independence: the sweep reads the free term row by row and
     # never below the current node, so editing early rows must leave
@@ -337,8 +353,11 @@ def check_axioms(
         return values
 
     edited = run(_perturbed(psi, edit_head, (i0,)))
-    tail_gap = float(np.abs(edited.values[:, i0:] - rho0.values[:, i0:]).max())
-    head_changed = bool(np.any(edited.values[:, :i0] != rho0.values[:, :i0]))
+    head_changed = bool(np.any(edited[:, :i0] != base[:, :i0]))
+    tail = edited[:, i0:] - base[:, i0:]
+    del edited
+    tail_gap = float(np.abs(tail, out=tail).max())
+    del tail
     checks.append(AxiomCheck(
         axiom="past-independence",
         max_violation=tail_gap,
@@ -349,15 +368,14 @@ def check_axioms(
     ))
 
     # monotonicity: a larger position cannot carry more risk
-    bigger = run(_perturbed(psi, lambda v, *_: v + abs(shift)))
-    mono_defect = bigger.values - rho0.values
-    mono_max, mono_q = _positive_part_stats(mono_defect, norm)
+    mono_max, mono_q = _positive_part_stats(
+        run(_perturbed(psi, lambda v, *_: v + abs(shift))) - base, norm)
     checks.append(AxiomCheck(
         axiom="monotonicity",
         max_violation=mono_max,
         tolerance=_MONOTONICITY_TOL,
         passed=mono_max <= _MONOTONICITY_TOL,
-        sample_size=mono_defect.size,
+        sample_size=size,
         detail=f"position shift +{abs(shift)!r}, violations relative to sup-node L2",
         quantiles=mono_q,
     ))
@@ -366,20 +384,21 @@ def check_axioms(
         # translation: the response to a constant shift is the solver's
         # own unit response, exactly, by linearity of every sweep step
         unit = run(Terminal.constant(-1.0))
-        shifted = run(_perturbed(psi, lambda v, *_: v + shift))
-        defect = shifted.values - rho0.values + shift * unit.values
-        trans_max = float(np.abs(defect).max())
+        defect = run(_perturbed(psi, lambda v, *_: v + shift)) - base
+        defect += shift * unit
+        trans_max = float(np.abs(defect, out=defect).max())
+        del defect
         checks.append(AxiomCheck(
             axiom="translation",
             max_violation=trans_max,
             tolerance=_EXACT_TOL,
             passed=trans_max <= _EXACT_TOL,
-            sample_size=defect.size,
+            sample_size=size,
             detail=f"shift {shift!r} against the unit response, common paths",
         ))
         if spec.aggregator.kind == "linear":
             factor = discount_factor(spec.aggregator.rate, grid)
-            gap = np.abs(unit.values.mean(axis=0) - factor) / factor
+            gap = np.abs(unit.mean(axis=0) - factor) / factor
             factor_max = float(gap.max())
             checks.append(AxiomCheck(
                 axiom="translation-factor",
@@ -389,34 +408,40 @@ def check_axioms(
                 sample_size=n + 1,
                 detail="unit response against the tail-integral discount factor",
             ))
+        del unit
 
     if spec.aggregator.is_homogeneous:
         scaled = run(_perturbed(psi, lambda v, *_: lam * v))
-        homo = float(np.abs(scaled.values - lam * rho0.values).max())
+        defect = lam * base
+        np.subtract(scaled, defect, out=defect)
+        del scaled
+        homo = float(np.abs(defect, out=defect).max())
+        del defect
         checks.append(AxiomCheck(
             axiom="homogeneity",
             max_violation=homo,
             tolerance=_EXACT_TOL,
             passed=homo <= _EXACT_TOL,
-            sample_size=scaled.values.size,
+            sample_size=size,
             detail=f"scale {lam!r}",
         ))
 
     # sub-additivity: risk of the sum at most the sum of risks
     rho_other = run(other)
-    rho_sum = run(_perturbed(psi, lambda v, grid, w: v + other.eval_all(grid, w),
-                             other.splits))
-    sub_defect = rho_sum.values - rho0.values - rho_other.values
-    sub_max, sub_q = _positive_part_stats(sub_defect, norm)
+    sub_defect = run(_perturbed(psi, lambda v, grid, w: v + other.eval_all(grid, w),
+                                other.splits)) - base
+    sub_defect -= rho_other
+    del rho_other
     detail = "companion position " + (other.source or "?")
     if spec.aggregator.is_linear:
         detail += f"; linear, equality defect {float(np.abs(sub_defect).max()):.3e}"
+    sub_max, sub_q = _positive_part_stats(sub_defect, norm)
     checks.append(AxiomCheck(
         axiom="sub-additivity",
         max_violation=sub_max,
         tolerance=_SUBADDITIVITY_TOL,
         passed=sub_max <= _SUBADDITIVITY_TOL,
-        sample_size=sub_defect.size,
+        sample_size=size,
         detail=detail,
         quantiles=sub_q,
     ))

@@ -88,6 +88,9 @@ class Generator:
 class Terminal:
     """Free term of the system: per-path values at every outer node.
 
+    ``fn(grid, w)`` returns a fresh array on every call, so a reader of
+    :meth:`eval_all` may write into it.
+
     ``splits`` declares which rows coincide.  None declares nothing.  A
     set of outer nodes declares that the rows form runs of bitwise-equal
     rows, each starting at node 0 or at a node of the set; an empty set

@@ -132,3 +132,10 @@ def test_tilted_arrays_read_only(ensemble):
         tilted.weights[0] = 2.0
     with pytest.raises(ValueError):
         tilted.state[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+def test_selftest_rejects_a_threshold_not_positive_and_finite(ensemble, threshold):
+    tilted = tilt(ensemble, DriftSpec(r1=0.5))
+    with pytest.raises(ValueError, match=f"threshold must be positive and finite, got {threshold}"):
+        girsanov_selftest(tilted, threshold=threshold)
