@@ -76,7 +76,8 @@ def sample_ensemble(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
     normals = _path_normals(seed, 0, n_paths, grid.steps)
-    increments = normals * np.sqrt(grid.dt)
+    # scaled in place: sampling holds one (paths x steps) array
+    increments = np.multiply(normals, np.sqrt(grid.dt), out=normals)
     values = np.empty((n_paths, grid.steps + 1), dtype=np.float64)
     values[:, 0] = 0.0
     np.cumsum(increments, axis=1, out=values[:, 1:])

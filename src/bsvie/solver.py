@@ -55,11 +55,18 @@ class Generator:
     arguments are one row per row class, not per outer node, and ``t``
     and ``wt`` are None there.
 
+    The sweep evaluates the off-diagonal cells of a level one block of
+    rows at a time, each block in its own call, so the row arguments
+    hold at most one block of rows.  ``y`` is the level's Y column as one
+    contiguous row.
+
     The arrays in ``env`` are borrowed for the duration of the call.
     The sweep reuses their memory at later cells, so a generator that
     keeps one past the call must copy it, and it must not write into
     them.  The sweep in turn never writes into an array the generator
-    received or returned before it has read the result.
+    received or returned before it has read the result, and then only
+    into a result held in the sweep's own registers, which it scales by
+    dt in place.
     """
 
     def __init__(self, fn: Callable[[dict], np.ndarray], needs):
@@ -283,25 +290,37 @@ def _check_grid(grid: TimeGrid, other: TimeGrid) -> None:
         raise ValueError("problem grid and ensemble grid disagree")
 
 
-class _LevelWork:
-    """Work buffers of one sweep, for every (rows x paths) array of a level.
+# values of one row block of the off-diagonal update: 8 rows at 16384
+# paths, 2 at 65536 and at least one; the blocked steps are elementwise
+# and row-independent, so the block size moves no bit
+_BLOCK_VALUES = 1 << 17
 
-    A level of iterate rows 0..r < ``rows`` writes its kernel rows,
-    mirrored rows, dt * g, finiteness mask and generator intermediates
-    into the front of these, so its levels allocate no array of that
-    size.  The exception is an expression reading ``wt``: the rows'
+
+class _LevelWork:
+    """Work buffers of a sweep, allocated by its first run of levels and kept.
+
+    ``z`` and ``zeta`` take a level's kernel and mirrored rows, each one
+    whole-batch product, and exist only for a generator that reads them.
+    The off-diagonal update runs ``block`` rows at a time, so what it
+    writes per row is sized to one block: the generator's registers, the
+    finiteness mask and ``scaled``, which takes dt * g of a result the
+    registers do not hold.  ``y`` takes the level's Y column as one
+    contiguous row.  A level therefore allocates no (rows x paths)
+    array.  The exception is an expression reading ``wt``: the rows'
     outer-node paths are a transposed view, so what is computed from
-    them is allocated as numpy lays it out.
+    them is allocated, one block at a time, as numpy lays it out.
     """
 
-    def __init__(self, rows: int, m: int, k: int) -> None:
-        self.z = np.empty((rows, m))
-        self.zeta = np.empty((rows, m))
+    def __init__(self, rows: int, m: int, k: int, kernel: bool, mirrored: bool) -> None:
+        self.block = max(1, min(rows, _BLOCK_VALUES // m))
+        self.z = np.empty((rows, m)) if kernel else None
+        self.zeta = np.empty((rows, m)) if mirrored else None
         self.bz = np.empty((rows, k))
-        self.scaled = np.empty(rows * m)
-        self.finite = np.empty(rows * m, dtype=bool)
+        self.y = np.empty(m)
+        self.scaled = np.empty(self.block * m)
+        self.finite = np.empty(self.block * m, dtype=bool)
         self.xw2 = np.empty((2 * k, m))  # the operand of NodeDesign.project
-        self.registers = Registers(rows * m)
+        self.registers = Registers(self.block * m)
 
 
 def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -355,10 +374,9 @@ class _Sweep:
         # a shared driver's designs, or ones read again by a later sweep, are kept
         self.designs = None if once and not shared else self.driver._node_designs(config.basis)
         terminal = problem.terminal.eval_all(grid, self.ensemble.values)
-        bad = ~np.isfinite(terminal)
-        if bad.any():
-            i = int(np.argwhere(bad.any(axis=1))[0][0])
-            raise SolverError(f"terminal data is non-finite at node {i}")
+        finite = np.isfinite(terminal).all(axis=1)
+        if not finite.all():
+            raise SolverError(f"terminal data is non-finite at node {int(np.argmin(finite))}")
         self.g = problem.generator
         splits = problem.terminal.splits
         self.batched = not row_classes or splits is None or bool(self.g.needs & _OUTER_NAMES)
@@ -367,36 +385,44 @@ class _Sweep:
         else:
             self.lo = [0, *sorted(i for i in splits if 0 < i <= self.n)]
         self.row_of = np.repeat(np.arange(len(self.lo)), np.diff([*self.lo, self.n + 1]))
-        bits = terminal.view(np.uint64)
         for i in np.flatnonzero(self.row_of[1:] == self.row_of[:-1]) + 1:
-            if not np.array_equal(bits[i], bits[i - 1]):
+            if not np.array_equal(terminal[i].view(np.uint64), terminal[i - 1].view(np.uint64)):
                 raise SolverError(
                     f"terminal row at node {i} differs from node {i - 1} of its declared class"
                 )
-        self.lam = terminal[self.lo]
+        # the row path adopts the fresh free term, the class path keeps its class rows
+        if self.batched:
+            self.lam = np.require(terminal, requirements=["C", "W"])
+        else:
+            self.lam = terminal[self.lo]
+        del terminal
         self.y = np.empty((self.m, self.n + 1))
-        self.y[:, self.n] = terminal[self.n]
+        # node n's row is bitwise its class row, and no level advances it before this
+        self.y[:, self.n] = self.lam[self.row_of[self.n]]
         self.coeffs = np.zeros((self.n + 1, self.n + 1, self.k))
+        self.work: _LevelWork | None = None
 
-    def _check_g(self, work: _LevelWork, values: np.ndarray, nodes, j: int) -> None:
+    def _check_g(self, values: np.ndarray, nodes, j: int) -> None:
         """Raise at the first non-finite row; row r of ``values`` is outer node nodes[r]."""
-        finite = np.isfinite(values, out=_front(work.finite, values.shape))
+        finite = np.isfinite(values, out=_front(self.work.finite, values.shape))
         if finite.all():
             return
         row = 0 if values.ndim < 2 else int(np.argwhere(~finite.all(axis=1))[0][0])
         raise SolverError(f"generator returned non-finite values at (i={nodes[row]}, j={j})")
 
-    def _times_dt(self, work: _LevelWork, g: np.ndarray) -> np.ndarray:
+    def _times_dt(self, g: np.ndarray) -> np.ndarray:
+        """dt * g, over g itself when the registers hold it, else in ``work.scaled``."""
         if g.ndim == 0:
             return self.dt * g
-        return np.multiply(self.dt, g, out=_front(work.scaled, g.shape))
+        work = self.work
+        out = g if work.registers.holds(g) else _front(work.scaled, g.shape)
+        return np.multiply(self.dt, g, out=out)
 
     # -- one backward level ----------------------------------------------
 
     def level(
         self,
         j: int,
-        work: _LevelWork,
         frozen_y: np.ndarray | None,
         zeta_column: Callable[[int, slice, NodeDesign, np.ndarray, np.ndarray], object] | None,
         martingale: bool = False,
@@ -412,9 +438,14 @@ class _Sweep:
         ``martingale`` also fills the rows i > j of column j of
         ``coeffs`` with the martingale rows of Y (:func:`_martingale_rows`),
         which is right only where Y's columns after j are final, as in a
-        one-pass sweep.  Every (rows x paths) array goes to ``lam`` or to
-        ``work``, but for the exception :class:`_LevelWork` names.
+        one-pass sweep.  The projections and evaluations take all rows
+        at once; the off-diagonal update (the generator, its check, the
+        dt scaling and the add to ``lam``) runs one block of
+        :class:`_LevelWork` rows at a time.  Every (rows x paths) array
+        goes to ``lam`` or to ``self.work``, but for the exception
+        :class:`_LevelWork` names.
         """
+        work = self.work
         if self.designs is None:
             design = self.driver._node_design(self.config.basis, j)
         else:
@@ -426,8 +457,8 @@ class _Sweep:
             batches = [(slice(0, j + 1), slice(0, j + 1))]  # (lam rows, their outer nodes)
         else:
             batches = [(slice(r, r + 1), slice(lo[r], lo[r] + 1)) for r in range(top + 1)]
-        symmetric_zeta = self.g.uses_zeta and zeta_column is None
-        kernel_rows = "z" in self.g.needs or symmetric_zeta
+        z_fit = work.z
+        zeta_rows = z_fit if self.g.uses_zeta and zeta_column is None else work.zeta
         design.operand(work.xw2)
         for rows, nodes in batches:
             # both node estimates are variance-reduced by the other (see
@@ -437,17 +468,13 @@ class _Sweep:
             work.bz[rows] = bz
             # the rows are read: their fitted conditional expectations replace them
             design.evaluate(c, out=lam[rows])
-            if kernel_rows:
-                design.evaluate(bz, out=work.z[rows])
-            if self.g.uses_zeta and zeta_column is not None:
+            if z_fit is not None:
+                design.evaluate(bz, out=z_fit[rows])
+            if work.zeta is not None:
                 zeta_column(j, nodes, design, bz, work.zeta[rows])
         self.coeffs[: j + 1, j] = work.bz[self.row_of[: j + 1]]
         if martingale:
             self.coeffs[j + 1:, j] = _martingale_rows(design, self.y, work.xw2)
-        z_fit = work.z if kernel_rows else None
-        zeta_rows = None
-        if self.g.uses_zeta:
-            zeta_rows = z_fit if symmetric_zeta else work.zeta
 
         paths = self.ensemble.values
         # diagonal first: its y-argument is the regressed predictor
@@ -455,21 +482,29 @@ class _Sweep:
         zeta_diag = None if zeta_rows is None else zeta_rows[top]
         env = _generator_env(self.grid, paths, j, j, lam[top], z_diag, zeta_diag)
         g_diag = np.asarray(self.g(env, work.registers), dtype=np.float64)
-        self._check_g(work, g_diag, (j,), j)
+        self._check_g(g_diag, (j,), j)
         # the row keeps its predictor, which its nodes below j still read
-        np.add(lam[top], self._times_dt(work, g_diag), out=self.y[:, j])
+        np.add(lam[top], self._times_dt(g_diag), out=self.y[:, j])
 
         if off == 0:
             return
-        y_rows = self.y[:, j] if frozen_y is None else frozen_y[:, j]
-        z_off = None if z_fit is None else z_fit[:off]
-        zeta_off = None if zeta_rows is None else zeta_rows[:off]
-        t = slice(0, j) if self.batched else None
-        env = _generator_env(self.grid, paths, t, j, y_rows, z_off, zeta_off)
-        # a generator independent of the row index returns one row, broadcast here
-        g_rows = np.asarray(self.g(env, work.registers), dtype=np.float64)
-        self._check_g(work, g_rows, lo, j)
-        np.add(lam[:off], self._times_dt(work, g_rows), out=lam[:off])
+        y_row = work.y
+        y_row[:] = (self.y if frozen_y is None else frozen_y)[:, j]
+        start = 0
+        while start < off:
+            rows = slice(start, min(start + work.block, off))
+            env = _generator_env(
+                self.grid, paths, rows if self.batched else None, j, y_row,
+                None if z_fit is None else z_fit[rows],
+                None if zeta_rows is None else zeta_rows[rows],
+            )
+            g_rows = np.asarray(self.g(env, work.registers), dtype=np.float64)
+            self._check_g(g_rows, lo[rows], j)
+            if g_rows.ndim < 2:
+                # independent of the row index: one row, broadcast to every row left
+                rows = slice(start, off)
+            np.add(lam[rows], self._times_dt(g_rows), out=lam[rows])
+            start = rows.stop
 
     # -- full passes -------------------------------------------------------
 
@@ -477,10 +512,14 @@ class _Sweep:
         self, j_hi: int, j_lo: int, frozen_y: np.ndarray | None = None, zeta_column=None,
         martingale: bool = False,
     ) -> None:
-        # one set of buffers for the block, dropped once it is swept
-        work = _LevelWork(int(self.row_of[j_hi]) + 1, self.m, self.k)
+        if self.work is None:
+            # one set of buffers for the solve, sized to its widest level
+            symmetric_zeta = self.g.uses_zeta and zeta_column is None
+            self.work = _LevelWork(int(self.row_of[self.n - 1]) + 1, self.m, self.k,
+                                   "z" in self.g.needs or symmetric_zeta,
+                                   self.g.uses_zeta and not symmetric_zeta)
         for j in range(j_hi, j_lo - 1, -1):
-            self.level(j, work, frozen_y, zeta_column, martingale)
+            self.level(j, frozen_y, zeta_column, martingale)
 
     # -- iterate distances -------------------------------------------------
 
@@ -550,13 +589,13 @@ def _fixed_point(
 ) -> tuple[int, bool, list[float], list[float]]:
     """Iterate frozen-data sweeps to their fixed point.
 
-    ``freeze(prev_y, prev_c)`` maps the previous iterate (zeros before the
-    first sweep) to the sweep's frozen data: the y-argument of the
-    off-diagonal cells (None keeps the sweep's own diagonal) and the
-    mirrored-kernel column.  The iteration runs on the whole level range
-    and bisects a block into sub-blocks only when the block's own
-    contraction ratios stay at or above one; ``max_iter`` bounds each
-    block.  Blocks run depth first, upper half before lower half, each
+    ``freeze(prev_y, prev_c)`` maps the previous iterate (None for the
+    zero iterate before a block's first sweep) to the sweep's frozen
+    data: the y-argument of the off-diagonal cells (None keeps the
+    sweep's own diagonal) and the mirrored-kernel column.  The iteration
+    runs on the whole level range and bisects a block into sub-blocks
+    only when the block's own contraction ratios stay at or above one;
+    ``max_iter`` bounds each block.  Blocks run depth first, upper half before lower half, each
     from the ``lam`` its predecessor left.  The solution stays in the
     sweep; returns the bookkeeping fields of :class:`SolveReport`.
     """
@@ -568,8 +607,7 @@ def _fixed_point(
     while blocks:
         j_hi, j_lo, depth = blocks.pop()
         entry = sweep.lam.copy()
-        prev_y = np.zeros_like(sweep.y)
-        prev_c = np.zeros_like(sweep.coeffs)
+        prev_y = prev_c = None  # the zero iterate
         updates: list[float] = []
         ratios: list[float] = []
         for _ in range(max_iter):
@@ -584,6 +622,8 @@ def _fixed_point(
                 all_ratios.append(ratios[-1])
             updates.append(upd)
             all_updates.append(upd)
+            if prev_y is None:
+                prev_y, prev_c = np.zeros_like(sweep.y), np.zeros_like(sweep.coeffs)
             # later columns hold the solved blocks, which the martingale fit reads
             prev_y[:, j_lo:] = sweep.y[:, j_lo:]
             prev_c[:, j_lo:] = sweep.coeffs[:, j_lo:]
@@ -618,9 +658,12 @@ def solve_s(
     config = config or SolverConfig()
     sweep = _Sweep(problem, paths, config, once=not config.picard)
     if config.picard:
-        bookkeeping = _fixed_point(
-            sweep, lambda prev_y, prev_c: (prev_y, _frozen_coeff_zeta(prev_c))
-        )
+        def freeze(prev_y, prev_c):
+            if prev_y is None:  # the zero iterate, which the frozen y reads
+                prev_y, prev_c = np.zeros_like(sweep.y), np.zeros_like(sweep.coeffs)
+            return prev_y, _frozen_coeff_zeta(prev_c)
+
+        bookkeeping = _fixed_point(sweep, freeze)
     else:
         sweep.run_levels(sweep.n - 1, 0)
         bookkeeping = (1, True)
@@ -639,10 +682,15 @@ def _martingale_rows(design: NodeDesign, y_values: np.ndarray, xw2: np.ndarray) 
     return design.project(y_values[:, design.node + 1:].T, xw2)[1]
 
 
-def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray) -> np.ndarray:
-    """Lower-triangle tables: the martingale rows of every node."""
+def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray | None) -> np.ndarray:
+    """Lower-triangle tables: the martingale rows of every node.
+
+    None stands for the zero iterate, whose table is zero without a fit.
+    """
     n, k = len(designs), designs[0].basis.size
     coeffs = np.zeros((n + 1, n + 1, k))
+    if y_values is None:
+        return coeffs
     xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection operand
     for j, design in enumerate(designs):
         coeffs[j + 1:, j] = _martingale_rows(design, y_values, design.operand(xw2))

@@ -245,6 +245,23 @@ def test_program_writes_into_its_registers():
     assert np.shares_memory(out, registers.buffers[0]) or np.shares_memory(
         out, registers.buffers[1]
     )
+    assert registers.holds(out) and not registers.holds(env["z"])
     # a lone variable comes back borrowed, a constant as a scalar
     assert Program(parse("z"))(env, registers) is env["z"]
     assert Program(parse("0.3 + 0"))(env, registers) == np.float64(0.3)
+
+
+def test_a_strided_y_gives_the_bytes_of_a_contiguous_one():
+    # the sweep hands the generator its Y column as a contiguous copy of a
+    # strided column of the iterate; the loops numpy picks for these calls
+    # must round alike for both layouts, or the copy would move bits
+    rng = np.random.default_rng(7)
+    columns = rng.standard_normal((4099, 9)) * 3.0
+    t = np.linspace(0.5, 1.0, 5)[:, None]
+    program = Program(parse("exp(-t*y)*sin(y) + cos(s*y)^2 - log(1 + y^2) + abs(y)^1.7 + 2^y"))
+    for j in range(columns.shape[1]):
+        results = []
+        for y in (columns[:, j], np.ascontiguousarray(columns[:, j])):
+            env = {"t": t, "s": np.float64(0.75), "y": y}
+            results.append(np.copy(program(env, Registers(5 * 4099))))
+        assert results[0].tobytes() == results[1].tobytes()

@@ -30,6 +30,7 @@ from bsvie import (
 )
 from bsvie import solver
 from bsvie.analytic import get_case, reference_fields
+from bsvie.expr import Program, Registers, free_variables, parse
 from bsvie.solver import _Sweep
 
 M = 8192
@@ -429,17 +430,21 @@ def test_generator_returning_a_borrowed_array_matches_a_copy(pl_small, name, pic
     np.testing.assert_array_equal(ys[0], ys[1])
 
 
-@pytest.mark.parametrize("mode", ["s", "zeta"])
+@pytest.mark.parametrize("mode", ["s", "z", "zeta"])
 def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
     # every (rows x paths) intermediate of a level lands in the sweep's
     # work buffers: beyond them, sweeping all levels traces less memory
-    # than one (steps x paths) array
+    # than one (steps x paths) array.  Kernel and mirrored work rows
+    # exist only for a generator that reads them.
     n, m = 16, 4096
     case = get_case("product-linear")
     grid = case.grid(n)
     ensemble = sample_ensemble(grid, m, seed=1)
     if mode == "s":
         sweep = _Sweep(case.problem(grid), ensemble, SolverConfig())
+        zeta_column = None
+    elif mode == "z":
+        sweep = _Sweep(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*z"), ensemble, SolverConfig())
         zeta_column = None
     else:
         sweep = _Sweep(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble, SolverConfig())
@@ -464,6 +469,7 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
     finally:
         tracemalloc.stop()
     assert len(made) == 1
+    assert (made[0].z is not None, made[0].zeta is not None) == (mode == "z", mode == "zeta")
     buffers = [a for a in vars(made[0]).values() if isinstance(a, np.ndarray)]
     beyond = peak - base - sum(a.nbytes for a in buffers + made[0].registers.buffers)
     assert beyond < n * m * 8, f"{beyond} bytes traced beyond the work buffers"
@@ -869,3 +875,104 @@ def test_the_mirrored_martingale_column_keeps_the_row_path(batches):
     assert (3, 4) in batches  # the top level of a sweep, all four rows in one batch
     assert not _Sweep(problem, ensemble, SolverConfig()).batched
     assert _Sweep(problem, ensemble, SolverConfig(), row_classes=False).batched
+
+
+def _block_cases():
+    case = get_case("product-linear")
+    grid = case.grid(16)
+    ensemble = sample_ensemble(grid, 1024, seed=5)
+    picard = SolverConfig(picard=True, tol=1e-8)
+
+    def problem(generator, terminal=case.terminal_src, g=grid):
+        return ProblemSpec(g, Generator.from_expression(generator),
+                           Terminal.from_expression(terminal))
+
+    bisect_grid = build_grid(1.0, 16)
+    return {
+        # the row path, with kernel rows and the transposed outer-node paths
+        "rows": lambda: solve_s(problem("-t*y/s^2 + 0.3*z*sin(wt)"), ensemble),
+        "picard": lambda: solve_s(problem("-t*y/s^2 + 0.1*zeta"), ensemble, picard),
+        "zeta": lambda: solve_m(problem("-t*y/s^2 + 0.1*zeta"), ensemble),
+        "bisected": lambda: solve_s(problem("(5+t)*y", "t*wT", bisect_grid),
+                                    sample_ensemble(bisect_grid, 1024, seed=5), picard),
+    }
+
+
+@pytest.mark.parametrize("name", ["rows", "picard", "zeta", "bisected"])
+def test_row_blocks_do_not_move_a_bit(monkeypatch, name):
+    # the off-diagonal update is elementwise and row-independent, so a
+    # 1-row block, a 3-row block (a budget that is no multiple of the
+    # paths) and one block of every row give the same solve
+    solve = _block_cases()[name]
+    m = 1024
+    results = []
+    for budget in (m, 3 * m + 7, 1 << 40):
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", budget)
+        report = solve()
+        results.append(_solution_bits(report))
+    if name == "bisected":
+        assert report.iterations - len(report.contraction_ratios) > 1
+    for other in results[:2]:
+        assert other == results[2]
+
+
+@pytest.mark.parametrize("src", ["-t*y/s^2 + 0.3*z*t", "exp(-y^2)*s + 0.1*zeta"])
+def test_a_result_scaled_in_its_register_matches_a_fresh_one(pl_small, monkeypatch, src):
+    # an expression's result lies in the sweep's registers and is scaled
+    # by dt in place; the same expression run as a raw function returns
+    # fresh arrays, which are scaled into the work buffer
+    case, grid, ensemble = pl_small
+    ast = parse(src)
+    program = Program(ast)
+    raw = Generator(lambda env: program(env), free_variables(ast))
+    held = []
+    holds = Registers.holds
+
+    def recorded(self, a):
+        held.append(holds(self, a))
+        return held[-1]
+
+    monkeypatch.setattr(Registers, "holds", recorded)
+    picard = SolverConfig(picard=True, tol=1e-8)
+    reports = []
+    for generator in (Generator.from_expression(ast), raw):
+        problem = ProblemSpec(grid, generator, Terminal.from_expression(case.terminal_src))
+        reports.append([_solution_bits(solve_s(problem, ensemble, config))
+                        for config in (SolverConfig(), picard)])
+    assert any(held) and not all(held)
+    assert reports[0] == reports[1]
+
+
+def test_a_one_pass_solve_m_keeps_no_rows_by_paths_buffer():
+    # beside the iterate (lam and y, two (steps + 1) x paths fields) a
+    # level holds only block-sized buffers: 2.64 fields above the start at
+    # this size, where each (rows x paths) buffer would add about one
+    case = get_case("product-linear")
+    n, m = 64, 16384
+    grid = case.grid(n)
+    ensemble = sample_ensemble(grid, m, seed=1)
+    field = (n + 1) * m * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_m(case.problem(grid), ensemble)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / field < 3.25, f"{(peak - base) / field:.2f} fields above the start"
+
+
+def test_the_zeta_fixed_point_fits_no_zero_iterate(pl_small, monkeypatch):
+    # every block starts from the zero iterate, whose martingale table is
+    # zero: the levels project once per sweep, the fits once per later
+    # sweep and once after the last
+    case, grid, ensemble = pl_small
+    calls = []
+    project = NodeDesign.project
+    monkeypatch.setattr(NodeDesign, "project",
+                        lambda self, *args: calls.append(1) or project(self, *args))
+    report = solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble)
+    assert report.iterations - len(report.contraction_ratios) == 1
+    assert len(calls) == 2 * report.iterations * grid.steps
+    np.testing.assert_array_equal(_martingale_fill(None, ensemble), 0.0)
