@@ -276,10 +276,6 @@ class Registers:
         reg = self._free.pop()
         return reg[:count].reshape(shape), reg
 
-    def holds(self, a) -> bool:
-        """Whether ``a`` is a view of one of the registers."""
-        return isinstance(a, np.ndarray) and any(a.base is reg for reg in self.buffers)
-
     def _give(self, reg: np.ndarray | None) -> None:
         if reg is not None:
             self._free.append(reg)

@@ -17,18 +17,28 @@ z-part of the norm is :func:`z_cells_l2` over
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .fields import AdaptedField, CellSum, SurfaceField, region_cells, surface_pass
+from .grid import TimeGrid
+
+
+def _columns_l2(grid: TimeGrid, at_node: Callable[[int], np.ndarray]) -> float:
+    """E integral of |at_node(i)|^2 dt by the left-point rule, node by node."""
+    dt = grid.dt
+    return float(sum(np.mean(at_node(i) ** 2) * dt for i in range(grid.steps)))
 
 
 def y_l2(y: AdaptedField) -> float:
     """E integral of |Y|^2 dt by the left-point rule."""
-    dt = y.grid.dt
-    vals = y.values[:, : y.grid.steps]
-    return float(sum(np.mean(vals[:, i] ** 2) * dt for i in range(vals.shape[1])))
+    return _columns_l2(y.grid, lambda i: y.values[:, i])
+
+
+def y_diff_l2(y: AdaptedField, other: AdaptedField) -> float:
+    """:func:`y_l2` of ``y - other``, one column at a time, with no difference field."""
+    return _columns_l2(y.grid, lambda i: y.values[:, i] - other.values[:, i])
 
 
 def _l2_sum(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> CellSum:

@@ -58,15 +58,17 @@ class Generator:
     The sweep evaluates the off-diagonal cells of a level one block of
     rows at a time, each block in its own call, so the row arguments
     hold at most one block of rows.  ``y`` is the level's Y column as one
-    contiguous row.
+    contiguous row.  That copy keeps Y's bits only while numpy rounds a
+    strided and a contiguous operand alike, which it need not do for
+    exp, log, sin, cos and power (see the note on layouts in
+    :mod:`bsvie.expr`); ``test_a_strided_y_gives_the_bytes_of_a_contiguous_one``
+    checks this on the numpy in use, so its failure means Y's bits moved.
 
     The arrays in ``env`` are borrowed for the duration of the call.
     The sweep reuses their memory at later cells, so a generator that
     keeps one past the call must copy it, and it must not write into
     them.  The sweep in turn never writes into an array the generator
-    received or returned before it has read the result, and then only
-    into a result held in the sweep's own registers, which it scales by
-    dt in place.
+    received or returned before it has read the result.
     """
 
     def __init__(self, fn: Callable[[dict], np.ndarray], needs):
@@ -303,10 +305,9 @@ class _LevelWork:
     whole-batch product, and exist only for a generator that reads them.
     The off-diagonal update runs ``block`` rows at a time, so what it
     writes per row is sized to one block: the generator's registers, the
-    finiteness mask and ``scaled``, which takes dt * g of a result the
-    registers do not hold.  ``y`` takes the level's Y column as one
-    contiguous row.  A level therefore allocates no (rows x paths)
-    array.  The exception is an expression reading ``wt``: the rows'
+    finiteness mask and ``scaled``, which takes dt * g.  ``y`` takes the
+    level's Y column as one contiguous row.  A level therefore allocates
+    no (rows x paths) array.  The exception is an expression reading ``wt``: the rows'
     outer-node paths are a transposed view, so what is computed from
     them is allocated, one block at a time, as numpy lays it out.
     """
@@ -411,12 +412,9 @@ class _Sweep:
         raise SolverError(f"generator returned non-finite values at (i={nodes[row]}, j={j})")
 
     def _times_dt(self, g: np.ndarray) -> np.ndarray:
-        """dt * g, over g itself when the registers hold it, else in ``work.scaled``."""
         if g.ndim == 0:
             return self.dt * g
-        work = self.work
-        out = g if work.registers.holds(g) else _front(work.scaled, g.shape)
-        return np.multiply(self.dt, g, out=out)
+        return np.multiply(self.dt, g, out=_front(self.work.scaled, g.shape))
 
     # -- one backward level ----------------------------------------------
 
@@ -458,7 +456,8 @@ class _Sweep:
         else:
             batches = [(slice(r, r + 1), slice(lo[r], lo[r] + 1)) for r in range(top + 1)]
         z_fit = work.z
-        zeta_rows = z_fit if self.g.uses_zeta and zeta_column is None else work.zeta
+        # the symmetric mode's mirrored rows are its kernel rows (see run_levels)
+        zeta_rows = work.zeta if work.zeta is not None else (z_fit if self.g.uses_zeta else None)
         design.operand(work.xw2)
         for rows, nodes in batches:
             # both node estimates are variance-reduced by the other (see
@@ -513,7 +512,9 @@ class _Sweep:
         martingale: bool = False,
     ) -> None:
         if self.work is None:
-            # one set of buffers for the solve, sized to its widest level
+            # one set of buffers for the solve, sized to its widest level; a
+            # solve passes the same kind of zeta_column to every run, so its
+            # first run decides whether the kernel is its own mirror
             symmetric_zeta = self.g.uses_zeta and zeta_column is None
             self.work = _LevelWork(int(self.row_of[self.n - 1]) + 1, self.m, self.k,
                                    "z" in self.g.needs or symmetric_zeta,
@@ -589,13 +590,13 @@ def _fixed_point(
 ) -> tuple[int, bool, list[float], list[float]]:
     """Iterate frozen-data sweeps to their fixed point.
 
-    ``freeze(prev_y, prev_c)`` maps the previous iterate (None for the
-    zero iterate before a block's first sweep) to the sweep's frozen
-    data: the y-argument of the off-diagonal cells (None keeps the
-    sweep's own diagonal) and the mirrored-kernel column.  The iteration
-    runs on the whole level range and bisects a block into sub-blocks
-    only when the block's own contraction ratios stay at or above one;
-    ``max_iter`` bounds each block.  Blocks run depth first, upper half before lower half, each
+    ``freeze(prev_y, prev_c)`` maps the previous iterate (zeros before the
+    first sweep) to the sweep's frozen data: the y-argument of the
+    off-diagonal cells (None keeps the sweep's own diagonal) and the
+    mirrored-kernel column.  The iteration runs on the whole level range
+    and bisects a block into sub-blocks only when the block's own
+    contraction ratios stay at or above one; ``max_iter`` bounds each
+    block.  Blocks run depth first, upper half before lower half, each
     from the ``lam`` its predecessor left.  The solution stays in the
     sweep; returns the bookkeeping fields of :class:`SolveReport`.
     """
@@ -607,7 +608,8 @@ def _fixed_point(
     while blocks:
         j_hi, j_lo, depth = blocks.pop()
         entry = sweep.lam.copy()
-        prev_y = prev_c = None  # the zero iterate
+        prev_y = np.zeros_like(sweep.y)
+        prev_c = np.zeros_like(sweep.coeffs)
         updates: list[float] = []
         ratios: list[float] = []
         for _ in range(max_iter):
@@ -622,8 +624,6 @@ def _fixed_point(
                 all_ratios.append(ratios[-1])
             updates.append(upd)
             all_updates.append(upd)
-            if prev_y is None:
-                prev_y, prev_c = np.zeros_like(sweep.y), np.zeros_like(sweep.coeffs)
             # later columns hold the solved blocks, which the martingale fit reads
             prev_y[:, j_lo:] = sweep.y[:, j_lo:]
             prev_c[:, j_lo:] = sweep.coeffs[:, j_lo:]
@@ -658,12 +658,9 @@ def solve_s(
     config = config or SolverConfig()
     sweep = _Sweep(problem, paths, config, once=not config.picard)
     if config.picard:
-        def freeze(prev_y, prev_c):
-            if prev_y is None:  # the zero iterate, which the frozen y reads
-                prev_y, prev_c = np.zeros_like(sweep.y), np.zeros_like(sweep.coeffs)
-            return prev_y, _frozen_coeff_zeta(prev_c)
-
-        bookkeeping = _fixed_point(sweep, freeze)
+        bookkeeping = _fixed_point(
+            sweep, lambda prev_y, prev_c: (prev_y, _frozen_coeff_zeta(prev_c))
+        )
     else:
         sweep.run_levels(sweep.n - 1, 0)
         bookkeeping = (1, True)
@@ -682,15 +679,10 @@ def _martingale_rows(design: NodeDesign, y_values: np.ndarray, xw2: np.ndarray) 
     return design.project(y_values[:, design.node + 1:].T, xw2)[1]
 
 
-def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray | None) -> np.ndarray:
-    """Lower-triangle tables: the martingale rows of every node.
-
-    None stands for the zero iterate, whose table is zero without a fit.
-    """
+def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray) -> np.ndarray:
+    """Lower-triangle tables: the martingale rows of every node."""
     n, k = len(designs), designs[0].basis.size
     coeffs = np.zeros((n + 1, n + 1, k))
-    if y_values is None:
-        return coeffs
     xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection operand
     for j, design in enumerate(designs):
         coeffs[j + 1:, j] = _martingale_rows(design, y_values, design.operand(xw2))
@@ -720,12 +712,15 @@ def solve_m(
     sweep = _Sweep(problem, paths, config, row_classes=not zeta, once=not zeta)
 
     if zeta:
-        bookkeeping = _fixed_point(
-            sweep,
-            lambda prev_y, prev_c: (
-                None, _frozen_martingale_zeta(sweep, _martingale_coeffs(sweep.designs, prev_y))
-            ),
-        )
+        def freeze(prev_y, prev_c):
+            # each block starts from the zero iterate, whose fitted table is zero
+            if prev_y.any():
+                table = _martingale_coeffs(sweep.designs, prev_y)
+            else:
+                table = np.zeros_like(sweep.coeffs)
+            return None, _frozen_martingale_zeta(sweep, table)
+
+        bookkeeping = _fixed_point(sweep, freeze)
         # a sweep is known to be the last only after it ran, so the martingale
         # rows are fitted once Y is final
         lower = np.tril_indices(sweep.n + 1, -1)

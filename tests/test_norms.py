@@ -10,6 +10,7 @@ from bsvie import (
     y_l2,
     z_cells_l2,
 )
+from bsvie.norms import y_diff_l2
 
 M = 32
 
@@ -47,6 +48,14 @@ def test_constant_field_values(grid):
     assert z_cells_l2(_const_surface(grid, 1.0), diagonal) == pytest.approx(
         grid.steps * grid.dt**2, rel=1e-12
     )
+
+
+def test_the_difference_norm_is_the_norm_of_the_difference_field(grid):
+    # formed column by column, it sums in y_l2's order: the same bits
+    rng = np.random.default_rng(3)
+    a, b = (AdaptedField(grid, rng.standard_normal((M, len(grid)))) for _ in range(2))
+    assert y_diff_l2(a, b) == y_l2(AdaptedField(grid, a.values - b.values))
+
 
 
 def test_s2_norm_hand_value(grid):

@@ -30,7 +30,6 @@ from bsvie import (
 )
 from bsvie import solver
 from bsvie.analytic import get_case, reference_fields
-from bsvie.expr import Program, Registers, free_variables, parse
 from bsvie.solver import _Sweep
 
 M = 8192
@@ -916,33 +915,6 @@ def test_row_blocks_do_not_move_a_bit(monkeypatch, name):
         assert other == results[2]
 
 
-@pytest.mark.parametrize("src", ["-t*y/s^2 + 0.3*z*t", "exp(-y^2)*s + 0.1*zeta"])
-def test_a_result_scaled_in_its_register_matches_a_fresh_one(pl_small, monkeypatch, src):
-    # an expression's result lies in the sweep's registers and is scaled
-    # by dt in place; the same expression run as a raw function returns
-    # fresh arrays, which are scaled into the work buffer
-    case, grid, ensemble = pl_small
-    ast = parse(src)
-    program = Program(ast)
-    raw = Generator(lambda env: program(env), free_variables(ast))
-    held = []
-    holds = Registers.holds
-
-    def recorded(self, a):
-        held.append(holds(self, a))
-        return held[-1]
-
-    monkeypatch.setattr(Registers, "holds", recorded)
-    picard = SolverConfig(picard=True, tol=1e-8)
-    reports = []
-    for generator in (Generator.from_expression(ast), raw):
-        problem = ProblemSpec(grid, generator, Terminal.from_expression(case.terminal_src))
-        reports.append([_solution_bits(solve_s(problem, ensemble, config))
-                        for config in (SolverConfig(), picard)])
-    assert any(held) and not all(held)
-    assert reports[0] == reports[1]
-
-
 def test_a_one_pass_solve_m_keeps_no_rows_by_paths_buffer():
     # beside the iterate (lam and y, two (steps + 1) x paths fields) a
     # level holds only block-sized buffers: 2.64 fields above the start at
@@ -975,4 +947,4 @@ def test_the_zeta_fixed_point_fits_no_zero_iterate(pl_small, monkeypatch):
     report = solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble)
     assert report.iterations - len(report.contraction_ratios) == 1
     assert len(calls) == 2 * report.iterations * grid.steps
-    np.testing.assert_array_equal(_martingale_fill(None, ensemble), 0.0)
+    np.testing.assert_array_equal(_martingale_fill(np.zeros_like(report.y.values), ensemble), 0.0)
