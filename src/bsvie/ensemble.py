@@ -72,9 +72,15 @@ def _path_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
 
 
 def sample_ensemble(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
-    """Draw an ensemble of ``n_paths`` Brownian paths on ``grid``."""
+    """Draw an ensemble of ``n_paths`` Brownian paths on ``grid``.
+
+    ``seed`` is the high word of every path's key, so it must lie in
+    [0, 2^64): a seed outside would draw the paths of its masked twin.
+    """
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
+    if not 0 <= int(seed) <= _KEY_MASK:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     normals = _path_normals(seed, 0, n_paths, grid.steps)
     # scaled in place: sampling holds one (paths x steps) array
     increments = np.multiply(normals, np.sqrt(grid.dt), out=normals)

@@ -11,13 +11,12 @@ evaluates all paths at once, which the solvers rely on, but scalar
 in/scalar out is the contract.  Domain faults (log of a nonpositive,
 even root of a negative, zero over zero) surface as NaN rather than
 raise; the solvers locate them by checking the generator's output.
-An AST compiles once into a :class:`Program`, which can write every
-intermediate into caller-owned :class:`Registers`.
+An AST compiles once into a :class:`Program`, which allocates each
+intermediate as numpy does.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Union
@@ -230,132 +229,36 @@ _CALLS = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
     "sin": np.sin, "cos": np.cos, "min": np.minimum, "max": np.maximum,
 }
-# what a node applies: the operator as written, and the ufunc it runs on arrays
 _BIN_OPS = {
-    "+": (operator.add, np.add), "-": (operator.sub, np.subtract),
-    "*": (operator.mul, np.multiply), "/": (operator.truediv, np.true_divide),
-    "^": (np.power, np.power),
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": np.power,
 }
-_NUMERIC = (np.ndarray, np.number, float, int)
-# Correctly rounded in every loop numpy may pick, so their result may
-# overwrite an operand.  exp, log, sin, cos and power choose between
-# loops that round differently by operand strides and aliasing: numpy's
-# power of a one-element array by an array holding 0.5 is the square
-# root unless the result overwrites the exponent.
-_IN_PLACE = frozenset((np.add, np.subtract, np.multiply, np.true_divide, np.negative,
-                       np.abs, np.minimum, np.maximum, np.sqrt))
-
-
-class Registers:
-    """Scratch float64 arrays that compiled expressions write into.
-
-    Each register holds ``size`` values; a result of any shape up to that
-    size is a C-ordered view of a register's front, so one set serves
-    every batch of rows a sweep evaluates.  Registers are added as an
-    expression first needs them.  Every evaluation starts with all of
-    them free, so a result held in one stays valid until the next
-    evaluation with the same registers.  A result larger than a register
-    gets a fresh array.
-    """
-
-    def __init__(self, size: int = 0) -> None:
-        self.size = size
-        self.buffers: list[np.ndarray] = []
-        self._free: list[np.ndarray] = []
-
-    def _reset(self) -> None:
-        self._free = self.buffers[::-1]
-
-    def _take(self, shape: tuple) -> tuple[np.ndarray, np.ndarray | None]:
-        count = math.prod(shape)
-        if count > self.size:
-            return np.empty(shape), None
-        if not self._free:
-            self.buffers.append(np.empty(self.size))
-            self._free.append(self.buffers[-1])
-        reg = self._free.pop()
-        return reg[:count].reshape(shape), reg
-
-    def _give(self, reg: np.ndarray | None) -> None:
-        if reg is not None:
-            self._free.append(reg)
-
-
-def _register_shape(args: tuple) -> tuple | None:
-    """Shape of ``args``' result when a register may hold it, else None.
-
-    That is a float64 array which numpy, allocating it, would lay out in
-    C order, as a register is: it follows its operands' layout, which is
-    C order unless an operand of two or more axes is not C-contiguous.
-    Reductions over a result read it in layout order, so the layout is
-    kept as well as the values.
-    """
-    arrays = [a for a in args if isinstance(a, np.ndarray)]
-    if not arrays or not all(isinstance(a, _NUMERIC) for a in args):
-        return None
-    if any(a.ndim > 1 and not a.flags.c_contiguous for a in arrays):
-        return None
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    if not shape or np.result_type(*args) != np.float64:
-        return None
-    return shape
-
-
-def _apply(op, ufunc, args: tuple, regs_held: tuple, regs: Registers):
-    """``op(*args)`` as the tree walk computes it, written in place where it can be.
-
-    ``regs_held[i]`` is the register holding ``args[i]``, or None for a
-    value this evaluation may not overwrite.  A result a register may
-    hold goes into a free register, or over an operand of its shape in
-    a held register when the ufunc allows; the ufunc then gives each
-    value bit for bit as the tree walk does, allocating.  Any other
-    result is ``op``'s own.  Returns the value and its register.
-    """
-    shape = _register_shape(args)
-    if shape is None:
-        value, reg = op(*args), None
-    else:
-        for a, held in zip(args, regs_held):
-            if held is not None and a.shape == shape and ufunc in _IN_PLACE:
-                value, reg = a, held
-                break
-        else:
-            value, reg = regs._take(shape)
-        ufunc(*args, out=value)
-    for held in regs_held:
-        if held is not reg:
-            regs._give(held)
-    return value, reg
 
 
 def _compile(node: Node):
-    """Closure ``run(env, regs) -> (value, register)`` evaluating ``node``."""
+    """Closure ``run(env) -> value`` evaluating ``node``."""
     if isinstance(node, Num):
         value = np.float64(node.value)
-        return lambda env, regs: (value, None)
+        return lambda env: value
     if isinstance(node, Var):
         name, offset = node.name, node.offset
 
-        def var(env: dict, regs: Registers):
+        def var(env: dict):
             try:
-                return env[name], None
+                return env[name]
             except KeyError:
                 raise ExprError(f"unbound variable {name!r}", offset) from None
 
         return var
     if isinstance(node, Unary):
-        parts, (op, ufunc) = (_compile(node.operand),), (operator.neg, np.negative)
+        parts, op = (_compile(node.operand),), operator.neg
     elif isinstance(node, Bin):
-        parts, (op, ufunc) = (_compile(node.left), _compile(node.right)), _BIN_OPS[node.op]
+        parts, op = (_compile(node.left), _compile(node.right)), _BIN_OPS[node.op]
     else:
         parts, op = tuple(_compile(a) for a in node.args), _CALLS[node.name]
-        ufunc = op
 
-    def apply(env: dict, regs: Registers):
-        # operands left to right; each holds at most one register meanwhile
-        evaluated = [part(env, regs) for part in parts]
-        return _apply(op, ufunc, tuple(v for v, _ in evaluated),
-                      tuple(r for _, r in evaluated), regs)
+    def apply(env: dict):
+        return op(*[part(env) for part in parts])
 
     return apply
 
@@ -363,23 +266,18 @@ def _compile(node: Node):
 class Program:
     """An expression compiled once into closures, to run as often as needed.
 
-    ``Program(node)(env)`` returns what :func:`eval_expr` returns.  Given
-    ``registers``, every float64 array the evaluation produces lands in
-    them, the result included, so repeated calls allocate nothing; the
-    exceptions are arrays larger than a register and results of an
-    operand that is not C-contiguous (see :func:`_register_shape`).
-    Only arrays the evaluation produced are overwritten: the arrays in
-    ``env`` are read, never written, and must not live in the registers.
+    ``Program(node)(env)`` returns what :func:`eval_expr` returns, and
+    allocates every array it produces as numpy does.  The arrays in
+    ``env`` are read, never written; a lone variable comes back as the
+    ``env`` entry itself.
     """
 
     def __init__(self, node: Node) -> None:
         self._run = _compile(node)
 
-    def __call__(self, env: dict, registers: Registers | None = None):
-        regs = Registers() if registers is None else registers
-        regs._reset()
+    def __call__(self, env: dict):
         with np.errstate(all="ignore"):
-            return self._run(env, regs)[0]
+            return self._run(env)
 
 
 def eval_expr(node: Node, env: dict):

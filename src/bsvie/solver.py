@@ -26,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import PathEnsemble
-from .expr import (VARIABLES, Node as ExprNode, Program, Registers, format_expr,
-                   free_variables, parse)
+from .expr import VARIABLES, Node as ExprNode, Program, format_expr, free_variables, parse
 from .fields import AdaptedField, CoeffSurface, SurfaceField, SymmetricSurface
 from .grid import TimeGrid
 from .regression import BasisSpec, NodeDesign
@@ -60,8 +59,8 @@ class Generator:
     hold at most one block of rows.  ``y`` is the level's Y column as one
     contiguous row.  That copy keeps Y's bits only while numpy rounds a
     strided and a contiguous operand alike, which it need not do for
-    exp, log, sin, cos and power (see the note on layouts in
-    :mod:`bsvie.expr`); ``test_a_strided_y_gives_the_bytes_of_a_contiguous_one``
+    exp, log, sin, cos and power, whose loops may round differently by
+    operand strides; ``test_a_strided_y_gives_the_bytes_of_a_contiguous_one``
     checks this on the numpy in use, so its failure means Y's bits moved.
 
     The arrays in ``env`` are borrowed for the duration of the call.
@@ -87,10 +86,7 @@ class Generator:
     def uses_zeta(self) -> bool:
         return "zeta" in self.needs
 
-    def __call__(self, env: dict, registers: Registers | None = None) -> np.ndarray:
-        """g at ``env``; an expression writes its arrays into ``registers``."""
-        if registers is not None and isinstance(self._fn, Program):
-            return self._fn(env, registers)
+    def __call__(self, env: dict) -> np.ndarray:
         return self._fn(env)
 
 
@@ -303,13 +299,11 @@ class _LevelWork:
 
     ``z`` and ``zeta`` take a level's kernel and mirrored rows, each one
     whole-batch product, and exist only for a generator that reads them.
-    The off-diagonal update runs ``block`` rows at a time, so what it
-    writes per row is sized to one block: the generator's registers, the
-    finiteness mask and ``scaled``, which takes dt * g.  ``y`` takes the
-    level's Y column as one contiguous row.  A level therefore allocates
-    no (rows x paths) array.  The exception is an expression reading ``wt``: the rows'
-    outer-node paths are a transposed view, so what is computed from
-    them is allocated, one block at a time, as numpy lays it out.
+    ``y`` takes the level's Y column as one contiguous row.  The
+    off-diagonal update runs ``block`` rows at a time, so each array it
+    allocates (the generator's intermediates, its finiteness mask and
+    dt * g) is at most one block in size, and a level allocates no
+    (rows x paths) array.
     """
 
     def __init__(self, rows: int, m: int, k: int, kernel: bool, mirrored: bool) -> None:
@@ -318,15 +312,7 @@ class _LevelWork:
         self.zeta = np.empty((rows, m)) if mirrored else None
         self.bz = np.empty((rows, k))
         self.y = np.empty(m)
-        self.scaled = np.empty(self.block * m)
-        self.finite = np.empty(self.block * m, dtype=bool)
         self.xw2 = np.empty((2 * k, m))  # the operand of NodeDesign.project
-        self.registers = Registers(self.block * m)
-
-
-def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """The front of a flat buffer as an array of ``shape``."""
-    return buffer[: math.prod(shape)].reshape(shape)
 
 
 class _Sweep:
@@ -405,16 +391,11 @@ class _Sweep:
 
     def _check_g(self, values: np.ndarray, nodes, j: int) -> None:
         """Raise at the first non-finite row; row r of ``values`` is outer node nodes[r]."""
-        finite = np.isfinite(values, out=_front(self.work.finite, values.shape))
+        finite = np.isfinite(values)
         if finite.all():
             return
         row = 0 if values.ndim < 2 else int(np.argwhere(~finite.all(axis=1))[0][0])
         raise SolverError(f"generator returned non-finite values at (i={nodes[row]}, j={j})")
-
-    def _times_dt(self, g: np.ndarray) -> np.ndarray:
-        if g.ndim == 0:
-            return self.dt * g
-        return np.multiply(self.dt, g, out=_front(self.work.scaled, g.shape))
 
     # -- one backward level ----------------------------------------------
 
@@ -437,11 +418,10 @@ class _Sweep:
         ``coeffs`` with the martingale rows of Y (:func:`_martingale_rows`),
         which is right only where Y's columns after j are final, as in a
         one-pass sweep.  The projections and evaluations take all rows
-        at once; the off-diagonal update (the generator, its check, the
-        dt scaling and the add to ``lam``) runs one block of
-        :class:`_LevelWork` rows at a time.  Every (rows x paths) array
-        goes to ``lam`` or to ``self.work``, but for the exception
-        :class:`_LevelWork` names.
+        at once, into ``lam`` and ``self.work``; the off-diagonal update
+        (the generator, its check, the dt scaling and the add to ``lam``)
+        runs one block of :class:`_LevelWork` rows at a time, so what it
+        allocates is one block in size.
         """
         work = self.work
         if self.designs is None:
@@ -480,10 +460,10 @@ class _Sweep:
         z_diag = None if z_fit is None else z_fit[top]
         zeta_diag = None if zeta_rows is None else zeta_rows[top]
         env = _generator_env(self.grid, paths, j, j, lam[top], z_diag, zeta_diag)
-        g_diag = np.asarray(self.g(env, work.registers), dtype=np.float64)
+        g_diag = np.asarray(self.g(env), dtype=np.float64)
         self._check_g(g_diag, (j,), j)
         # the row keeps its predictor, which its nodes below j still read
-        np.add(lam[top], self._times_dt(g_diag), out=self.y[:, j])
+        np.add(lam[top], self.dt * g_diag, out=self.y[:, j])
 
         if off == 0:
             return
@@ -497,12 +477,12 @@ class _Sweep:
                 None if z_fit is None else z_fit[rows],
                 None if zeta_rows is None else zeta_rows[rows],
             )
-            g_rows = np.asarray(self.g(env, work.registers), dtype=np.float64)
+            g_rows = np.asarray(self.g(env), dtype=np.float64)
             self._check_g(g_rows, lo[rows], j)
             if g_rows.ndim < 2:
                 # independent of the row index: one row, broadcast to every row left
                 rows = slice(start, off)
-            np.add(lam[rows], self._times_dt(g_rows), out=lam[rows])
+            np.add(lam[rows], self.dt * g_rows, out=lam[rows])
             start = rows.stop
 
     # -- full passes -------------------------------------------------------

@@ -293,6 +293,9 @@ def test_overflowing_projection_prints_one_error_line(tmp_path, capsys, recwarn,
      "--n", "8", "--m", "256"],
     ["solve", "--case", "product-linear", "--solver.ridge", "nan", "--n", "8", "--m", "256"],
     ["risk", "--solver.ridge", "inf", "--n", "8", "--m", "256"],
+    # a seed outside [0, 2^64) would draw the paths of its masked twin
+    ["solve", "--seed", "-1", "--n", "4", "--m", "64"],
+    ["solve", "--seed", str(2**64), "--n", "4", "--m", "64"],
 ])
 def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

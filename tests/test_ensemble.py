@@ -88,6 +88,21 @@ def test_path_count_validation(unit_grid):
         sample_ensemble(unit_grid, 0, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_the_key_word_are_rejected(unit_grid, seed):
+    # masked into the key, -1 would draw the paths of 2^64 - 1 and 2^64 those of 0
+    with pytest.raises(ValueError, match="seed"):
+        sample_ensemble(unit_grid, 4, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_edges_of_the_key_word_sample(unit_grid, seed):
+    ens = sample_ensemble(unit_grid, 4, seed=seed)
+    normals = _fresh_stream_normals(seed, 0, 4, unit_grid.steps)
+    assert ens.seed == seed
+    assert np.array_equal(ens.increments, normals * np.sqrt(unit_grid.dt))
+
+
 def test_arrays_read_only(unit_ensemble):
     with pytest.raises(ValueError):
         unit_ensemble.increments[0, 0] = 1.0

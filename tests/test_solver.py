@@ -431,11 +431,13 @@ def test_generator_returning_a_borrowed_array_matches_a_copy(pl_small, name, pic
 
 @pytest.mark.parametrize("mode", ["s", "z", "zeta"])
 def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
-    # every (rows x paths) intermediate of a level lands in the sweep's
-    # work buffers: beyond them, sweeping all levels traces less memory
-    # than one (steps x paths) array.  Kernel and mirrored work rows
-    # exist only for a generator that reads them.
+    # every (rows x paths) array of a level lands in the sweep's work
+    # buffers, and the off-diagonal update allocates one block at a time:
+    # with one-row blocks, sweeping all levels traces less than 8 blocks
+    # beyond the work buffers, where one (steps x paths) array is 16.
+    # Kernel and mirrored work rows exist only for a generator that reads them.
     n, m = 16, 4096
+    monkeypatch.setattr(solver, "_BLOCK_VALUES", m)
     case = get_case("product-linear")
     grid = case.grid(n)
     ensemble = sample_ensemble(grid, m, seed=1)
@@ -468,10 +470,11 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
     finally:
         tracemalloc.stop()
     assert len(made) == 1
+    assert made[0].block == 1
     assert (made[0].z is not None, made[0].zeta is not None) == (mode == "z", mode == "zeta")
     buffers = [a for a in vars(made[0]).values() if isinstance(a, np.ndarray)]
-    beyond = peak - base - sum(a.nbytes for a in buffers + made[0].registers.buffers)
-    assert beyond < n * m * 8, f"{beyond} bytes traced beyond the work buffers"
+    beyond = peak - base - sum(a.nbytes for a in buffers)
+    assert beyond < 8 * m * 8, f"{beyond} bytes traced beyond the work buffers"
 
 
 @pytest.mark.parametrize("mode", ["picard", "zeta", "bisected"])
