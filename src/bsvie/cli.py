@@ -7,9 +7,10 @@ hash of its resolved config, so rerunning the same config reproduces
 every table byte for byte; the manifest records one checksum per table
 (wall-clock time is recorded but hashed into nothing).
 
-Exit codes: 0 success, 1 bad configuration or usage, 2 solver non-convergence,
-3 a verification or axiom check failed, 4 numerical failure (a sweep
-produced non-finite values or a node regression stayed degenerate).
+Exit codes: 0 success, 1 bad configuration or usage, 2 a Picard solve
+(``solver.picard``) did not converge, 3 a verification or axiom check
+failed, 4 numerical failure (a sweep produced non-finite values or a node
+regression stayed degenerate).
 The run directory appears with its first table, so a run that fails
 before writing one leaves no directory behind.
 """

@@ -9,7 +9,8 @@ of the fitted values equals that of the target to rounding.
 :meth:`NodeDesign.project` gives both estimates of a row batch from one
 pass over the paths, using that the projection is linear; the node's
 operand for it (:meth:`NodeDesign.operand`) is filled once and serves
-every batch.
+every batch.  :meth:`NodeDesign.kernel_row` gives one row's fitted
+kernel values from two products with the design, without the operand.
 
 Cross-path reductions are accumulated over fixed-size path chunks in a
 fixed order, which keeps results bitwise identical run to run.
@@ -164,16 +165,40 @@ class NodeDesign:
         rows with the node's operand [X w, X w dW], which ``xw2`` must
         hold (:meth:`operand`); no (r, M) intermediate is formed.  H
         depends on the node alone, so it is formed once, from the first
-        call's operand.
+        operand it meets.
         """
-        k, m, r = self.basis.size, self.n_paths, rows.shape[0]
+        self._form_h(xw2)
         # an overflow of the sums shows in their finiteness check
         with np.errstate(all="ignore"):
-            rhs = _chunked_ab(rows.T, xw2.T) / m
+            rhs = _chunked_ab(rows.T, xw2.T) / self.n_paths
+        return self._solve(rhs)
+
+    def kernel_row(self, yw2: np.ndarray, xw2: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fitted kernel values X bz of one row y, bz as :meth:`project` defines it.
+
+        ``yw2`` (2, M) must hold y w and y w dW (w = 1 when unweighted);
+        two products of it with X replace the operand.  ``xw2`` is a
+        (2k, M) scratch that takes the operand only while H is unformed.
+        Writes ``out`` (M,) and returns it; its bits may differ from a
+        batched :meth:`project` by rounding.
+        """
+        if self._h is None:
+            self._form_h(self.operand(xw2))
+        with np.errstate(all="ignore"):
+            rhs = _chunked_ab(self.x, yw2.T).T.reshape(1, -1) / self.n_paths
+        _, bz = self._solve(rhs)
+        return np.matmul(self.x, bz[0], out=out)
+
+    def _form_h(self, xw2: np.ndarray) -> None:
+        """Form H once, from the node's operand in ``xw2``."""
+        if self._h is None:
+            self._h = _chunked_ab(self.x, xw2[self.basis.size:].T) / self.n_paths
+
+    def _solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, bz) of :meth:`project` from the path means [y w X, y w dW X], (r, 2k)."""
+        k, r = self.basis.size, rhs.shape[0]
         if not np.all(np.isfinite(rhs)):
             raise RegressionError(f"node {self.node}: non-finite regression targets")
-        if self._h is None:
-            self._h = _chunked_ab(self.x, xw2[k:].T) / m
         stacked = np.concatenate((rhs.T[:k], rhs.T[k:], self._h), axis=1)
         sol = np.linalg.solve(self._system, stacked)
         a, b, s = sol[:, :r].T, sol[:, r : 2 * r].T, sol[:, 2 * r :]

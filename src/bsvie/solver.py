@@ -10,10 +10,14 @@ across the diagonal.  One level kernel serves every mode:
                     + dt * g(t_i, t_j, y_arg, Z[i][j], zeta_arg)
 
 swept for j = N-1 .. 0 over rows i <= j.  The y-argument at an
-off-diagonal cell is the same-level diagonal value Y(t_j) (or a frozen
-iterate of it); at the diagonal cell it is the freshly regressed
-conditional expectation, which keeps the one-pass sweep and the
-fixed-point iteration solving literally the same discrete system.
+off-diagonal cell is the same-level diagonal value Y(t_j) (or, in the
+Picard mode, a frozen iterate of it); at the diagonal cell it is the
+freshly regressed conditional expectation, which keeps the one-pass
+sweep and the fixed-point iteration solving literally the same discrete
+system.  The martingale-extended solution's mirrored value Z(t_j, t_i),
+i < j, is node i's martingale regression of Y(t_j), final once level
+j's diagonal cell is done, so that solution is one backward sweep too;
+the Picard mode is the only iteration.
 """
 
 from __future__ import annotations
@@ -169,10 +173,12 @@ class Driver:
     keeps them for its lifetime: M x (degree + 1) floats per node, 16 MB
     at 64 steps x 8192 paths.  Pass one driver to several solves to
     share them.  A solve given an ensemble sweeps a fresh driver of its
-    own: swept once, it builds node j's design at level j and drops it
-    when the level ends; swept again (the Picard mode, the zeta fixed
-    point), it keeps them for the solve.  ``dataclasses.replace`` (new
-    state or weights) starts from no designs.
+    own.  Most solves build node j's design at level j and drop it when
+    the level ends.  Two keep every design for the solve: the Picard
+    mode, which sweeps again, and a ``solve_m`` whose generator reads
+    ``zeta``, because its level j reads the designs of the nodes below
+    j.  ``dataclasses.replace`` (new state or weights) starts from no
+    designs.
     """
 
     ensemble: PathEnsemble
@@ -236,9 +242,12 @@ class SolverConfig:
 class SolveReport:
     """Solution fields plus iteration bookkeeping.
 
-    ``iterations`` counts every sweep across all level blocks of the
-    fixed-point mode, while ``config.max_iter`` bounds each block
-    separately, so after a bisection it can exceed ``max_iter``.
+    Only the Picard mode of :func:`solve_s` iterates.  There
+    ``iterations`` counts every sweep across all level blocks, while
+    ``config.max_iter`` bounds each block separately, so after a
+    bisection it can exceed ``max_iter``; ``converged`` is False when a
+    block used up its ``max_iter`` sweeps.  Every other solve is one
+    sweep: one iteration, converged, with no norms or ratios.
     """
 
     mode: str
@@ -297,21 +306,26 @@ _BLOCK_VALUES = 1 << 17
 class _LevelWork:
     """Work buffers of a sweep, allocated by its first run of levels and kept.
 
-    ``z`` and ``zeta`` take a level's kernel and mirrored rows, each one
-    whole-batch product, and exist only for a generator that reads them.
-    ``y`` takes the level's Y column as one contiguous row.  The
-    off-diagonal update runs ``block`` rows at a time, so each array it
-    allocates (the generator's intermediates, its finiteness mask and
-    dt * g) is at most one block in size, and a level allocates no
-    (rows x paths) array.
+    ``z`` and ``zeta`` take a level's kernel and mirrored rows, and exist
+    only for a generator that reads them.  ``y`` takes the level's Y
+    column as one contiguous row.  For the M-solution's mirrored rows,
+    ``yw2`` takes the operands of :meth:`NodeDesign.kernel_row` and
+    ``dw`` holds the increments one contiguous row per node, so forming
+    them reads no strided column.  The off-diagonal update runs
+    ``block`` rows at a time, so each array it allocates (the generator's
+    intermediates, its finiteness mask and dt * g) is at most one block
+    in size, and a level allocates no (rows x paths) array.
     """
 
-    def __init__(self, rows: int, m: int, k: int, kernel: bool, mirrored: bool) -> None:
+    def __init__(self, rows: int, m: int, k: int, kernel: bool, mirrored: bool,
+                 increments: np.ndarray | None) -> None:
         self.block = max(1, min(rows, _BLOCK_VALUES // m))
         self.z = np.empty((rows, m)) if kernel else None
         self.zeta = np.empty((rows, m)) if mirrored else None
         self.bz = np.empty((rows, k))
         self.y = np.empty(m)
+        self.yw2 = None if increments is None else np.empty((2, m))
+        self.dw = None if increments is None else np.ascontiguousarray(increments.T)
         self.xw2 = np.empty((2 * k, m))  # the operand of NodeDesign.project
 
 
@@ -403,21 +417,24 @@ class _Sweep:
         self,
         j: int,
         frozen_y: np.ndarray | None,
-        zeta_column: Callable[[int, slice, NodeDesign, np.ndarray, np.ndarray], object] | None,
+        zeta_column: Callable[[int, slice, NodeDesign, np.ndarray], object] | None,
         martingale: bool = False,
     ) -> None:
         """Advance the rows of outer nodes 0..j from column j+1 to column j.
 
-        ``zeta_column(j, nodes, design, bz, out)`` must write mirrored
-        kernel values for the outer nodes ``nodes`` (one per row of
-        ``bz``, the kernel coefficients this level fitted for them) into
-        ``out``; None means the kernel is identified with its mirror (the
-        symmetric mode) or is simply never read.  Kernel values are
-        evaluated only for a generator that declares ``z`` or ``zeta``.
-        ``martingale`` also fills the rows i > j of column j of
+        ``zeta_column(j, nodes, design, out)`` must write mirrored kernel
+        values for the outer nodes ``nodes`` into ``out`` (the Picard mode's
+        frozen table).  ``martingale`` fills the rows i > j of column j of
         ``coeffs`` with the martingale rows of Y (:func:`_martingale_rows`),
         which is right only where Y's columns after j are final, as in a
-        one-pass sweep.  The projections and evaluations take all rows
+        one-pass sweep.  Without a ``zeta_column``, ``zeta`` is the kernel
+        itself (the symmetric mode), or with ``martingale`` the
+        M-solution's Z(t_j, t_i): node i's martingale regression of Y(t_j)
+        (:meth:`NodeDesign.kernel_row`), formed once the diagonal cell,
+        which reads the kernel's own row (exact there), has made Y(t_j)
+        final.  That needs the row path and every node's design kept.
+        Kernel values are evaluated only for a generator that declares
+        ``z`` or ``zeta``.  The projections and evaluations take all rows
         at once, into ``lam`` and ``self.work``; the off-diagonal update
         (the generator, its check, the dt scaling and the add to ``lam``)
         runs one block of :class:`_LevelWork` rows at a time, so what it
@@ -449,11 +466,14 @@ class _Sweep:
             design.evaluate(c, out=lam[rows])
             if z_fit is not None:
                 design.evaluate(bz, out=z_fit[rows])
-            if work.zeta is not None:
-                zeta_column(j, nodes, design, bz, work.zeta[rows])
+            if work.zeta is not None and zeta_column is not None:
+                zeta_column(j, nodes, design, work.zeta[rows])
         self.coeffs[: j + 1, j] = work.bz[self.row_of[: j + 1]]
         if martingale:
             self.coeffs[j + 1:, j] = _martingale_rows(design, self.y, work.xw2)
+        if work.yw2 is not None:
+            # zeta = z on the diagonal
+            np.matmul(design.x, work.bz[top], out=work.zeta[top])
 
         paths = self.ensemble.values
         # diagonal first: its y-argument is the regressed predictor
@@ -469,6 +489,16 @@ class _Sweep:
             return
         y_row = work.y
         y_row[:] = (self.y if frozen_y is None else frozen_y)[:, j]
+        if work.yw2 is not None:
+            yw = work.yw2[0]
+            if design.weights is None:
+                yw[:] = y_row
+            else:
+                np.multiply(y_row, design.weights, out=yw)
+            # node j's operand is spent, so xw2 may take node i's to form its H
+            for i in range(j):
+                np.multiply(yw, work.dw[i], out=work.yw2[1])
+                self.designs[i].kernel_row(work.yw2, work.xw2, work.zeta[i])
         start = 0
         while start < off:
             rows = slice(start, min(start + work.block, off))
@@ -493,12 +523,15 @@ class _Sweep:
     ) -> None:
         if self.work is None:
             # one set of buffers for the solve, sized to its widest level; a
-            # solve passes the same kind of zeta_column to every run, so its
-            # first run decides whether the kernel is its own mirror
-            symmetric_zeta = self.g.uses_zeta and zeta_column is None
+            # solve passes the same kind of zeta_column and martingale flag to
+            # every run, so its first run decides where the mirror comes from
+            zeta = self.g.uses_zeta
+            of_y = zeta and zeta_column is None and martingale
+            symmetric_zeta = zeta and zeta_column is None and not martingale
             self.work = _LevelWork(int(self.row_of[self.n - 1]) + 1, self.m, self.k,
                                    "z" in self.g.needs or symmetric_zeta,
-                                   self.g.uses_zeta and not symmetric_zeta)
+                                   zeta and not symmetric_zeta,
+                                   self.driver.increments if of_y else None)
         for j in range(j_hi, j_lo - 1, -1):
             self.level(j, frozen_y, zeta_column, martingale)
 
@@ -535,28 +568,8 @@ def _adapted(sweep: _Sweep) -> AdaptedField:
 def _frozen_coeff_zeta(coeffs: np.ndarray):
     """Mirrored kernel values from a frozen symmetric upper table."""
 
-    def column(j: int, nodes: slice, design: NodeDesign, bz: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
+    def column(j: int, nodes: slice, design: NodeDesign, out: np.ndarray) -> np.ndarray:
         return design.evaluate(coeffs[nodes, j], out=out)
-
-    return column
-
-
-def _frozen_martingale_zeta(sweep: _Sweep, mart_coeffs: np.ndarray):
-    """Mirrored values Z(t_j, t_i) from a frozen lower-triangle table.
-
-    Row i of the returned block is a polynomial in the state at node i,
-    so each row needs its own design; the diagonal keeps the identity
-    zeta = z, which is exact there, and reads the kernel's own row.  The
-    rows differ, so it runs on the row path, where ``nodes`` is 0..j.
-    """
-
-    def column(j: int, nodes: slice, design: NodeDesign, bz: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-        for i in range(j):
-            np.matmul(sweep.designs[i].x, mart_coeffs[j, i], out=out[i])
-        np.matmul(design.x, bz[j], out=out[j])
-        return out
 
     return column
 
@@ -565,16 +578,14 @@ def _frozen_martingale_zeta(sweep: _Sweep, mart_coeffs: np.ndarray):
 # public operations
 
 
-def _fixed_point(
-    sweep: _Sweep, freeze: Callable[[np.ndarray, np.ndarray], tuple]
-) -> tuple[int, bool, list[float], list[float]]:
-    """Iterate frozen-data sweeps to their fixed point.
+def _fixed_point(sweep: _Sweep) -> tuple[int, bool, list[float], list[float]]:
+    """Iterate frozen-data sweeps to their fixed point: the Picard mode.
 
-    ``freeze(prev_y, prev_c)`` maps the previous iterate (zeros before the
-    first sweep) to the sweep's frozen data: the y-argument of the
-    off-diagonal cells (None keeps the sweep's own diagonal) and the
-    mirrored-kernel column.  The iteration runs on the whole level range
-    and bisects a block into sub-blocks only when the block's own
+    Each sweep freezes the previous iterate (zeros before the first
+    sweep): its Y is the y-argument of the off-diagonal cells, and its
+    upper coefficient table gives the mirrored kernel values
+    (:func:`_frozen_coeff_zeta`).  The iteration runs on the whole level
+    range and bisects a block into sub-blocks only when the block's own
     contraction ratios stay at or above one; ``max_iter`` bounds each
     block.  Blocks run depth first, upper half before lower half, each
     from the ``lam`` its predecessor left.  The solution stays in the
@@ -593,9 +604,8 @@ def _fixed_point(
         updates: list[float] = []
         ratios: list[float] = []
         for _ in range(max_iter):
-            frozen_y, zeta_column = freeze(prev_y, prev_c)
             sweep.lam[:] = entry
-            sweep.run_levels(j_hi, j_lo, frozen_y, zeta_column)
+            sweep.run_levels(j_hi, j_lo, prev_y, _frozen_coeff_zeta(prev_c))
             iterations += 1
             upd = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, prev_y, prev_c))
             base = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, None, None))
@@ -604,7 +614,7 @@ def _fixed_point(
                 all_ratios.append(ratios[-1])
             updates.append(upd)
             all_updates.append(upd)
-            # later columns hold the solved blocks, which the martingale fit reads
+            # later columns hold the solved blocks
             prev_y[:, j_lo:] = sweep.y[:, j_lo:]
             prev_c[:, j_lo:] = sweep.coeffs[:, j_lo:]
             if upd <= tol * (1.0 + base):
@@ -638,9 +648,7 @@ def solve_s(
     config = config or SolverConfig()
     sweep = _Sweep(problem, paths, config, once=not config.picard)
     if config.picard:
-        bookkeeping = _fixed_point(
-            sweep, lambda prev_y, prev_c: (prev_y, _frozen_coeff_zeta(prev_c))
-        )
+        bookkeeping = _fixed_point(sweep)
     else:
         sweep.run_levels(sweep.n - 1, 0)
         bookkeeping = (1, True)
@@ -659,58 +667,30 @@ def _martingale_rows(design: NodeDesign, y_values: np.ndarray, xw2: np.ndarray) 
     return design.project(y_values[:, design.node + 1:].T, xw2)[1]
 
 
-def _martingale_coeffs(designs: list[NodeDesign], y_values: np.ndarray) -> np.ndarray:
-    """Lower-triangle tables: the martingale rows of every node."""
-    n, k = len(designs), designs[0].basis.size
-    coeffs = np.zeros((n + 1, n + 1, k))
-    xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection operand
-    for j, design in enumerate(designs):
-        coeffs[j + 1:, j] = _martingale_rows(design, y_values, design.operand(xw2))
-    return coeffs
-
-
 def solve_m(
     problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig | None = None
 ) -> SolveReport:
-    """Martingale-extended solution.
+    """Martingale-extended solution, in one backward sweep.
 
-    When the generator never reads the mirrored kernel this is the
-    diagonal sweep (same code path as :func:`solve_s`, so the upper
-    triangles agree bit for bit) plus a lower-triangle fill from the
-    representation of Y, made at each level once Y is final after it.
-    Otherwise each sweep reads its mirrored values
-    from the martingale table fitted to the previous Y, iterated to the
-    fixed point by the same loop as the Picard mode of :func:`solve_s`.
-    The kernel is one full coefficient table: rows i <= j of column j
-    come from the sweep and rows i > j from the representation of Y,
-    all of them polynomials in the state at node j.  ``paths`` is read as
-    by :func:`solve_s`.
+    The diagonal sweep (same code path as :func:`solve_s`, so without
+    ``zeta`` the upper triangles agree bit for bit) also fills the lower
+    triangle from the representation of Y: level j fits node j's rows of
+    Y(t_i), i > j, which are final there.  A generator that reads
+    ``zeta`` reads the M-solution's mirrored values, formed at each level
+    (see :meth:`_Sweep.level`); this is the defining relation
+    Y(t) = E[Y(t) | F_s] + int_s^t Z(t, r) dW(r) solved by backward
+    induction, so no iteration runs: ``config.tol`` and
+    ``config.max_iter`` are unread, and the report reads one iteration,
+    converged, with no norms or ratios.  The kernel is one full
+    coefficient table, each column j a polynomial in the state at node
+    j.  ``paths`` is read as by :func:`solve_s`.
     """
     config = config or SolverConfig()
     zeta = problem.generator.uses_zeta
-    # the mirrored martingale column reads each row's own node design
     sweep = _Sweep(problem, paths, config, row_classes=not zeta, once=not zeta)
-
-    if zeta:
-        def freeze(prev_y, prev_c):
-            # each block starts from the zero iterate, whose fitted table is zero
-            if prev_y.any():
-                table = _martingale_coeffs(sweep.designs, prev_y)
-            else:
-                table = np.zeros_like(sweep.coeffs)
-            return None, _frozen_martingale_zeta(sweep, table)
-
-        bookkeeping = _fixed_point(sweep, freeze)
-        # a sweep is known to be the last only after it ran, so the martingale
-        # rows are fitted once Y is final
-        lower = np.tril_indices(sweep.n + 1, -1)
-        sweep.coeffs[lower] = _martingale_coeffs(sweep.designs, sweep.y)[lower]
-    else:
-        sweep.run_levels(sweep.n - 1, 0, martingale=True)
-        bookkeeping = (1, True)
-
+    sweep.run_levels(sweep.n - 1, 0, martingale=True)
     z = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="full")
-    return SolveReport("m-solution", _adapted(sweep), z, *bookkeeping)
+    return SolveReport("m-solution", _adapted(sweep), z, 1, True)
 
 
 def solve_adapted(

@@ -13,7 +13,7 @@ from bsvie import (
     tilt,
 )
 from bsvie import regression
-from bsvie.solver import _martingale_coeffs
+from test_solver import martingale_coeffs
 
 NODE = 8
 
@@ -133,7 +133,7 @@ def test_martingale_coeff_recovers_square_integrand(unit_grid):
     # is 2 W(t_k), a member of the basis
     ens = sample_ensemble(unit_grid, 65536, seed=22)
     driver = Driver.from_ensemble(ens)
-    coeffs = _martingale_coeffs(driver._node_designs(BasisSpec()), ens.values**2)
+    coeffs = martingale_coeffs(driver._node_designs(BasisSpec()), ens.values**2)
     fitted = design_matrix(ens.values[:, NODE], 3) @ coeffs[NODE + 1, NODE]
     ref = 2.0 * ens.values[:, NODE]
     err = float(np.sqrt(np.mean((fitted - ref) ** 2)))
@@ -227,6 +227,24 @@ def test_project_matches_the_three_fit_sequence(unit_ensemble, tilted):
     assert c.shape == bz.shape == (rows.shape[0], BasisSpec().size)
     for new, ref in ((c, c_ref), (bz, bz_ref)):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_kernel_row_is_the_kernel_of_project(unit_ensemble, tilted):
+    # one row through two products with X: project's kernel to rounding,
+    # and the H it forms on a fresh design is bitwise the one project forms
+    ens = unit_ensemble
+    driver = tilt(ens, DriftSpec(r1=0.5)) if tilted else Driver.from_ensemble(ens)
+    design = driver._node_designs(BasisSpec())[NODE]
+    fresh = driver._node_design(BasisSpec(), NODE)
+    row = np.sin(3.0 * ens.values[:, 15]) + ens.values[:, -1]
+    yw = row if design.weights is None else row * design.weights
+    yw2 = np.stack([yw, yw * design.increments])
+    scratch = np.empty((2 * BasisSpec().size, ens.n_paths))
+    got = design.kernel_row(yw2, scratch, np.empty(ens.n_paths))
+    ref = fresh.evaluate(fresh.project(row[None], fresh.operand(scratch))[1])[0]
+    np.testing.assert_array_equal(design._h, fresh._h)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_project_rejects_non_finite_rows(unit_ensemble):

@@ -232,27 +232,105 @@ def test_zeta_fixed_point_with_inert_zeta_is_the_one_pass_solve(pl_small):
     plain = solve_m(case.problem(grid), ensemble)
     report = solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0*zeta"), ensemble)
     assert report.converged
-    assert report.iterations == 2
-    assert report.update_norms[1] == 0.0
     np.testing.assert_array_equal(report.y.values, plain.y.values)
     np.testing.assert_array_equal(report.z.coeffs, plain.z.coeffs)
+
+
+def martingale_coeffs(designs, y_values):
+    """Lower-triangle tables: the martingale rows of every node, refitted after the sweep."""
+    n, k = len(designs), designs[0].basis.size
+    coeffs = np.zeros((n + 1, n + 1, k))
+    xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection operand
+    for j, design in enumerate(designs):
+        coeffs[j + 1:, j] = solver._martingale_rows(design, y_values, design.operand(xw2))
+    return coeffs
 
 
 def _martingale_fill(y_values, ensemble):
     """Lower-triangle coefficient table of the representation of ``y_values``."""
     designs = Driver.from_ensemble(ensemble)._node_designs(BasisSpec())
-    return solver._martingale_coeffs(designs, y_values)
+    return martingale_coeffs(designs, y_values)
 
 
 def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
+    # one backward sweep reaches the fixed point: the mirrored values of
+    # level j are the martingale rows of a Y(t_j) that is already final
     case, grid, ensemble = pl_small
     report = solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble)
-    assert report.converged
-    assert report.contraction_ratios
-    assert all(r < 1.0 for r in report.contraction_ratios)
+    bookkeeping = (report.iterations, report.converged, report.update_norms,
+                   report.contraction_ratios)
+    assert bookkeeping == (1, True, [], [])
     lower = _martingale_fill(report.y.values, ensemble)
     below = np.tri(grid.steps + 1, k=-1, dtype=bool)
     np.testing.assert_array_equal(report.z.coeffs[below], lower[below])
+
+
+def frozen_martingale_zeta(sweep, mart_coeffs):
+    """Mirrored values Z(t_j, t_i) read from a frozen lower-triangle table.
+
+    Row i of the block is a polynomial in the state at node i, so each
+    row needs its own design; the diagonal keeps the identity zeta = z,
+    which is exact there, and reads the kernel's own row.  The rows
+    differ, so it runs on the row path, where ``nodes`` is 0..j.
+    """
+
+    def column(j, nodes, design, out):
+        for i in range(j):
+            np.matmul(sweep.designs[i].x, mart_coeffs[j, i], out=out[i])
+        np.matmul(design.x, sweep.work.bz[j], out=out[j])
+        return out
+
+    return column
+
+
+_ZETA_CASES = [("0.1*zeta", False), ("0.5*zeta*sin(y) + z", False), ("20*zeta", False),
+               ("0.1*zeta + 0.2*y", True)]
+
+
+def _zeta_case(pl_small, src, tilted):
+    case, grid, ensemble = pl_small
+    paths = tilt(ensemble, DriftSpec(r1=0.5)) if tilted else Driver.from_ensemble(ensemble)
+    return grid, paths, _zeta_problem(case, grid, src)
+
+
+@pytest.mark.parametrize("src, tilted", _ZETA_CASES)
+def test_a_frozen_sweep_on_the_final_table_reproduces_the_one_pass_y(pl_small, src, tilted):
+    # the fixed point's defining property: one frozen-data sweep that reads
+    # the mirrored values from the solve's own lower table returns its Y
+    grid, paths, problem = _zeta_case(pl_small, src, tilted)
+    report = solve_m(problem, paths)
+    sweep = _Sweep(problem, paths, SolverConfig(), row_classes=False)
+    sweep.run_levels(grid.steps - 1, 0, None, frozen_martingale_zeta(sweep, report.z.coeffs))
+    gap = np.linalg.norm(sweep.y - report.y.values) / np.linalg.norm(report.y.values)
+    assert gap < 1e-9
+
+
+@pytest.mark.parametrize("src, tilted", _ZETA_CASES)
+def test_the_mirrored_values_read_are_the_lower_table(pl_small, src, tilted):
+    # cell (i, j) reads X_i coeffs[j, i]; the sweep fits Y(t_j) at node i
+    # alone and the table in a batch of rows, so they agree up to the
+    # rounding that depends on the batch size
+    grid, paths, problem = _zeta_case(pl_small, src, tilted)
+    read = {}
+
+    def fn(env):
+        if np.ndim(env["t"]) == 2:  # the off-diagonal rows of one level
+            j = int(np.flatnonzero(grid.nodes == env["s"])[0])
+            read[j] = env["zeta"].copy()
+        return problem.generator(env)
+
+    recording = ProblemSpec(grid, Generator(fn, problem.generator.needs), problem.terminal)
+    report = solve_m(recording, paths)
+    assert sorted(read) == list(range(1, grid.steps))
+    designs = paths._node_designs(BasisSpec())
+    table = report.z.coeffs
+    scale = max(np.abs(designs[i].evaluate(table[j, i][None])).max() for j in read
+                for i in range(j))
+    for j, rows in read.items():
+        assert rows.shape == (j, paths.ensemble.n_paths)
+        for i in range(j):
+            ref = designs[i].evaluate(table[j, i][None])[0]
+            assert np.abs(rows[i] - ref).max() <= 1e-10 * scale, (i, j)
 
 
 @pytest.mark.parametrize("path", ["rows", "classes", "tilted"])
@@ -272,7 +350,7 @@ def test_one_pass_martingale_rows_are_the_separate_fill(pl_small, path):
         paths = ensemble
         designs = Driver.from_ensemble(ensemble)._node_designs(BasisSpec())
     report = solve_m(problem, paths)
-    lower = solver._martingale_coeffs(designs, report.y.values)
+    lower = martingale_coeffs(designs, report.y.values)
     below = np.tri(grid.steps + 1, k=-1, dtype=bool)
     assert np.any(lower[below])
     np.testing.assert_array_equal(report.z.coeffs[below], lower[below])
@@ -441,19 +519,11 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
     case = get_case("product-linear")
     grid = case.grid(n)
     ensemble = sample_ensemble(grid, m, seed=1)
-    if mode == "s":
-        sweep = _Sweep(case.problem(grid), ensemble, SolverConfig())
-        zeta_column = None
-    elif mode == "z":
-        sweep = _Sweep(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*z"), ensemble, SolverConfig())
-        zeta_column = None
-    else:
-        sweep = _Sweep(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble, SolverConfig())
-        y_prev = solve_s(case.problem(grid), ensemble).y.values
-        zeta_column = solver._frozen_martingale_zeta(
-            sweep,
-            solver._martingale_coeffs(sweep.designs, y_prev),
-        )
+    generator = {"s": case.generator_src, "z": "-t*y/s^2 + 0.1*z",
+                 "zeta": "-t*y/s^2 + 0.1*zeta"}[mode]
+    # zeta runs the M-solution's sweep, whose mirrored rows are the martingale rows of Y
+    sweep = _Sweep(_zeta_problem(case, grid, generator), ensemble, SolverConfig(),
+                   row_classes=mode != "zeta")
     made = []
 
     class Recorded(solver._LevelWork):
@@ -465,7 +535,7 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sweep.run_levels(n - 1, 0, None, zeta_column)
+        sweep.run_levels(n - 1, 0, martingale=mode == "zeta")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -537,10 +607,14 @@ def _solution_bits(report):
 
 
 @pytest.mark.parametrize("mode", ["one-pass", "picard", "zeta"])
-def test_a_reused_driver_solves_like_a_fresh_one(built_designs, pl_small, mode):
+def test_a_reused_driver_solves_like_a_fresh_one(built_designs, pl_small, mode, monkeypatch):
     # a driver keeps its designs: its second solve builds none and gives
     # the bits of a solve on a fresh driver
     case, grid, ensemble = pl_small
+    rows = []
+    kernel_row = NodeDesign.kernel_row
+    monkeypatch.setattr(NodeDesign, "kernel_row",
+                        lambda self, *args: rows.append(1) or kernel_row(self, *args))
     config = SolverConfig(picard=mode == "picard", tol=1e-8)
     if mode == "zeta":
         problem, solve = _zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), solve_m
@@ -552,8 +626,9 @@ def test_a_reused_driver_solves_like_a_fresh_one(built_designs, pl_small, mode):
     del built_designs[:]
     assert _solution_bits(solve(problem, driver, config)) == fresh
     assert built_designs == []
-    if mode == "zeta":
-        assert fresh[2] > 1 and fresh[4]  # the fixed point really iterated
+    # the zeta solves read a mirrored row per off-diagonal cell, the others none
+    n = grid.steps
+    assert len(rows) == (3 * n * (n - 1) // 2 if mode == "zeta" else 0)
 
 
 def test_designs_belong_to_one_driver_and_basis(built_designs, pl_small):
@@ -938,16 +1013,21 @@ def test_a_one_pass_solve_m_keeps_no_rows_by_paths_buffer():
     assert (peak - base) / field < 3.25, f"{(peak - base) / field:.2f} fields above the start"
 
 
-def test_the_zeta_fixed_point_fits_no_zero_iterate(pl_small, monkeypatch):
-    # every block starts from the zero iterate, whose martingale table is
-    # zero: the levels project once per sweep, the fits once per later
-    # sweep and once after the last
+def test_the_zeta_sweep_projects_each_node_twice_and_fills_no_operand_per_cell(
+        pl_small, monkeypatch):
+    # each level projects its rows and fits its martingale rows; the
+    # mirrored rows come from two products per cell, and a node's operand
+    # is filled at its own level and, before that, once to form its H
     case, grid, ensemble = pl_small
-    calls = []
-    project = NodeDesign.project
-    monkeypatch.setattr(NodeDesign, "project",
-                        lambda self, *args: calls.append(1) or project(self, *args))
-    report = solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble)
-    assert report.iterations - len(report.contraction_ratios) == 1
-    assert len(calls) == 2 * report.iterations * grid.steps
-    np.testing.assert_array_equal(_martingale_fill(np.zeros_like(report.y.values), ensemble), 0.0)
+    calls = {"project": 0, "operand": 0}
+    for name in calls:
+        method = getattr(NodeDesign, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(NodeDesign, name, counted)
+    n = grid.steps
+    solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble)
+    assert calls == {"project": 2 * n, "operand": 2 * n - 1}
