@@ -5,6 +5,10 @@ explicit function of the driving path, which makes exact error
 measurement possible at any grid resolution.  The kernels come in the
 two completions the solver distinguishes: the symmetric one and the
 martingale-representation one, which differ only below the diagonal.
+A kernel that is constant across paths in every cell gives each cell
+as one number (:meth:`~bsvie.fields.FuncSurface.value`), so the error
+metrics subtract it as a scalar and sum its mean square once per
+distinct number; a kernel that varies by path gives arrays.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import PathEnsemble, sample_ensemble
-from .fields import AdaptedField, CellSum, FuncSurface, SurfaceField, region_cells, surface_pass
+from .fields import AdaptedField, CellSum, FuncSurface, region_cells, surface_pass
 from .grid import TimeGrid, build_grid
-from .norms import y_diff_l2, y_l2
+from .norms import mean_square, y_diff_l2, y_l2
 from .solver import Generator, ProblemSpec, SolveReport, SolverConfig, Terminal, solve_m, solve_s
 
 
@@ -27,8 +31,8 @@ class ReferenceFields:
     """Exact fields evaluated on one ensemble."""
 
     y: AdaptedField
-    z_s: SurfaceField
-    z_m: SurfaceField
+    z_s: FuncSurface
+    z_m: FuncSurface
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,9 @@ class ReferenceCase:
 
 
 def _const_surface(ens: PathEnsemble, fn: Callable[[float, float], float]) -> FuncSurface:
+    """A kernel constant across paths in every cell: each cell reads as one number."""
     nodes = ens.grid.nodes
-    return FuncSurface(
-        ens.grid, ens.n_paths,
-        lambda i, j: np.full(ens.n_paths, fn(nodes[i], nodes[j])),
-        region="full",
-    )
+    return FuncSurface(ens.grid, ens.n_paths, lambda i, j: fn(nodes[i], nodes[j]), region="full")
 
 
 def _product_fields(ens: PathEnsemble) -> ReferenceFields:
@@ -216,7 +217,12 @@ def error_sum(numeric: SolveReport, reference: ReferenceFields) -> CellSum:
 
     Each cell's term compares the numeric kernel's values with one read
     of the reference at that cell; the upper, diagonal and lower regions
-    sum the shared terms in their own orders.
+    sum the shared terms in their own orders.  A reference cell given as
+    one number is subtracted as a scalar, and its mean square, which
+    depends on the number alone, is summed once per distinct number (in
+    m-mode every lower cell of a row shares one).  Each term keeps the
+    bits of ``np.mean((num - ref) ** 2)`` and ``np.mean(ref ** 2)`` over
+    the cell's per-path reference.
     """
     z_num = numeric.z
     z_ref = reference.z_m if numeric.mode == "m-solution" else reference.z_s
@@ -226,6 +232,7 @@ def error_sum(numeric: SolveReport, reference: ReferenceFields) -> CellSum:
     grid = y_ref.grid
     n = grid.steps
     dt2 = grid.dt**2
+    n_paths = y_ref.n_paths
     y_err = _relative(y_diff_l2(numeric.y, y_ref), y_l2(y_ref))
 
     covers_lower = z_num.region == z_ref.region == "full"
@@ -233,9 +240,22 @@ def error_sum(numeric: SolveReport, reference: ReferenceFields) -> CellSum:
     diag = [(i, i) for i in range(n)]
     lower = region_cells("lower", n) if covers_lower else []
 
+    const_terms: dict[float, float] = {}
+
+    def ref_term(ref: np.ndarray) -> float:
+        if ref.ndim:
+            return mean_square(ref) * dt2
+        c = float(ref)
+        if c not in const_terms:
+            full = np.full(n_paths, c)
+            const_terms[c] = mean_square(full, out=full) * dt2
+        return const_terms[c]
+
     def term(cell: tuple[int, int], num: np.ndarray) -> tuple[float, float]:
-        ref = z_ref.at(*cell)
-        return float(np.mean((num - ref) ** 2)) * dt2, float(np.mean(ref**2)) * dt2
+        ref = z_ref.value(*cell)
+        ref_sq = ref_term(ref)
+        diff = np.subtract(num, ref)
+        return mean_square(diff, out=diff) * dt2, ref_sq
 
     def total(terms: dict) -> ErrorReport:
         return ErrorReport(

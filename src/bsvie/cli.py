@@ -34,7 +34,7 @@ from .ensemble import sample_ensemble
 from .fields import CellSum, region_cells, surface_pass
 from .girsanov import DriftSpec, girsanov_selftest
 from .grid import build_grid
-from .norms import s2_sum
+from .norms import mean_square, s2_sum
 from .regression import BasisSpec, DegenerateEnsembleError, RegressionError
 from .risk import Aggregator, RiskSpec, check_axioms, discount_factor, route
 from .solver import (
@@ -398,26 +398,33 @@ def _run_dir(sub: str, config: dict, digest: str) -> str:
     return os.path.join(root, f"{sub}-{digest[:12]}")
 
 
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Path mean and standard error, with the bits of ``vals.mean()`` and
+    ``vals.std(ddof=1) / np.sqrt(m)`` (0.0 for one path).
+
+    One sum serves the mean and the centring, and the centred values are
+    squared in place in the one temporary the subtraction makes.
+    """
+    m = vals.shape[0]
+    mean = np.add.reduce(vals) / m
+    if m == 1:
+        return float(mean), 0.0
+    centred = np.subtract(vals, mean)
+    sum_sq = np.add.reduce(np.square(centred, out=centred))
+    return float(mean), float(np.sqrt(sum_sq / (m - 1)) / np.sqrt(m))
+
+
 def _field_rows(field_values: np.ndarray, nodes: np.ndarray):
-    m = field_values.shape[0]
     for i, t in enumerate(nodes):
         col = field_values[:, i]
-        mean = float(col.mean())
-        stderr = float(col.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-        yield i, float(t), mean, stderr, float(np.sqrt(np.mean(col**2)))
-
-
-def _cell_stats(vals: np.ndarray) -> tuple[float, float]:
-    m = vals.shape[0]
-    stderr = float(vals.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return float(vals.mean()), stderr
+        yield i, float(t), *_mean_stderr(col), float(np.sqrt(mean_square(col)))
 
 
 def _surface_sum(z, nodes: np.ndarray, steps: int) -> CellSum:
     """The ``z_surface.csv`` rows as a consumer of a pass over ``z``."""
     cells = region_cells(z.region, steps + 1)
     reps = [z.representative(i, j) for i, j in cells]
-    return CellSum(reps, lambda _, vals: _cell_stats(vals), lambda stats: [
+    return CellSum(reps, lambda _, vals: _mean_stderr(vals), lambda stats: [
         (i, j, float(nodes[i]), float(nodes[j]), *stats[rep])
         for (i, j), rep in zip(cells, reps)
     ])

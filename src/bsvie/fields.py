@@ -12,6 +12,13 @@ column by column, so that a coefficient-backed kernel builds each
 node's design matrix once, and hands the values to every consumer that
 needs the cell.  Several consumers share one pass; no more than one
 column's design and the cells a consumer keeps are alive at a time.
+Past the cell's matrix-vector product, the cost of a pass is its
+consumers' terms: each sweep over a cell's paths and each path-length
+temporary runs once per cell, 4,225 times at 64 steps.  The terms in
+the package reduce a cell with one sum per figure and at most one
+temporary each (a difference is squared in place), and hold nothing
+past the cell, with the bits of the plain numpy expressions they
+replace.
 
 Regions: ``upper`` covers the closed triangle t_i <= t_j, ``lower`` the
 strict triangle t_i > t_j, ``full`` the whole square;
@@ -116,7 +123,9 @@ class CellSum:
     ``term(cell, values)`` runs once for each distinct cell of ``cells``,
     with the values of the cell's representative; ``total`` then gets
     the terms as a dict keyed by cell and sums them in the order that
-    its result fixes.
+    its result fixes.  The values are shared by every consumer of the
+    cell, so a term reads them and never writes into them; it works in
+    temporaries of its own and keeps none of them past the cell.
     """
 
     cells: list[tuple[int, int]]
@@ -194,7 +203,12 @@ class CoeffSurface(SurfaceField):
 
 
 class FuncSurface(SurfaceField):
-    """Kernel given in closed form as a callable (i, j) -> values."""
+    """Kernel given in closed form as a callable (i, j) -> values.
+
+    The callable returns a cell's per-path values, or one number for a
+    cell that is constant across paths; ``column`` broadcasts the number
+    and :meth:`value` hands it on as it is.
+    """
 
     def __init__(
         self,
@@ -206,10 +220,14 @@ class FuncSurface(SurfaceField):
         super().__init__(grid, n_paths, region)
         self._fn = fn
 
+    def value(self, i: int, j: int) -> np.ndarray:
+        """The callable's result at (i, j): 0-d for a cell constant across paths."""
+        _check_region(self.region, i, j, self.grid.steps)
+        return np.asarray(self._fn(i, j), dtype=np.float64)
+
     def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
         for i in rows:
-            _check_region(self.region, i, j, self.grid.steps)
-            out = np.asarray(self._fn(i, j), dtype=np.float64)
+            out = self.value(i, j)
             yield np.full(self.n_paths, float(out)) if out.ndim == 0 else out
 
 

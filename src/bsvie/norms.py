@@ -12,7 +12,9 @@ per-cell terms come from one :func:`~bsvie.fields.surface_pass` over
 the kernel and are only then summed in that order; :func:`s2_sum` is
 the norm as a consumer that can share its pass with other readers.  The
 z-part of the norm is :func:`z_cells_l2` over
-``region_cells("upper", N)``.
+``region_cells("upper", N)``.  Every path mean of a square, per cell
+and per node, is :func:`mean_square`: one square and one sum, with the
+bits of ``np.mean(values**2)``.
 """
 
 from __future__ import annotations
@@ -25,10 +27,19 @@ from .fields import AdaptedField, CellSum, SurfaceField, region_cells, surface_p
 from .grid import TimeGrid
 
 
+def mean_square(values: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Path mean of ``values**2``, with the bits of ``np.mean(values**2)``.
+
+    One square and one sum; ``out=values`` squares a temporary that the
+    caller owns in place, so the term allocates nothing.
+    """
+    return float(np.add.reduce(np.square(values, out=out)) / values.shape[0])
+
+
 def _columns_l2(grid: TimeGrid, at_node: Callable[[int], np.ndarray]) -> float:
     """E integral of |at_node(i)|^2 dt by the left-point rule, node by node."""
     dt = grid.dt
-    return float(sum(np.mean(at_node(i) ** 2) * dt for i in range(grid.steps)))
+    return float(sum(mean_square(at_node(i)) * dt for i in range(grid.steps)))
 
 
 def y_l2(y: AdaptedField) -> float:
@@ -51,7 +62,7 @@ def _l2_sum(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> CellSum:
             out += terms[cell]
         return out
 
-    return CellSum(cells, lambda cell, v: float(np.mean(v**2)) * dt2, total)
+    return CellSum(cells, lambda cell, v: mean_square(v) * dt2, total)
 
 
 def z_cells_l2(z: SurfaceField, cells: Iterable[tuple[int, int]]) -> float:

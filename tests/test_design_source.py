@@ -122,16 +122,20 @@ def test_kernel_cells_are_read_in_one_place():
 
 
 def test_single_cell_reads_stay_at_known_sites():
+    # ``at`` reads a cell of any kernel; ``FuncSurface.value`` reads a
+    # closed-form cell as its callable gives it, one number for a constant
     sites = {
         f"{path.name}: {where}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for where in _constructions(path.read_text(encoding="utf-8"), "at")
+        for name in ("at", "value")
+        for where in _constructions(path.read_text(encoding="utf-8"), name)
     }
     assert sites == {
         "solver.py: residual",  # row and column sums of one outer node
         "solver.py: _generator_env",  # its local helper, not a kernel read
         "analytic.py: error_sum.term",  # the reference at the cell being read
         "fields.py: SymmetricSurface.column",  # the mirror of a lower cell
+        "fields.py: FuncSurface.column",  # the closed form's own read
     }
 
 
