@@ -176,7 +176,7 @@ def route(
             values = psi.eval_all(grid, w)
             return np.negative(values, out=values)
 
-        terminal = Terminal(negated, splits=psi.splits)
+        terminal = Terminal(negated, repeats=psi.repeats)
         problem = ProblemSpec(grid=ensemble.grid, generator=generator, terminal=terminal)
         return solve_s(problem, driver, config)
 
@@ -267,17 +267,16 @@ class AxiomReport:
         raise KeyError(f"no check named {axiom!r}; have {[c.axiom for c in self.checks]}")
 
 
-def _perturbed(psi: Terminal, edit: Callable, splits=()) -> Terminal:
+def _perturbed(psi: Terminal, edit: Callable, repeats: bool = True) -> Terminal:
     """``psi`` with ``edit(values, grid, w)`` applied to its values.
 
     The edit runs inside the evaluation, so each solve builds its own
-    perturbed free term and none outlives the solve that reads it.
-    ``splits`` are the outer nodes at which the edit may make a row
-    differ from the one before it, or None if it may at any node; they
-    are added to the rows ``psi`` declares equal (:attr:`Terminal.splits`).
+    perturbed free term and none outlives the solve that reads it.  It
+    keeps ``psi``'s hint that rows repeat (:attr:`Terminal.repeats`)
+    only if ``repeats`` holds too, so a sum takes the hint of both terms.
     """
-    declared = None if psi.splits is None or splits is None else psi.splits | set(splits)
-    return Terminal(lambda grid, w: edit(psi.eval_all(grid, w), grid, w), splits=declared)
+    return Terminal(lambda grid, w: edit(psi.eval_all(grid, w), grid, w),
+                    repeats=psi.repeats and repeats)
 
 
 def _positive_part_stats(defect: np.ndarray, scale: float) -> tuple[float, dict]:
@@ -352,7 +351,7 @@ def check_axioms(
         values[:i0] = 2.0 * values[:i0] + 3.0
         return values
 
-    edited = run(_perturbed(psi, edit_head, (i0,)))
+    edited = run(_perturbed(psi, edit_head))
     head_changed = bool(np.any(edited[:, :i0] != base[:, :i0]))
     tail = edited[:, i0:] - base[:, i0:]
     del edited
@@ -429,7 +428,7 @@ def check_axioms(
     # sub-additivity: risk of the sum at most the sum of risks
     rho_other = run(other)
     sub_defect = run(_perturbed(psi, lambda v, grid, w: v + other.eval_all(grid, w),
-                                other.splits)) - base
+                                other.repeats)) - base
     sub_defect -= rho_other
     del rho_other
     detail = "companion position " + (other.source or "?")

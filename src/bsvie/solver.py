@@ -55,8 +55,8 @@ class Generator:
 
     On the class path of the sweep (see :class:`_Sweep`), taken only for
     a generator that declares neither ``t`` nor ``wt``, the off-diagonal
-    arguments are one row per row class, not per outer node, and ``t``
-    and ``wt`` are None there.
+    arguments are one row per run of bitwise-equal free-term rows, not
+    per outer node, and ``t`` and ``wt`` are None there.
 
     The sweep evaluates the off-diagonal cells of a level one block of
     rows at a time, each block in its own call, so the row arguments
@@ -100,18 +100,20 @@ class Terminal:
     ``fn(grid, w)`` returns a fresh array on every call, so a reader of
     :meth:`eval_all` may write into it.
 
-    ``splits`` declares which rows coincide.  None declares nothing.  A
-    set of outer nodes declares that the rows form runs of bitwise-equal
-    rows, each starting at node 0 or at a node of the set; an empty set
-    declares one run.  The sweep carries one iterate row per run when
-    the generator allows it, and checks the declaration first.
+    ``repeats`` hints that neighbouring rows may be bitwise equal.  The
+    sweep then compares them and, when the generator allows it, carries
+    one iterate row per run of equal rows (see :class:`_Sweep`).  The
+    hint cannot be wrong: rows that all differ take the row path.  It is
+    True for an expression that reads neither ``t`` nor ``wt`` and for
+    a constant; a raw function defaults to False, whose rows are never
+    compared, so a free term capped in ``t`` keeps one batch per level.
     """
 
     def __init__(self, fn: Callable[[TimeGrid, np.ndarray], np.ndarray],
-                 source: str | None = None, splits=None):
+                 source: str | None = None, repeats: bool = False):
         self._fn = fn
         self.source = source
-        self.splits = None if splits is None else frozenset(splits)
+        self.repeats = repeats
 
     @classmethod
     def from_expression(cls, src: str | ExprNode) -> "Terminal":
@@ -130,13 +132,12 @@ class Terminal:
             return np.broadcast_to(out, (len(grid), w.shape[0])).astype(np.float64, copy=True)
 
         # without an outer-node name every row is the same broadcast row
-        splits = None if free_variables(ast) & _OUTER_NAMES else ()
-        return cls(fn, format_expr(ast), splits)
+        return cls(fn, format_expr(ast), not free_variables(ast) & _OUTER_NAMES)
 
     @classmethod
     def constant(cls, value: float) -> "Terminal":
         v = float(value)
-        return cls(lambda grid, w: np.full((len(grid), w.shape[0]), v), repr(v), ())
+        return cls(lambda grid, w: np.full((len(grid), w.shape[0]), v), repr(v), True)
 
     def eval_all(self, grid: TimeGrid, w: np.ndarray) -> np.ndarray:
         out = np.asarray(self._fn(grid, w), dtype=np.float64)
@@ -173,12 +174,13 @@ class Driver:
     keeps them for its lifetime: M x (degree + 1) floats per node, 16 MB
     at 64 steps x 8192 paths.  Pass one driver to several solves to
     share them.  A solve given an ensemble sweeps a fresh driver of its
-    own.  Most solves build node j's design at level j and drop it when
-    the level ends.  Two keep every design for the solve: the Picard
-    mode, which sweeps again, and a ``solve_m`` whose generator reads
-    ``zeta``, because its level j reads the designs of the nodes below
-    j.  ``dataclasses.replace`` (new state or weights) starts from no
-    designs.
+    own.  The sweep's solution concept decides whether it keeps them
+    (see :class:`_Sweep`): the Picard mode, which sweeps again, and a
+    ``solve_m`` whose generator reads ``zeta``, whose level j reads the
+    designs of the nodes below j, keep every design for the solve; the
+    other solves build node j's design at level j and drop it when the
+    level ends.  ``dataclasses.replace`` (new state or weights) starts
+    from no designs.
     """
 
     ensemble: PathEnsemble
@@ -304,7 +306,7 @@ _BLOCK_VALUES = 1 << 17
 
 
 class _LevelWork:
-    """Work buffers of a sweep, allocated by its first run of levels and kept.
+    """Work buffers of a sweep, allocated with it and kept for its levels.
 
     ``z`` and ``zeta`` take a level's kernel and mirrored rows, and exist
     only for a generator that reads them.  ``y`` takes the level's Y
@@ -333,34 +335,40 @@ class _Sweep:
     """Shared machinery: the driver's designs, the iterate, one level step.
 
     ``paths`` is a :class:`Driver`, or an ensemble for a fresh plain one;
-    the driver's ensemble must lie on the problem's grid.  ``designs``
-    holds the driver's kept node designs, or is None for a sweep that
-    runs ``once`` on a driver of its own: each level then builds its
-    node's design and drops it when the level ends.  The iterate is
-    ``lam`` (Lambda[i][j] of the rows still being swept), ``y`` (Y at
-    every node, one column per node) and ``coeffs`` (the kernel
-    coefficients of cell (i, j) in ``coeffs[i, j]``); levels read and
-    write them in place.
+    the driver's ensemble must lie on the problem's grid.  ``concept``,
+    ``"s"``, ``"picard"`` or ``"m"``, fixes the plan: where the mirrored
+    value comes from (see :meth:`level`), the martingale fill, the row
+    path and the work buffers.  ``designs`` holds the driver's kept node
+    designs: a shared driver's, the Picard mode's, which sweeps again,
+    and those of an M-solution whose level j reads the designs below j
+    for ``zeta``.  Otherwise it is None, and each level builds its node's
+    design and drops it when the level ends.  The iterate is ``lam``
+    (Lambda[i][j] of the rows still being swept), ``y`` (Y at every
+    node, one column per node) and ``coeffs`` (the kernel coefficients
+    of cell (i, j) in ``coeffs[i, j]``); levels read and write them in
+    place.
 
     ``lam`` is held per row class: a run of outer nodes whose free-term
-    rows are bitwise equal, as the terminal declares
-    (:attr:`Terminal.splits`).  When the generator reads neither ``t``
-    nor ``wt``, the rows of one class stay equal at every level, so the
-    class path sweeps each class as one row, projected and evaluated
-    alone: a row's projection bits depend on the size of its batch, and
-    alone they do not depend on the other classes.  A class's kernel
-    coefficients fill its cells of ``coeffs`` by broadcast.  Without a
-    declaration, for a generator that reads ``t`` or ``wt``, or with
-    ``row_classes`` off (the mirrored martingale column differs row by
-    row), every outer node is a class of its own and a level projects
-    its rows in one batch: the row path.  Row r of ``lam`` starts at
-    outer node ``lo[r]``, and outer node i lies in row ``row_of[i]``.
+    rows are bitwise equal.  If the free term hints that rows repeat
+    (:attr:`Terminal.repeats`) and nothing per outer node enters (no
+    ``t`` or ``wt`` read, no M-solution mirror, whose martingale column
+    differs row by row), the rows of a run stay equal at every level, so
+    the sweep finds the runs by comparing neighbouring rows, and the
+    class path sweeps each run as one row, projected and evaluated alone:
+    a row's projection bits depend on the size of its batch, and alone
+    they do not depend on the other classes, so merging two runs of equal
+    rows moves no bit.  A class's kernel coefficients fill its cells of
+    ``coeffs`` by broadcast.  Otherwise, or when every row differs, every
+    outer node is a class of its own and a level projects its rows in one
+    batch: the row path.  Row r of ``lam`` starts at outer node
+    ``lo[r]``, and outer node i lies in row ``row_of[i]``.
     """
 
     def __init__(
         self, problem: ProblemSpec, paths: PathEnsemble | Driver, config: SolverConfig,
-        row_classes: bool = True, once: bool = False,
+        concept: str,
     ) -> None:
+        self.concept = concept
         shared = isinstance(paths, Driver)
         self.driver = paths if shared else Driver.from_ensemble(paths)
         self.ensemble = self.driver.ensemble
@@ -372,25 +380,24 @@ class _Sweep:
         self.m = self.ensemble.n_paths
         self.dt = grid.dt
         self.k = config.basis.size
-        # a shared driver's designs, or ones read again by a later sweep, are kept
-        self.designs = None if once and not shared else self.driver._node_designs(config.basis)
+        self.g = problem.generator
+        zeta = self.g.uses_zeta
+        # the M-solution's mirrored rows: node i's martingale regression of Y(t_j)
+        of_y = zeta and concept == "m"
+        kept = shared or concept == "picard" or of_y
+        self.designs = self.driver._node_designs(config.basis) if kept else None
         terminal = problem.terminal.eval_all(grid, self.ensemble.values)
         finite = np.isfinite(terminal).all(axis=1)
         if not finite.all():
             raise SolverError(f"terminal data is non-finite at node {int(np.argmin(finite))}")
-        self.g = problem.generator
-        splits = problem.terminal.splits
-        self.batched = not row_classes or splits is None or bool(self.g.needs & _OUTER_NAMES)
-        if self.batched:
-            self.lo = list(range(self.n + 1))
-        else:
-            self.lo = [0, *sorted(i for i in splits if 0 < i <= self.n)]
+        runs = problem.terminal.repeats and not self.g.needs & _OUTER_NAMES and not of_y
+        self.lo = [0] + [
+            i for i in range(1, self.n + 1)
+            if not (runs and np.array_equal(terminal[i].view(np.uint64),
+                                            terminal[i - 1].view(np.uint64)))
+        ]
+        self.batched = len(self.lo) == self.n + 1
         self.row_of = np.repeat(np.arange(len(self.lo)), np.diff([*self.lo, self.n + 1]))
-        for i in np.flatnonzero(self.row_of[1:] == self.row_of[:-1]) + 1:
-            if not np.array_equal(terminal[i].view(np.uint64), terminal[i - 1].view(np.uint64)):
-                raise SolverError(
-                    f"terminal row at node {i} differs from node {i - 1} of its declared class"
-                )
         # the row path adopts the fresh free term, the class path keeps its class rows
         if self.batched:
             self.lam = np.require(terminal, requirements=["C", "W"])
@@ -401,7 +408,12 @@ class _Sweep:
         # node n's row is bitwise its class row, and no level advances it before this
         self.y[:, self.n] = self.lam[self.row_of[self.n]]
         self.coeffs = np.zeros((self.n + 1, self.n + 1, self.k))
-        self.work: _LevelWork | None = None
+        # one set of buffers for the solve, sized to its widest level; the
+        # symmetric mode's mirrored rows are its kernel rows
+        self.work = _LevelWork(int(self.row_of[self.n - 1]) + 1, self.m, self.k,
+                               "z" in self.g.needs or (zeta and concept == "s"),
+                               zeta and concept != "s",
+                               self.driver.increments if of_y else None)
 
     def _check_g(self, values: np.ndarray, nodes, j: int) -> None:
         """Raise at the first non-finite row; row r of ``values`` is outer node nodes[r]."""
@@ -413,32 +425,25 @@ class _Sweep:
 
     # -- one backward level ----------------------------------------------
 
-    def level(
-        self,
-        j: int,
-        frozen_y: np.ndarray | None,
-        zeta_column: Callable[[int, slice, NodeDesign, np.ndarray], object] | None,
-        martingale: bool = False,
-    ) -> None:
+    def level(self, j: int, frozen: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         """Advance the rows of outer nodes 0..j from column j+1 to column j.
 
-        ``zeta_column(j, nodes, design, out)`` must write mirrored kernel
-        values for the outer nodes ``nodes`` into ``out`` (the Picard mode's
-        frozen table).  ``martingale`` fills the rows i > j of column j of
-        ``coeffs`` with the martingale rows of Y (:func:`_martingale_rows`),
-        which is right only where Y's columns after j are final, as in a
-        one-pass sweep.  Without a ``zeta_column``, ``zeta`` is the kernel
-        itself (the symmetric mode), or with ``martingale`` the
-        M-solution's Z(t_j, t_i): node i's martingale regression of Y(t_j)
+        ``frozen`` is the Picard mode's previous iterate (y, coeffs): its
+        Y column is the off-diagonal y-argument, and its upper table gives
+        the mirrored kernel values.  The symmetric mode's mirrored value
+        is the kernel itself.  The M-solution fills the rows i > j of
+        column j of ``coeffs`` with the martingale rows of Y
+        (:func:`_martingale_rows`), right because Y's columns after j are
+        final in a one-pass sweep, and its mirrored value Z(t_j, t_i) is
+        node i's martingale regression of Y(t_j)
         (:meth:`NodeDesign.kernel_row`), formed once the diagonal cell,
         which reads the kernel's own row (exact there), has made Y(t_j)
-        final.  That needs the row path and every node's design kept.
-        Kernel values are evaluated only for a generator that declares
-        ``z`` or ``zeta``.  The projections and evaluations take all rows
-        at once, into ``lam`` and ``self.work``; the off-diagonal update
-        (the generator, its check, the dt scaling and the add to ``lam``)
-        runs one block of :class:`_LevelWork` rows at a time, so what it
-        allocates is one block in size.
+        final.  Kernel values are evaluated only for a generator that
+        declares ``z`` or ``zeta``.  The projections and evaluations take
+        all rows at once, into ``lam`` and ``self.work``; the off-diagonal
+        update (the generator, its check, the dt scaling and the add to
+        ``lam``) runs one block of :class:`_LevelWork` rows at a time, so
+        what it allocates is one block in size.
         """
         work = self.work
         if self.designs is None:
@@ -453,7 +458,6 @@ class _Sweep:
         else:
             batches = [(slice(r, r + 1), slice(lo[r], lo[r] + 1)) for r in range(top + 1)]
         z_fit = work.z
-        # the symmetric mode's mirrored rows are its kernel rows (see run_levels)
         zeta_rows = work.zeta if work.zeta is not None else (z_fit if self.g.uses_zeta else None)
         design.operand(work.xw2)
         for rows, nodes in batches:
@@ -466,10 +470,10 @@ class _Sweep:
             design.evaluate(c, out=lam[rows])
             if z_fit is not None:
                 design.evaluate(bz, out=z_fit[rows])
-            if work.zeta is not None and zeta_column is not None:
-                zeta_column(j, nodes, design, work.zeta[rows])
+            if self.concept == "picard" and work.zeta is not None:
+                design.evaluate(frozen[1][nodes, j], out=work.zeta[rows])
         self.coeffs[: j + 1, j] = work.bz[self.row_of[: j + 1]]
-        if martingale:
+        if self.concept == "m":
             self.coeffs[j + 1:, j] = _martingale_rows(design, self.y, work.xw2)
         if work.yw2 is not None:
             # zeta = z on the diagonal
@@ -488,7 +492,7 @@ class _Sweep:
         if off == 0:
             return
         y_row = work.y
-        y_row[:] = (self.y if frozen_y is None else frozen_y)[:, j]
+        y_row[:] = (self.y if frozen is None else frozen[0])[:, j]
         if work.yw2 is not None:
             yw = work.yw2[0]
             if design.weights is None:
@@ -517,44 +521,34 @@ class _Sweep:
 
     # -- full passes -------------------------------------------------------
 
-    def run_levels(
-        self, j_hi: int, j_lo: int, frozen_y: np.ndarray | None = None, zeta_column=None,
-        martingale: bool = False,
-    ) -> None:
-        if self.work is None:
-            # one set of buffers for the solve, sized to its widest level; a
-            # solve passes the same kind of zeta_column and martingale flag to
-            # every run, so its first run decides where the mirror comes from
-            zeta = self.g.uses_zeta
-            of_y = zeta and zeta_column is None and martingale
-            symmetric_zeta = zeta and zeta_column is None and not martingale
-            self.work = _LevelWork(int(self.row_of[self.n - 1]) + 1, self.m, self.k,
-                                   "z" in self.g.needs or symmetric_zeta,
-                                   zeta and not symmetric_zeta,
-                                   self.driver.increments if of_y else None)
+    def run_levels(self, j_hi: int, j_lo: int,
+                   frozen: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         for j in range(j_hi, j_lo - 1, -1):
-            self.level(j, frozen_y, zeta_column, martingale)
+            self.level(j, frozen)
 
     # -- iterate distances -------------------------------------------------
 
-    def block_norm_sq(
-        self, j_hi: int, j_lo: int, y_old: np.ndarray | None, c_old: np.ndarray | None
-    ) -> float:
-        """Squared triangle norm of the iterate minus an old one over a level block.
+    def block_norms_sq(
+        self, j_hi: int, j_lo: int, y_old: np.ndarray, c_old: np.ndarray
+    ) -> tuple[float, float]:
+        """Squared triangle norms over a level block of the iterate minus an
+        old one, and of the iterate itself, in one pass.
 
-        None stands for the zero iterate.  The kernel part is the path
-        mean of the squared fitted values, taken as the quadratic form
-        dc^T gram dc of each coefficient row.
+        The kernel part is the path mean of the squared fitted values,
+        taken as the quadratic form dc^T gram dc of each coefficient row.
         """
-        total = 0.0
+        update = size = 0.0
         dt, dt2 = self.dt, self.dt**2
         y_new, c_new = self.y, self.coeffs
         for j in range(j_lo, j_hi + 1):
-            dy = y_new[:, j] if y_old is None else y_new[:, j] - y_old[:, j]
-            total += float(np.mean(dy**2)) * dt
-            dc = c_new[: j + 1, j] if c_old is None else c_new[: j + 1, j] - c_old[: j + 1, j]
-            total += float(np.sum((dc @ self.designs[j].gram) * dc)) * dt2
-        return total
+            gram = self.designs[j].gram
+            y_j, c_j = y_new[:, j], c_new[: j + 1, j]
+            update += float(np.mean((y_j - y_old[:, j])**2)) * dt
+            size += float(np.mean(y_j**2)) * dt
+            dc = c_j - c_old[: j + 1, j]
+            update += float(np.sum((dc @ gram) * dc)) * dt2
+            size += float(np.sum((c_j @ gram) * c_j)) * dt2
+        return update, size
 
 
 def _upper_kernel(sweep: _Sweep) -> CoeffSurface:
@@ -563,15 +557,6 @@ def _upper_kernel(sweep: _Sweep) -> CoeffSurface:
 
 def _adapted(sweep: _Sweep) -> AdaptedField:
     return AdaptedField(grid=sweep.grid, values=_readonly(sweep.y))
-
-
-def _frozen_coeff_zeta(coeffs: np.ndarray):
-    """Mirrored kernel values from a frozen symmetric upper table."""
-
-    def column(j: int, nodes: slice, design: NodeDesign, out: np.ndarray) -> np.ndarray:
-        return design.evaluate(coeffs[nodes, j], out=out)
-
-    return column
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +568,8 @@ def _fixed_point(sweep: _Sweep) -> tuple[int, bool, list[float], list[float]]:
 
     Each sweep freezes the previous iterate (zeros before the first
     sweep): its Y is the y-argument of the off-diagonal cells, and its
-    upper coefficient table gives the mirrored kernel values
-    (:func:`_frozen_coeff_zeta`).  The iteration runs on the whole level
+    upper coefficient table gives the mirrored kernel values (see
+    :meth:`_Sweep.level`).  The iteration runs on the whole level
     range and bisects a block into sub-blocks only when the block's own
     contraction ratios stay at or above one; ``max_iter`` bounds each
     block.  Blocks run depth first, upper half before lower half, each
@@ -605,10 +590,9 @@ def _fixed_point(sweep: _Sweep) -> tuple[int, bool, list[float], list[float]]:
         ratios: list[float] = []
         for _ in range(max_iter):
             sweep.lam[:] = entry
-            sweep.run_levels(j_hi, j_lo, prev_y, _frozen_coeff_zeta(prev_c))
+            sweep.run_levels(j_hi, j_lo, (prev_y, prev_c))
             iterations += 1
-            upd = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, prev_y, prev_c))
-            base = np.sqrt(sweep.block_norm_sq(j_hi, j_lo, None, None))
+            upd, base = np.sqrt(sweep.block_norms_sq(j_hi, j_lo, prev_y, prev_c))
             if updates:
                 ratios.append(upd / max(updates[-1], 1e-300))
                 all_ratios.append(ratios[-1])
@@ -646,7 +630,7 @@ def solve_s(
     each block, so the total can exceed it.
     """
     config = config or SolverConfig()
-    sweep = _Sweep(problem, paths, config, once=not config.picard)
+    sweep = _Sweep(problem, paths, config, "picard" if config.picard else "s")
     if config.picard:
         bookkeeping = _fixed_point(sweep)
     else:
@@ -686,9 +670,8 @@ def solve_m(
     j.  ``paths`` is read as by :func:`solve_s`.
     """
     config = config or SolverConfig()
-    zeta = problem.generator.uses_zeta
-    sweep = _Sweep(problem, paths, config, row_classes=not zeta, once=not zeta)
-    sweep.run_levels(sweep.n - 1, 0, martingale=True)
+    sweep = _Sweep(problem, paths, config, "m")
+    sweep.run_levels(sweep.n - 1, 0)
     z = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="full")
     return SolveReport("m-solution", _adapted(sweep), z, 1, True)
 
@@ -707,7 +690,7 @@ def solve_adapted(
     if problem.generator.uses_zeta:
         raise ValueError("the mirror-free form takes a generator without zeta")
     config = config or SolverConfig()
-    sweep = _Sweep(problem, paths, config, once=True)
+    sweep = _Sweep(problem, paths, config, "s")
     sweep.run_levels(sweep.n - 1, 0)
     return SolveReport("adapted", _adapted(sweep), _upper_kernel(sweep), 1, True)
 

@@ -493,7 +493,25 @@ def test_risk_girsanov_tilts_once(tmp_path, capsys, monkeypatch):
     summary = _read_json(run_dir, "summary.json")
     assert summary["selftest"] == {"passed": bool(selftest.passed),
                                    "max_score": float(selftest.max_score)}
-    assert summary["sup_node_l2"] == float(np.sqrt(np.mean(values**2, axis=0)).max())
+    assert summary["sup_node_l2"] == max(row[-1] for row in table)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_risk_summary_sup_is_the_largest_l2_of_its_table(tmp_path, capsys, seed):
+    # one figure, summed once: a mean over the whole field sums in
+    # another order and read 0.7188163551696625 against the table's
+    # 0.7188163551696619 at seed 1
+    code, lines, _ = _run(
+        capsys,
+        ["risk", "--n", "16", "--m", "4096", "--seed", str(seed),
+         "--output.dir", str(tmp_path / "runs")],
+    )
+    assert code == 0
+    run_dir = _last_run_dir(lines)
+    with open(os.path.join(run_dir, "rho_table.csv"), encoding="utf-8") as fh:
+        l2 = [float(line.split(",")[-1]) for line in fh.read().splitlines()[1:]]
+    assert len(l2) == 17
+    assert _read_json(run_dir, "summary.json")["sup_node_l2"] == max(l2)
 
 
 def test_risk_direct_summary_has_no_selftest(tmp_path, capsys):

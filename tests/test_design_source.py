@@ -159,3 +159,21 @@ def test_guard_finds_every_construction():
         "SPARE = NodeDesign(0)\n"
     )
     assert _constructions(source) == ["Driver._node_designs", "_sweep.inner", "<module>"]
+
+
+def test_each_solve_decides_its_sweep_plan_in_one_place():
+    # a sweep works out its plan from the problem and one literal naming
+    # the solution concept, so only the three solves construct one
+    source = (PACKAGE / "solver.py").read_text(encoding="utf-8")
+    sites = {f"{path.name}: {where}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for where in _constructions(path.read_text(encoding="utf-8"), "_Sweep")}
+    assert sites == {"solver.py: solve_s", "solver.py: solve_m", "solver.py: solve_adapted"}
+    concepts = set()
+    for call in ast.walk(ast.parse(source)):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_Sweep":
+            plan = call.args[3]
+            options = [plan.body, plan.orelse] if isinstance(plan, ast.IfExp) else [plan]
+            assert all(isinstance(o, ast.Constant) for o in options), ast.unparse(plan)
+            concepts.update(o.value for o in options)
+    assert concepts == {"s", "picard", "m"}

@@ -22,7 +22,7 @@ from bsvie import (
     solve_s,
     tilt,
 )
-from bsvie import Generator, NodeDesign, ProblemSpec, risk
+from bsvie import Generator, NodeDesign, ProblemSpec, risk, solver
 from bsvie.expr import Bin, Num, Var
 from bsvie.risk import ROUTES
 
@@ -270,8 +270,8 @@ def _unfolded_rho(spec, ensemble):
     zero_rates = Bin("*", Bin("+", Num(0.0), Num(0.0)), Var("z"))
     generator = Generator.from_expression(Bin("+", spec.aggregator.ast(), zero_rates))
     psi = position_terminal(spec.position)
-    # the same declared row classes as rho's free term, so the same sweep path
-    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w), splits=psi.splits)
+    # the same hint as rho's free term, so the same sweep path
+    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w), repeats=psi.repeats)
     return solve_s(ProblemSpec(ensemble.grid, generator, terminal), ensemble).y.values
 
 
@@ -341,15 +341,33 @@ def test_absolute_ladder_evaluates_no_kernel_rows(monkeypatch):
 # -- row classes of the ladder's free terms ---------------------------------
 
 
-def test_ladder_edits_carry_the_declared_row_classes():
+def test_ladder_edits_carry_the_position_hint():
     psi = position_terminal("0.7*wT")
     keep = lambda v, *_: v  # noqa: E731
-    assert risk._perturbed(psi, keep).splits == frozenset()  # a shift or a scale
-    assert risk._perturbed(psi, keep, (4,)).splits == {4}  # the head edit
-    assert risk._perturbed(risk._perturbed(psi, keep, (4,)), keep, {2}).splits == {2, 4}
-    # a sum with a free term that declares nothing declares nothing
-    assert risk._perturbed(psi, keep, position_terminal("wt").splits).splits is None
-    assert risk._perturbed(position_terminal("0.7*wt"), keep, (4,)).splits is None
+    assert risk._perturbed(psi, keep).repeats is True
+    assert risk._perturbed(risk._perturbed(psi, keep), keep).repeats is True
+    # a sum with a free term that gives no hint gives none
+    assert risk._perturbed(psi, keep, position_terminal("wt").repeats).repeats is False
+    assert risk._perturbed(position_terminal("0.7*wt"), keep).repeats is False
+
+
+@pytest.mark.parametrize("kind", ["absolute", "linear"])
+def test_ladder_sweeps_find_the_runs_of_the_edited_free_terms(monkeypatch, kind):
+    # every solve of the ladder of 0.7*wT sweeps one row class, but the
+    # past-independence edit, whose rows below its node form a second
+    recorded = []
+    init = solver._Sweep.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        recorded.append(self.lo)
+
+    monkeypatch.setattr(solver._Sweep, "__init__", recording)
+    small = sample_ensemble(build_grid(1.0, 8), 256, seed=4)
+    spec = RiskSpec(position="0.7*wT", aggregator=getattr(Aggregator, kind)(0.1))
+    check_axioms(spec, small, node=3)
+    solves = 8 if kind == "linear" else 6
+    assert recorded == [[0], [0, 3]] + [[0]] * (solves - 2)
 
 
 def test_check_axioms_rejects_a_non_finite_companion_by_node():

@@ -98,7 +98,7 @@ def test_zero_rates_fold_bitwise(steps, paths, seed, kind, rate, coefficient, ze
         Bin("+", aggregator.ast(), Bin("*", Bin("+", Num(0.0), Num(0.0)), Var("z")))
     )
     psi = position_terminal(spec.position)
-    # the same declared row classes as rho's free term, so the same sweep path
-    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w), splits=psi.splits)
+    # the same hint as rho's free term, so the same sweep path
+    terminal = Terminal(lambda grid, w: -psi.eval_all(grid, w), repeats=psi.repeats)
     oracle = solve_s(ProblemSpec(ensemble.grid, unfolded, terminal), ensemble).y.values
     assert folded.tobytes() == oracle.tobytes()

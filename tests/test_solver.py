@@ -265,22 +265,31 @@ def test_zeta_fixed_point_contracts_to_its_martingale_fill(pl_small):
     np.testing.assert_array_equal(report.z.coeffs[below], lower[below])
 
 
-def frozen_martingale_zeta(sweep, mart_coeffs):
-    """Mirrored values Z(t_j, t_i) read from a frozen lower-triangle table.
+def frozen_martingale_zeta(problem, paths, mart_coeffs):
+    """``problem`` whose generator reads zeta from a frozen lower-triangle table.
 
-    Row i of the block is a polynomial in the state at node i, so each
-    row needs its own design; the diagonal keeps the identity zeta = z,
-    which is exact there, and reads the kernel's own row.  The rows
-    differ, so it runs on the row path, where ``nodes`` is 0..j.
+    Off the diagonal, cell (i, j) reads Z(t_j, t_i) = X_i mart_coeffs[j, i]:
+    row i is a polynomial in the state at node i, so each row needs its
+    own design.  The diagonal keeps the identity zeta = z, which is exact
+    there, and reads the kernel's own row.  The wrapper declares ``t``,
+    so the symmetric sweep keeps every outer node a row of its own, and
+    ``z`` in place of ``zeta``, so that sweep mirrors nothing.
     """
+    grid, inner = problem.grid, problem.generator
+    designs = paths._node_designs(BasisSpec())
 
-    def column(j, nodes, design, out):
-        for i in range(j):
-            np.matmul(sweep.designs[i].x, mart_coeffs[j, i], out=out[i])
-        np.matmul(design.x, sweep.work.bz[j], out=out[j])
-        return out
+    def index(times):
+        return [int(np.flatnonzero(grid.nodes == t)[0]) for t in np.ravel(times)]
 
-    return column
+    def fn(env):
+        zeta = env["z"]
+        if np.ndim(env["t"]) == 2:  # a block of off-diagonal rows of one level
+            (j,) = index(env["s"])
+            zeta = np.stack([designs[i].x @ mart_coeffs[j, i] for i in index(env["t"])])
+        return inner({**env, "zeta": zeta})
+
+    generator = Generator(fn, (inner.needs - {"zeta"}) | {"t", "z"})
+    return ProblemSpec(grid, generator, problem.terminal)
 
 
 _ZETA_CASES = [("0.1*zeta", False), ("0.5*zeta*sin(y) + z", False), ("20*zeta", False),
@@ -299,9 +308,8 @@ def test_a_frozen_sweep_on_the_final_table_reproduces_the_one_pass_y(pl_small, s
     # the mirrored values from the solve's own lower table returns its Y
     grid, paths, problem = _zeta_case(pl_small, src, tilted)
     report = solve_m(problem, paths)
-    sweep = _Sweep(problem, paths, SolverConfig(), row_classes=False)
-    sweep.run_levels(grid.steps - 1, 0, None, frozen_martingale_zeta(sweep, report.z.coeffs))
-    gap = np.linalg.norm(sweep.y - report.y.values) / np.linalg.norm(report.y.values)
+    frozen = solve_s(frozen_martingale_zeta(problem, paths, report.z.coeffs), paths).y.values
+    gap = np.linalg.norm(frozen - report.y.values) / np.linalg.norm(report.y.values)
     assert gap < 1e-9
 
 
@@ -521,9 +529,6 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
     ensemble = sample_ensemble(grid, m, seed=1)
     generator = {"s": case.generator_src, "z": "-t*y/s^2 + 0.1*z",
                  "zeta": "-t*y/s^2 + 0.1*zeta"}[mode]
-    # zeta runs the M-solution's sweep, whose mirrored rows are the martingale rows of Y
-    sweep = _Sweep(_zeta_problem(case, grid, generator), ensemble, SolverConfig(),
-                   row_classes=mode != "zeta")
     made = []
 
     class Recorded(solver._LevelWork):
@@ -532,18 +537,22 @@ def test_sweep_levels_allocate_no_rows_by_paths_array(monkeypatch, mode):
             made.append(self)
 
     monkeypatch.setattr(solver, "_LevelWork", Recorded)
+    # zeta runs the M-solution's sweep, whose mirrored rows are the martingale
+    # rows of Y; the sweep allocates its work buffers and a shared driver's
+    # designs before the levels run
+    sweep = _Sweep(_zeta_problem(case, grid, generator), Driver.from_ensemble(ensemble),
+                   SolverConfig(), "m" if mode == "zeta" else "s")
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sweep.run_levels(n - 1, 0, martingale=mode == "zeta")
+        sweep.run_levels(n - 1, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(made) == 1
+    assert made == [sweep.work]
     assert made[0].block == 1
     assert (made[0].z is not None, made[0].zeta is not None) == (mode == "z", mode == "zeta")
-    buffers = [a for a in vars(made[0]).values() if isinstance(a, np.ndarray)]
-    beyond = peak - base - sum(a.nbytes for a in buffers)
+    beyond = peak - base
     assert beyond < 8 * m * 8, f"{beyond} bytes traced beyond the work buffers"
 
 
@@ -584,6 +593,7 @@ def test_dropping_a_report_frees_the_solve(pl_small, mode):
 def test_a_sweep_keeps_its_iterate_and_no_copy_of_the_free_term(pl_small):
     # the free term seeds ``lam`` and the last column of ``y``; once they
     # hold it, the sweep keeps no (nodes x paths) array beside its iterate
+    # and its work buffers
     case, grid, ensemble = pl_small
     driver = Driver.from_ensemble(ensemble)
     driver._node_designs(BasisSpec())
@@ -591,11 +601,12 @@ def test_a_sweep_keeps_its_iterate_and_no_copy_of_the_free_term(pl_small):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sweep = _Sweep(case.problem(grid), driver, SolverConfig())
+        sweep = _Sweep(case.problem(grid), driver, SolverConfig(), "s")
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     iterate = sweep.lam.nbytes + sweep.y.nbytes + sweep.coeffs.nbytes
+    iterate += sum(a.nbytes for a in vars(sweep.work).values() if isinstance(a, np.ndarray))
     assert kept < iterate + sweep.lam.nbytes // 2, f"{kept} bytes kept, iterate {iterate}"
 
 
@@ -691,18 +702,38 @@ def test_iterate_norm_matches_evaluated_path_mean(pl_small, tilted):
     case, grid, ensemble = pl_small
     paths = tilt(ensemble, DriftSpec(r1=0.5)) if tilted else ensemble
     problem = case.problem(grid)
-    sweep = _Sweep(problem, paths, SolverConfig())
-    sweep.run_levels(grid.steps - 1, 0)
-    y, c = sweep.y, sweep.coeffs
+    sweep = _Sweep(problem, paths, SolverConfig(), "picard")
+    sweep.run_levels(grid.steps - 1, 0, (np.zeros_like(sweep.y), np.zeros_like(sweep.coeffs)))
+    # with Y zero, both norms are their kernel parts alone
+    sweep.y[:] = 0.0
+    c = sweep.coeffs
     n = grid.steps
-    for c_old in (None, 0.9 * c):
+    got = sweep.block_norms_sq(n - 1, 0, np.zeros_like(sweep.y), 0.9 * c)
+    for c_old, norm_sq in zip((0.9 * c, 0.0 * c), got):
         expected = 0.0
         for j in range(n):
-            dc = c[: j + 1, j] if c_old is None else c[: j + 1, j] - c_old[: j + 1, j]
-            dz = sweep.designs[j].evaluate(dc)
+            dz = sweep.designs[j].evaluate(c[: j + 1, j] - c_old[: j + 1, j])
             expected += float(np.sum(np.mean(dz**2, axis=1))) * grid.dt**2
-        got = sweep.block_norm_sq(n - 1, 0, y, c_old)
-        assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        assert norm_sq == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_both_picard_norms_come_from_one_pass_with_their_bits(pl_small):
+    # the update and the size of an iterate, each summed in the order of a
+    # pass of its own: the Y part then the kernel part, level by level
+    case, grid, ensemble = pl_small
+    sweep = _Sweep(case.problem(grid), ensemble, SolverConfig(), "picard")
+    frozen = (np.zeros_like(sweep.y), np.zeros_like(sweep.coeffs))
+    sweep.run_levels(grid.steps - 1, 0, frozen)
+    y_old, c_old = 0.5 * sweep.y, 0.9 * sweep.coeffs
+    sums = []
+    for old_y, old_c in ((y_old, c_old), (0.0 * y_old, 0.0 * c_old)):
+        total = 0.0
+        for j in range(grid.steps):
+            total += float(np.mean((sweep.y[:, j] - old_y[:, j])**2)) * grid.dt
+            dc = sweep.coeffs[: j + 1, j] - old_c[: j + 1, j]
+            total += float(np.sum((dc @ sweep.designs[j].gram) * dc)) * grid.dt**2
+        sums.append(total)
+    assert sweep.block_norms_sq(grid.steps - 1, 0, y_old, c_old) == tuple(sums)
 
 
 def test_solver_config_rejects_zero_iterations():
@@ -838,13 +869,13 @@ def test_symmetric_extension_wraps_upper_kernel(pl_setup):
 # -- row classes ------------------------------------------------------------
 
 
-def test_free_terms_declare_their_row_classes():
-    assert Terminal.from_expression("-0.7*wT*T + T1").splits == frozenset()
-    assert Terminal.constant(2.0).splits == frozenset()
-    # an outer-node name makes every row its own, and a raw free term declares nothing
-    assert Terminal.from_expression("0.7*wt").splits is None
-    assert Terminal.from_expression("wT*abs(t-0.5)").splits is None
-    assert Terminal(lambda grid, w: np.zeros((len(grid), w.shape[0]))).splits is None
+def test_free_terms_hint_whether_their_rows_repeat():
+    assert Terminal.from_expression("-0.7*wT*T + T1").repeats is True
+    assert Terminal.constant(2.0).repeats is True
+    # an outer-node name makes every row its own, and a raw free term hints nothing
+    assert Terminal.from_expression("0.7*wt").repeats is False
+    assert Terminal.from_expression("wT*abs(t-0.5)").repeats is False
+    assert Terminal(lambda grid, w: np.zeros((len(grid), w.shape[0]))).repeats is False
 
 
 def _head_edited(terminal: Terminal, node: int) -> Terminal:
@@ -855,7 +886,12 @@ def _head_edited(terminal: Terminal, node: int) -> Terminal:
         values[:node] = 2.0 * values[:node] + 3.0
         return values
 
-    return Terminal(fn, splits=terminal.splits | {node})
+    return Terminal(fn, repeats=terminal.repeats)
+
+
+def _sweep_runs(problem, ensemble, concept="s"):
+    """The first outer node of each row class of a sweep of ``problem``."""
+    return _Sweep(problem, ensemble, SolverConfig(), concept).lo
 
 
 def _declaring_t(generator: Generator) -> Generator:
@@ -930,16 +966,63 @@ def test_class_path_projects_each_live_class_alone(batches):
     np.testing.assert_array_equal(coeffs[3:7, 6], coeffs[3:4, 6].repeat(4, 0))
 
 
-def test_a_false_row_class_declaration_names_its_node():
-    grid = build_grid(1.0, 4)
-    ensemble = sample_ensemble(grid, 64, seed=1)
-    lying = Terminal(lambda grid, w: grid.nodes[:, None] * w[:, -1], splits={3})
-    problem = ProblemSpec(grid, Generator.from_expression("0.1*y"), lying)
-    message = r"^terminal row at node 1 differs from node 0 of its declared class$"
-    with pytest.raises(SolverError, match=message):
-        solve_s(problem, ensemble)
-    # the row path reads no declaration
-    solve_s(ProblemSpec(grid, Generator.from_expression("0.1*y + 0*t"), lying), ensemble)
+def test_the_sweep_finds_the_runs_of_equal_rows():
+    grid = build_grid(1.0, 8)
+    ensemble = sample_ensemble(grid, 256, seed=2)
+    generator = Generator.from_expression("0.1*abs(y)")
+    edited = _head_edited(Terminal.from_expression("wT"), 3)
+    assert _sweep_runs(ProblemSpec(grid, generator, edited), ensemble) == [0, 3]
+    # the rows of one run are bitwise equal: -0.0 and 0.0 start two runs
+    signed = Terminal(lambda grid, w: np.where(grid.nodes < 0.5, -0.0, 0.0)[:, None]
+                      * np.ones(w.shape[0]), repeats=True)
+    assert _sweep_runs(ProblemSpec(grid, generator, signed), ensemble) == [0, 4]
+
+
+def test_a_hint_on_rows_that_all_differ_gives_the_row_path_bits(batches):
+    grid = build_grid(1.0, 8, 0.5)
+    ensemble = sample_ensemble(grid, 256, seed=2)
+    generator = Generator.from_expression("0.1*abs(y) + 0.2*z")
+
+    def distinct(grid, w):
+        return grid.nodes[:, None] * w[:, -1]
+
+    problems = [ProblemSpec(grid, generator, Terminal(distinct, repeats=hint))
+                for hint in (True, False)]
+    assert _sweep_runs(problems[0], ensemble) == list(range(grid.steps + 1))
+    hinted, plain = (_solution_bits(solve_s(p, ensemble)) for p in problems)
+    assert hinted == plain
+    assert batches == 2 * [(j, j + 1) for j in range(grid.steps - 1, -1, -1)]
+
+
+def test_a_hinted_raw_function_of_equal_rows_projects_one_row_per_level(batches):
+    grid = build_grid(1.0, 8)
+    ensemble = sample_ensemble(grid, 256, seed=2)
+    generator = Generator.from_expression("0.1*abs(y)")
+
+    def horizon(grid, w):
+        return np.repeat(w[None, :, -1], len(grid), axis=0)
+
+    report = solve_s(ProblemSpec(grid, generator, Terminal(horizon, repeats=True)), ensemble)
+    assert batches == [(j, 1) for j in range(grid.steps - 1, -1, -1)]
+    # the bits of the expression that hints the same run
+    expression = solve_s(ProblemSpec(grid, generator, Terminal.from_expression("wT")),
+                         ensemble)
+    assert _solution_bits(report) == _solution_bits(expression)
+
+
+@pytest.mark.parametrize("capped", [
+    Terminal.from_expression("min(t,0.9)*wT"),
+    Terminal(lambda grid, w: np.minimum(grid.nodes, 0.75)[:, None] * w[:, -1]),
+])
+def test_a_capped_free_term_keeps_one_batch_per_level(batches, capped):
+    # its rows repeat after the cap, but it gives no hint, so no row is
+    # compared and each level projects every row at once
+    grid = build_grid(1.0, 8)
+    ensemble = sample_ensemble(grid, 256, seed=2)
+    problem = ProblemSpec(grid, Generator.from_expression("0.1*y"), capped)
+    solve_s(problem, ensemble)
+    assert batches == [(j, j + 1) for j in range(grid.steps - 1, -1, -1)]
+    assert _sweep_runs(problem, ensemble) == list(range(grid.steps + 1))
 
 
 def test_the_mirrored_martingale_column_keeps_the_row_path(batches):
@@ -950,8 +1033,10 @@ def test_the_mirrored_martingale_column_keeps_the_row_path(batches):
                           Terminal.from_expression("wT"))
     solve_m(problem, ensemble)
     assert (3, 4) in batches  # the top level of a sweep, all four rows in one batch
-    assert not _Sweep(problem, ensemble, SolverConfig()).batched
-    assert _Sweep(problem, ensemble, SolverConfig(), row_classes=False).batched
+    assert _sweep_runs(problem, ensemble, "m") == [0, 1, 2, 3, 4]
+    # the symmetric and the Picard mirror read the kernel's class rows
+    assert _sweep_runs(problem, ensemble, "s") == [0]
+    assert _sweep_runs(problem, ensemble, "picard") == [0]
 
 
 def _block_cases():

@@ -141,9 +141,9 @@ def test_past_independence_in_one_pass_modes(ensemble, data):
     # meets rows below it inside batched products whose shape does not
     # depend on their values: editing the rows of outer nodes below i0
     # leaves every figure of the outer nodes from i0 on bitwise intact.
-    # The edited free term declares the base's row classes split at i0,
-    # so both solves take the same path: one batch of every row, or one
-    # row per class, each projected alone
+    # The edited free term keeps the base's hint, so both solves take the
+    # same path: one batch of every row, or one row per run of equal rows,
+    # each projected alone, where the edit may add a run at i0
     n = ensemble.grid.steps
     i0 = data.draw(st.integers(1, n))
     generator = data.draw(generators(zeta=False))
@@ -156,8 +156,7 @@ def test_past_independence_in_one_pass_modes(ensemble, data):
 
     for solve in (solve_s, solve_m, solve_adapted):
         before = solve(_problem(ensemble, generator, base), ensemble)
-        splits = None if base.splits is None else base.splits | {i0}
-        after = solve(_problem(ensemble, generator, Terminal(edited_rows, splits=splits)),
+        after = solve(_problem(ensemble, generator, Terminal(edited_rows, repeats=base.repeats)),
                       ensemble)
         np.testing.assert_array_equal(after.y.values[:, i0:], before.y.values[:, i0:])
         assert np.any(after.y.values[:, :i0] != before.y.values[:, :i0])
