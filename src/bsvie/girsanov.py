@@ -102,11 +102,15 @@ def tilt(ensemble: PathEnsemble, drift: DriftSpec) -> Driver:
     square_integral = float(_trapezoid_cumulative(rates**2, dt)[-1])
     if not np.isfinite(square_integral):
         raise DriftError("squared-rate quadrature diverges")
+    # the sums keep the ensemble's layout, node-major for a sampled one
     tilted_values = ensemble.values + integral[None, :]
     tilted_increments = ensemble.increments + np.diff(integral)[None, :]
     # density against the sampling measure: under it the shifted paths
-    # regain Brownian moments; the stochastic integral is left-point
-    log_weights = -ensemble.increments @ rates[:-1] - 0.5 * square_integral
+    # regain Brownian moments; the stochastic integral is left-point.
+    # BLAS picks its gemv kernel, and so its rounding, by the operand's
+    # layout: a path-major operand keeps the weights' bits in any layout
+    log_weights = np.negative(ensemble.increments, order="C") @ rates[:-1] \
+        - 0.5 * square_integral
     weights = np.exp(log_weights)
     if not np.all(np.isfinite(weights)) or not np.all(weights > 0.0):
         raise DriftError("likelihood weights degenerate; drift too large for the horizon")
@@ -156,10 +160,13 @@ def girsanov_selftest(tilted: Driver, threshold: float = 4.0) -> SelftestReport:
     m = w.shape[0]
     dt = tilted.grid.dt
     w_sum = float(np.sum(w))
-    incs = tilted.increments
-    means = (w @ incs) / w_sum
-    # the squared centred increments, then their squared spread, in one array
-    sq = incs - means[None, :]
+    # the one array this allocates, laid out path-major: BLAS rounds these
+    # products by the operand's layout, so the scores keep their bits
+    # whatever the driver's layout (see tilt)
+    sq = tilted.increments.copy(order="C")
+    means = (w @ sq) / w_sum
+    # the squared centred increments, then their squared spread, in place
+    sq -= means[None, :]
     np.square(sq, out=sq)
     se_mean = np.sqrt((w**2) @ sq) / w_sum
     mean_scores = means / np.maximum(se_mean, 1e-300)

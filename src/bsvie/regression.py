@@ -70,7 +70,9 @@ class NodeDesign:
 
     The increments are kept as given, a view of the driver's column, and so
     are the weights, which arrive normalized to mean one: the driver's one
-    array, shared by all of its nodes.  Every failure of the node's normal
+    array, shared by all of its nodes.  A sampled ensemble stores its
+    paths node-major, so the state and increments are contiguous rows and
+    :meth:`operand` reads dW in place.  Every failure of the node's normal
     equations or regression sums names the node.
     """
 
@@ -142,8 +144,7 @@ class NodeDesign:
             xw2[:k] = self.x.T
         else:
             np.multiply(self.x.T, self.weights, out=xw2[:k])
-        # dW is copied per call: a contiguous copy kept per node would add N x M floats
-        np.multiply(xw2[:k], np.ascontiguousarray(self.increments), out=xw2[k:])
+        np.multiply(xw2[:k], self.increments, out=xw2[k:])
         return xw2
 
     def project(self, rows: np.ndarray, xw2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

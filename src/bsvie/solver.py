@@ -66,6 +66,10 @@ class Generator:
     exp, log, sin, cos and power, whose loops may round differently by
     operand strides; ``test_a_strided_y_gives_the_bytes_of_a_contiguous_one``
     checks this on the numpy in use, so its failure means Y's bits moved.
+    The path arguments ``w``, ``wt`` and ``wT`` are contiguous rows of a
+    sampled ensemble's node-major paths, and strided ones of a
+    path-major ensemble; ``test_node_major_paths_give_the_bytes_of_path_major_ones``
+    checks that both give the same bytes.
 
     The arrays in ``env`` are borrowed for the duration of the call.
     The sweep reuses their memory at later cells, so a generator that
@@ -167,6 +171,9 @@ class Driver:
     adds the likelihood weights, so the same sweeps estimate conditional
     expectations under the tilted measure.  ``weights`` stays the raw
     density; the designs share one copy of it divided by its mean.
+    Indexing is path-first, ``state[p, j]``.  A sampled ensemble stores
+    its arrays node-major and a tilt keeps that layout, so each node's
+    state and increments column is one contiguous row.
 
     The driver owns the regression nodes, each a design over its state
     with a view of its increments.  A driver given to a solve builds
@@ -310,24 +317,24 @@ class _LevelWork:
 
     ``z`` and ``zeta`` take a level's kernel and mirrored rows, and exist
     only for a generator that reads them.  ``y`` takes the level's Y
-    column as one contiguous row.  For the M-solution's mirrored rows,
-    ``yw2`` takes the operands of :meth:`NodeDesign.kernel_row` and
-    ``dw`` holds the increments one contiguous row per node, so forming
-    them reads no strided column.  The off-diagonal update runs
-    ``block`` rows at a time, so each array it allocates (the generator's
-    intermediates, its finiteness mask and dt * g) is at most one block
-    in size, and a level allocates no (rows x paths) array.
+    column as one contiguous row.  For the M-solution's mirrored rows
+    (``of_y``), ``yw2`` takes the operands of :meth:`NodeDesign.kernel_row`,
+    formed from each node design's own increments, which a sampled
+    ensemble stores as one contiguous row per node, so no copy of them is
+    kept.  The off-diagonal update runs ``block`` rows at a time, so each
+    array it allocates (the generator's intermediates, its finiteness
+    mask and dt * g) is at most one block in size, and a level allocates
+    no (rows x paths) array.
     """
 
     def __init__(self, rows: int, m: int, k: int, kernel: bool, mirrored: bool,
-                 increments: np.ndarray | None) -> None:
+                 of_y: bool) -> None:
         self.block = max(1, min(rows, _BLOCK_VALUES // m))
         self.z = np.empty((rows, m)) if kernel else None
         self.zeta = np.empty((rows, m)) if mirrored else None
         self.bz = np.empty((rows, k))
         self.y = np.empty(m)
-        self.yw2 = None if increments is None else np.empty((2, m))
-        self.dw = None if increments is None else np.ascontiguousarray(increments.T)
+        self.yw2 = np.empty((2, m)) if of_y else None
         self.xw2 = np.empty((2 * k, m))  # the operand of NodeDesign.project
 
 
@@ -412,8 +419,7 @@ class _Sweep:
         # symmetric mode's mirrored rows are its kernel rows
         self.work = _LevelWork(int(self.row_of[self.n - 1]) + 1, self.m, self.k,
                                "z" in self.g.needs or (zeta and concept == "s"),
-                               zeta and concept != "s",
-                               self.driver.increments if of_y else None)
+                               zeta and concept != "s", of_y)
 
     def _check_g(self, values: np.ndarray, nodes, j: int) -> None:
         """Raise at the first non-finite row; row r of ``values`` is outer node nodes[r]."""
@@ -501,7 +507,7 @@ class _Sweep:
                 np.multiply(y_row, design.weights, out=yw)
             # node j's operand is spent, so xw2 may take node i's to form its H
             for i in range(j):
-                np.multiply(yw, work.dw[i], out=work.yw2[1])
+                np.multiply(yw, self.designs[i].increments, out=work.yw2[1])
                 self.designs[i].kernel_row(work.yw2, work.xw2, work.zeta[i])
         start = 0
         while start < off:
@@ -739,7 +745,9 @@ def residual(
             env = _generator_env(grid, w, i, slice(i, n), y.values[:, i:n].T, z_row, z_col)
             gv = np.asarray(g(env), dtype=np.float64)
             if gv.ndim == 2:
-                gsum = gv.sum(axis=0) * dt
+                # summed along each path's row of a path-major copy: numpy sums a
+                # contiguous axis pairwise, so the bits do not follow the paths' layout
+                gsum = gv.T.copy(order="C").sum(axis=1) * dt
             else:
                 gsum = gv * (width * dt)
             diffusion = z_row if form == "row" else z_col

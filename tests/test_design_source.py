@@ -11,7 +11,9 @@ only by the tilt, and every other driver mirrors its ensemble through
 ``Driver.from_ensemble``.  Likewise a kernel's cells are read in
 one place, ``fields.surface_pass``, so that no reader brings back a pass
 of its own; a kernel backing implements one read, ``column``, and
-``SurfaceField.at`` is its one-cell case.
+``SurfaceField.at`` is its one-cell case.  A sampled ensemble stores
+its paths node-major, so a per-node read needs no copy, and an array is
+copied into a given layout only where rounding follows the layout.
 """
 
 import ast
@@ -22,8 +24,13 @@ from bsvie import fields
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bsvie"
 
 
-def _constructions(source: str, name: str = "NodeDesign") -> list[str]:
-    """Qualified names of the functions that call ``name(...)``."""
+def _called(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _call_sites(source: str, match) -> list[str]:
+    """Qualified names of the functions holding a call for which ``match(call)`` holds."""
     found = []
 
     def visit(node: ast.AST, scope: tuple) -> None:
@@ -31,15 +38,17 @@ def _constructions(source: str, name: str = "NodeDesign") -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
-                    found.append(".".join(scope) or "<module>")
+            if isinstance(child, ast.Call) and match(child):
+                found.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return found
+
+
+def _constructions(source: str, name: str = "NodeDesign") -> list[str]:
+    """Qualified names of the functions that call ``name(...)``."""
+    return _call_sites(source, lambda call: _called(call) == name)
 
 
 def test_node_designs_are_built_in_one_place():
@@ -177,3 +186,35 @@ def test_each_solve_decides_its_sweep_plan_in_one_place():
             assert all(isinstance(o, ast.Constant) for o in options), ast.unparse(plan)
             concepts.update(o.value for o in options)
     assert concepts == {"s", "picard", "m"}
+
+
+def _layout_copies(source: str) -> list[str]:
+    """Functions that copy an array into a given layout."""
+    return _call_sites(source, lambda call: _called(call) in ("ascontiguousarray",
+                                                              "asfortranarray")
+                       or any(k.arg == "order" for k in call.keywords))
+
+
+def test_arrays_are_copied_into_a_layout_only_where_it_keeps_bits():
+    # node columns of a sampled ensemble are contiguous rows, so no read of
+    # one copies it; what remains keeps bits that follow the layout: the
+    # tilt's and the self-test's BLAS products and the residual's pairwise
+    # sum along each path
+    sites = sorted(
+        f"{path.name}: {where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _layout_copies(path.read_text(encoding="utf-8"))
+    )
+    assert sites == ["girsanov.py: girsanov_selftest", "girsanov.py: tilt",
+                     "solver.py: residual"]
+
+
+def test_layout_guard_finds_a_per_node_copy():
+    source = (
+        "class NodeDesign:\n"
+        "    def operand(self, xw2):\n"
+        "        dw = np.ascontiguousarray(self.increments)\n\n"
+        "def _sweep(w, j):\n"
+        "    return np.array(w[:, j], order='C')\n"
+    )
+    assert _layout_copies(source) == ["NodeDesign.operand", "_sweep"]

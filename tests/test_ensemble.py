@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from bsvie import build_grid, sample_ensemble
+from bsvie import sample_ensemble
 from bsvie.ensemble import _path_normals
 
 
@@ -125,17 +123,3 @@ def test_ito_sum_of_the_path_is_half_square_rule(unit_ensemble):
     lhs = np.sum(ens.values[:, :-1] * ens.increments, axis=1)
     rhs = 0.5 * (ens.values[:, -1] ** 2 - np.sum(ens.increments**2, axis=1))
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13)
-
-
-def test_sampling_scales_its_normals_in_place():
-    # the normals become the increments: beside them only the values are
-    # allocated, about two (paths x steps) arrays in all
-    grid = build_grid(1.0, 32)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        ens = sample_ensemble(grid, 4096, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 2.5 * ens.increments.nbytes

@@ -18,6 +18,9 @@ from bsvie.expr import (
     free_variables,
     parse,
 )
+from bsvie.ensemble import sample_ensemble
+from bsvie.grid import build_grid
+from bsvie.solver import Terminal, _generator_env
 
 # Golden suite: 20 frozen cases covering precedence, associativity,
 # literals, calls, and located errors.  Value entries are
@@ -184,10 +187,11 @@ def _oracle(node, env):
 
 def _sweep_env(rows: int, m: int, seed: int) -> dict:
     """The arguments of one off-diagonal generator call, laid out as the
-    sweep lays them out: path-major columns and a transposed block of
-    outer-node paths, with values of both signs for the domain faults."""
+    sweep lays them out: node-major paths, so a node row and a block of
+    outer-node rows, and a path-major Y, with values of both signs for
+    the domain faults."""
     rng = np.random.default_rng(seed)
-    paths = 2.0 * rng.standard_normal((m, rows + 2))
+    paths = 2.0 * rng.standard_normal((rows + 2, m))
     y_table = rng.standard_normal((m, rows + 2))
     return {
         "t": np.linspace(0.0, 1.0, rows + 1)[:rows, None],
@@ -195,9 +199,9 @@ def _sweep_env(rows: int, m: int, seed: int) -> dict:
         "y": y_table[:, rows],
         "z": rng.standard_normal((rows, m)),
         "zeta": rng.standard_normal((rows, m)),
-        "w": paths[:, rows],
-        "wt": paths[:, :rows].T,
-        "wT": paths[:, -1],
+        "w": paths[rows],
+        "wt": paths[:rows],
+        "wT": paths[-1],
         "T": 1.0,
         "T1": 0.0,
     }
@@ -255,3 +259,27 @@ def test_a_strided_y_gives_the_bytes_of_a_contiguous_one():
             env = {"t": t, "s": np.float64(0.75), "y": y}
             results.append(program(env))
         assert results[0].tobytes() == results[1].tobytes()
+
+
+def test_node_major_paths_give_the_bytes_of_path_major_ones():
+    # a sampled ensemble stores its paths node-major, so the generator's
+    # and the free term's w, wt and wT are contiguous rows, where a
+    # path-major ensemble gives strided ones; the loops numpy picks for
+    # these calls must round alike for both layouts, or the layout would
+    # move bits
+    grid = build_grid(1.0, 8)
+    ensemble = sample_ensemble(grid, 4099, seed=7)
+    node_major = ensemble.values
+    path_major = node_major.copy(order="C")
+    assert node_major[:, 3].flags.c_contiguous and not path_major[:, 3].flags.c_contiguous
+    generator = Program(parse(
+        "exp(-t*w)*sin(wt) + cos(s*wT)^2 - log(1 + w^2) + abs(wt)^1.7 + 2^wT - w^3"))
+    for j in range(grid.steps):
+        for outer in (slice(0, j + 1), j):
+            results = [generator(_generator_env(grid, paths, outer, j, None, None, None))
+                       for paths in (node_major, path_major)]
+            assert results[0].tobytes() == results[1].tobytes()
+    terminal = Terminal.from_expression(
+        "exp(wT)*sin(wt) - log(1 + wT^2) + cos(t*wT)^3 + abs(wt)^0.5")
+    results = [terminal.eval_all(grid, paths) for paths in (node_major, path_major)]
+    assert results[0].tobytes() == results[1].tobytes()

@@ -36,9 +36,13 @@ def test_design_matrix_is_increasing_vandermonde():
 @pytest.mark.parametrize("degree", range(6))
 def test_design_matrix_has_the_bytes_of_vander(degree):
     # each power is the previous one times the state, as in np.vander's
-    # running product, on contiguous input and on a strided ensemble column
+    # running product, on a sampled ensemble's contiguous node column and
+    # on a strided column of a path-major copy
     ensemble = sample_ensemble(build_grid(1.0, 4), 512, seed=2)
-    for state in (np.ascontiguousarray(ensemble.values[:, 3]), ensemble.values[:, 2]):
+    path_major = ensemble.values.copy(order="C")
+    contiguous, strided = ensemble.values[:, 3], path_major[:, 2]
+    assert contiguous.flags.c_contiguous and not strided.flags.c_contiguous
+    for state in (contiguous, strided):
         x = design_matrix(state, degree)
         assert x.dtype == np.float64 and x.flags.c_contiguous
         expected = np.vander(state, degree + 1, increasing=True)

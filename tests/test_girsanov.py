@@ -7,6 +7,7 @@ from bsvie import (
     DriftError,
     DriftSpec,
     Driver,
+    PathEnsemble,
     build_grid,
     girsanov_selftest,
     sample_ensemble,
@@ -139,3 +140,23 @@ def test_selftest_rejects_a_threshold_not_positive_and_finite(ensemble, threshol
     tilted = tilt(ensemble, DriftSpec(r1=0.5))
     with pytest.raises(ValueError, match=f"threshold must be positive and finite, got {threshold}"):
         girsanov_selftest(tilted, threshold=threshold)
+
+
+def test_weights_and_scores_keep_their_bits_on_a_path_major_copy(ensemble):
+    # BLAS rounds the tilt's and the self-test's matrix-vector products by
+    # the operand's layout; both run path-major, so the node-major
+    # ensemble and a path-major copy of it give the same bytes
+    increments = ensemble.increments.copy(order="C")
+    values = ensemble.values.copy(order="C")
+    path_major = PathEnsemble(ensemble.grid, ensemble.n_paths, ensemble.seed,
+                              increments, values)
+    drift = DriftSpec(r1=0.4, r2="s^2")
+    node_tilt, path_tilt = tilt(ensemble, drift), tilt(path_major, drift)
+    assert node_tilt.weights.tobytes() == path_tilt.weights.tobytes()
+    node_test, path_test = girsanov_selftest(node_tilt), girsanov_selftest(path_tilt)
+    assert node_test.mean_scores.tobytes() == path_test.mean_scores.tobytes()
+    assert node_test.var_scores.tobytes() == path_test.var_scores.tobytes()
+    assert node_test.weight_mean_score == path_test.weight_mean_score
+    # neither product wrote into the caller's arrays
+    assert np.array_equal(increments, ensemble.increments)
+    assert np.array_equal(values, ensemble.values)
