@@ -55,14 +55,6 @@ class PathEnsemble:
         if self.values.shape != (m, n + 1):
             raise ValueError("value array shape disagrees with grid/paths")
 
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
-
-    def terminal(self) -> np.ndarray:
-        """W(T) per path."""
-        return self.values[:, -1]
-
 
 def _path_normals(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """Standard normals for paths [first, first+count), one keyed stream each.

@@ -11,6 +11,7 @@ pass over the paths, using that the projection is linear; the node's
 operand for it (:meth:`NodeDesign.operand`) is filled once and serves
 every batch.  :meth:`NodeDesign.kernel_row` gives one row's fitted
 kernel values from two products with the design, without the operand.
+Both read the node's H = X^T diag(w dW) X / M, formed with its design.
 
 Cross-path reductions are accumulated over fixed-size path chunks in a
 fixed order, which keeps results bitwise identical run to run.
@@ -94,6 +95,7 @@ class NodeDesign:
         self.weights = weights
         xw = self.x if weights is None else self.x * weights[:, None]
         gram = _chunked_ab(self.x, xw) / m
+        self._h = _chunked_ab(self.x, xw * increments[:, None]) / m  # X^T diag(w dW) X / M
         penalty = np.eye(basis.size)
         penalty[0, 0] = 0.0  # the constant feature is never shrunk
         self._system = gram + basis.ridge * penalty
@@ -105,7 +107,6 @@ class NodeDesign:
                 f"node {node}: normal equations remain degenerate after ridge "
                 f"(condition {self.condition:.3e})"
             )
-        self._h: np.ndarray | None = None  # X^T diag(w dW) X / M, on the first projection
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Coefficients (rows, size) for a batch of targets (rows, M)."""
@@ -165,35 +166,25 @@ class NodeDesign:
         c = A - S bz.  A and B come from one path-chunked product of the
         rows with the node's operand [X w, X w dW], which ``xw2`` must
         hold (:meth:`operand`); no (r, M) intermediate is formed.  H
-        depends on the node alone, so it is formed once, from the first
-        operand it meets.
+        depends on the node alone; the design forms it when it is built.
         """
-        self._form_h(xw2)
         # an overflow of the sums shows in their finiteness check
         with np.errstate(all="ignore"):
             rhs = _chunked_ab(rows.T, xw2.T) / self.n_paths
         return self._solve(rhs)
 
-    def kernel_row(self, yw2: np.ndarray, xw2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def kernel_row(self, yw2: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fitted kernel values X bz of one row y, bz as :meth:`project` defines it.
 
         ``yw2`` (2, M) must hold y w and y w dW (w = 1 when unweighted);
-        two products of it with X replace the operand.  ``xw2`` is a
-        (2k, M) scratch that takes the operand only while H is unformed.
-        Writes ``out`` (M,) and returns it; its bits may differ from a
-        batched :meth:`project` by rounding.
+        two products of it with X replace the operand, and the design's
+        own H serves the solve.  Writes ``out`` (M,) and returns it; its
+        bits may differ from a batched :meth:`project` by rounding.
         """
-        if self._h is None:
-            self._form_h(self.operand(xw2))
         with np.errstate(all="ignore"):
             rhs = _chunked_ab(self.x, yw2.T).T.reshape(1, -1) / self.n_paths
         _, bz = self._solve(rhs)
         return np.matmul(self.x, bz[0], out=out)
-
-    def _form_h(self, xw2: np.ndarray) -> None:
-        """Form H once, from the node's operand in ``xw2``."""
-        if self._h is None:
-            self._h = _chunked_ab(self.x, xw2[self.basis.size:].T) / self.n_paths
 
     def _solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(c, bz) of :meth:`project` from the path means [y w X, y w dW X], (r, 2k)."""

@@ -33,6 +33,7 @@ from .ensemble import PathEnsemble
 from .expr import VARIABLES, Node as ExprNode, Program, format_expr, free_variables, parse
 from .fields import AdaptedField, CoeffSurface, SurfaceField, SymmetricSurface
 from .grid import TimeGrid
+from .norms import mean_square
 from .regression import BasisSpec, NodeDesign
 
 _TERMINAL_NAMES = frozenset(("t", "wt", "wT", "T1", "T"))
@@ -316,25 +317,26 @@ class _LevelWork:
     """Work buffers of a sweep, allocated with it and kept for its levels.
 
     ``z`` and ``zeta`` take a level's kernel and mirrored rows, and exist
-    only for a generator that reads them.  ``y`` takes the level's Y
-    column as one contiguous row.  For the M-solution's mirrored rows
-    (``of_y``), ``yw2`` takes the operands of :meth:`NodeDesign.kernel_row`,
-    formed from each node design's own increments, which a sampled
-    ensemble stores as one contiguous row per node, so no copy of them is
-    kept.  The off-diagonal update runs ``block`` rows at a time, so each
-    array it allocates (the generator's intermediates, its finiteness
-    mask and dt * g) is at most one block in size, and a level allocates
-    no (rows x paths) array.
+    only for a generator that reads them.  ``mirror`` is the sweep's
+    source of the mirrored value (see :class:`_Sweep`): for ``"s"``,
+    ``zeta`` is ``z``.  ``y`` takes the level's Y column as one
+    contiguous row.  For the M-solution's mirrored rows (``"m"``),
+    ``yw2`` takes the operands of :meth:`NodeDesign.kernel_row`, formed
+    from each node design's own increments, which a sampled ensemble
+    stores as one contiguous row per node, so no copy of them is kept.
+    The off-diagonal update runs ``block`` rows at a time, so each array
+    it allocates (the generator's intermediates, its finiteness mask and
+    dt * g) is at most one block in size, and a level allocates no
+    (rows x paths) array.
     """
 
-    def __init__(self, rows: int, m: int, k: int, kernel: bool, mirrored: bool,
-                 of_y: bool) -> None:
+    def __init__(self, rows: int, m: int, k: int, kernel: bool, mirror: str | None) -> None:
         self.block = max(1, min(rows, _BLOCK_VALUES // m))
-        self.z = np.empty((rows, m)) if kernel else None
-        self.zeta = np.empty((rows, m)) if mirrored else None
+        self.z = np.empty((rows, m)) if kernel or mirror == "s" else None
+        self.zeta = self.z if mirror == "s" else np.empty((rows, m)) if mirror else None
         self.bz = np.empty((rows, k))
         self.y = np.empty(m)
-        self.yw2 = np.empty((2, m)) if of_y else None
+        self.yw2 = np.empty((2, m)) if mirror == "m" else None
         self.xw2 = np.empty((2 * k, m))  # the operand of NodeDesign.project
 
 
@@ -343,9 +345,12 @@ class _Sweep:
 
     ``paths`` is a :class:`Driver`, or an ensemble for a fresh plain one;
     the driver's ensemble must lie on the problem's grid.  ``concept``,
-    ``"s"``, ``"picard"`` or ``"m"``, fixes the plan: where the mirrored
-    value comes from (see :meth:`level`), the martingale fill, the row
-    path and the work buffers.  ``designs`` holds the driver's kept node
+    ``"s"``, ``"picard"`` or ``"m"``, fixes the plan: the martingale
+    fill, the row path and the work buffers.  For a generator that reads
+    ``zeta`` it also names the mirrored value's source, ``mirror``: the
+    kernel rows themselves (``"s"``), the frozen upper table
+    (``"picard"``) or node i's martingale regression of Y(t_j) (``"m"``);
+    otherwise ``mirror`` is None.  ``designs`` holds the driver's kept node
     designs: a shared driver's, the Picard mode's, which sweeps again,
     and those of an M-solution whose level j reads the designs below j
     for ``zeta``.  Otherwise it is None, and each level builds its node's
@@ -388,16 +393,14 @@ class _Sweep:
         self.dt = grid.dt
         self.k = config.basis.size
         self.g = problem.generator
-        zeta = self.g.uses_zeta
-        # the M-solution's mirrored rows: node i's martingale regression of Y(t_j)
-        of_y = zeta and concept == "m"
-        kept = shared or concept == "picard" or of_y
+        self.mirror = concept if self.g.uses_zeta else None
+        kept = shared or concept == "picard" or self.mirror == "m"
         self.designs = self.driver._node_designs(config.basis) if kept else None
         terminal = problem.terminal.eval_all(grid, self.ensemble.values)
         finite = np.isfinite(terminal).all(axis=1)
         if not finite.all():
             raise SolverError(f"terminal data is non-finite at node {int(np.argmin(finite))}")
-        runs = problem.terminal.repeats and not self.g.needs & _OUTER_NAMES and not of_y
+        runs = problem.terminal.repeats and not self.g.needs & _OUTER_NAMES and self.mirror != "m"
         self.lo = [0] + [
             i for i in range(1, self.n + 1)
             if not (runs and np.array_equal(terminal[i].view(np.uint64),
@@ -415,11 +418,9 @@ class _Sweep:
         # node n's row is bitwise its class row, and no level advances it before this
         self.y[:, self.n] = self.lam[self.row_of[self.n]]
         self.coeffs = np.zeros((self.n + 1, self.n + 1, self.k))
-        # one set of buffers for the solve, sized to its widest level; the
-        # symmetric mode's mirrored rows are its kernel rows
+        # one set of buffers for the solve, sized to its widest level
         self.work = _LevelWork(int(self.row_of[self.n - 1]) + 1, self.m, self.k,
-                               "z" in self.g.needs or (zeta and concept == "s"),
-                               zeta and concept != "s", of_y)
+                               "z" in self.g.needs, self.mirror)
 
     def _check_g(self, values: np.ndarray, nodes, j: int) -> None:
         """Raise at the first non-finite row; row r of ``values`` is outer node nodes[r]."""
@@ -435,17 +436,17 @@ class _Sweep:
         """Advance the rows of outer nodes 0..j from column j+1 to column j.
 
         ``frozen`` is the Picard mode's previous iterate (y, coeffs): its
-        Y column is the off-diagonal y-argument, and its upper table gives
-        the mirrored kernel values.  The symmetric mode's mirrored value
-        is the kernel itself.  The M-solution fills the rows i > j of
-        column j of ``coeffs`` with the martingale rows of Y
-        (:func:`_martingale_rows`), right because Y's columns after j are
-        final in a one-pass sweep, and its mirrored value Z(t_j, t_i) is
+        Y column is the off-diagonal y-argument.  The M-solution fills the
+        rows i > j of column j of ``coeffs`` with the martingale rows of
+        Y: node j regresses Y(t_i) * dW_j / dt, right because Y's columns
+        after j are final in a one-pass sweep.  ``self.mirror`` alone
+        decides the mirrored rows: the kernel rows themselves (``"s"``),
+        the frozen upper table evaluated at node j (``"picard"``), or
         node i's martingale regression of Y(t_j)
-        (:meth:`NodeDesign.kernel_row`), formed once the diagonal cell,
-        which reads the kernel's own row (exact there), has made Y(t_j)
-        final.  Kernel values are evaluated only for a generator that
-        declares ``z`` or ``zeta``.  The projections and evaluations take
+        (:meth:`NodeDesign.kernel_row`, ``"m"``), formed once the
+        diagonal cell, which reads the kernel's own row (exact there),
+        has made Y(t_j) final.  Kernel values are evaluated only for a
+        generator that declares ``z`` or ``zeta``.  The projections and evaluations take
         all rows at once, into ``lam`` and ``self.work``; the off-diagonal
         update (the generator, its check, the dt scaling and the add to
         ``lam``) runs one block of :class:`_LevelWork` rows at a time, so
@@ -463,8 +464,7 @@ class _Sweep:
             batches = [(slice(0, j + 1), slice(0, j + 1))]  # (lam rows, their outer nodes)
         else:
             batches = [(slice(r, r + 1), slice(lo[r], lo[r] + 1)) for r in range(top + 1)]
-        z_fit = work.z
-        zeta_rows = work.zeta if work.zeta is not None else (z_fit if self.g.uses_zeta else None)
+        z_fit, zeta_rows = work.z, work.zeta
         design.operand(work.xw2)
         for rows, nodes in batches:
             # both node estimates are variance-reduced by the other (see
@@ -476,14 +476,16 @@ class _Sweep:
             design.evaluate(c, out=lam[rows])
             if z_fit is not None:
                 design.evaluate(bz, out=z_fit[rows])
-            if self.concept == "picard" and work.zeta is not None:
-                design.evaluate(frozen[1][nodes, j], out=work.zeta[rows])
+            if self.mirror == "picard":
+                design.evaluate(frozen[1][nodes, j], out=zeta_rows[rows])
         self.coeffs[: j + 1, j] = work.bz[self.row_of[: j + 1]]
         if self.concept == "m":
-            self.coeffs[j + 1:, j] = _martingale_rows(design, self.y, work.xw2)
-        if work.yw2 is not None:
+            # the fitted conditional expectation is subtracted first, as for
+            # the level's own rows: same projection, far less regressand variance
+            self.coeffs[j + 1:, j] = design.project(self.y[:, j + 1:].T, work.xw2)[1]
+        if self.mirror == "m":
             # zeta = z on the diagonal
-            np.matmul(design.x, work.bz[top], out=work.zeta[top])
+            np.matmul(design.x, work.bz[top], out=zeta_rows[top])
 
         paths = self.ensemble.values
         # diagonal first: its y-argument is the regressed predictor
@@ -499,16 +501,15 @@ class _Sweep:
             return
         y_row = work.y
         y_row[:] = (self.y if frozen is None else frozen[0])[:, j]
-        if work.yw2 is not None:
+        if self.mirror == "m":
             yw = work.yw2[0]
             if design.weights is None:
                 yw[:] = y_row
             else:
                 np.multiply(y_row, design.weights, out=yw)
-            # node j's operand is spent, so xw2 may take node i's to form its H
             for i in range(j):
                 np.multiply(yw, self.designs[i].increments, out=work.yw2[1])
-                self.designs[i].kernel_row(work.yw2, work.xw2, work.zeta[i])
+                self.designs[i].kernel_row(work.yw2, zeta_rows[i])
         start = 0
         while start < off:
             rows = slice(start, min(start + work.block, off))
@@ -549,8 +550,9 @@ class _Sweep:
         for j in range(j_lo, j_hi + 1):
             gram = self.designs[j].gram
             y_j, c_j = y_new[:, j], c_new[: j + 1, j]
-            update += float(np.mean((y_j - y_old[:, j])**2)) * dt
-            size += float(np.mean(y_j**2)) * dt
+            dy = y_j - y_old[:, j]
+            update += mean_square(dy, out=dy) * dt
+            size += mean_square(y_j) * dt
             dc = c_j - c_old[: j + 1, j]
             update += float(np.sum((dc @ gram) * dc)) * dt2
             size += float(np.sum((c_j @ gram) * c_j)) * dt2
@@ -647,14 +649,13 @@ def solve_s(
     )
 
 
-def _martingale_rows(design: NodeDesign, y_values: np.ndarray, xw2: np.ndarray) -> np.ndarray:
-    """Rows i > j of kernel column j: node j regresses Y_i * dW_j / dt.
-
-    ``xw2`` must hold the node's operand.  The fitted conditional
-    expectation is subtracted first, as in the sweep: same projection,
-    far less regressand variance.
-    """
-    return design.project(y_values[:, design.node + 1:].T, xw2)[1]
+def _one_sweep(config: SolverConfig | None, concept: str) -> SolverConfig:
+    """``config`` or the default, for a solve that sweeps once and so has no Picard mode."""
+    config = config or SolverConfig()
+    if config.picard:
+        raise ValueError(f"the {concept} is one backward sweep; picard applies to the "
+                         "s-solution alone")
+    return config
 
 
 def solve_m(
@@ -670,12 +671,13 @@ def solve_m(
     (see :meth:`_Sweep.level`); this is the defining relation
     Y(t) = E[Y(t) | F_s] + int_s^t Z(t, r) dW(r) solved by backward
     induction, so no iteration runs: ``config.tol`` and
-    ``config.max_iter`` are unread, and the report reads one iteration,
-    converged, with no norms or ratios.  The kernel is one full
-    coefficient table, each column j a polynomial in the state at node
-    j.  ``paths`` is read as by :func:`solve_s`.
+    ``config.max_iter`` are unread, ``config.picard`` raises
+    ValueError, and the report reads one iteration, converged, with no
+    norms or ratios.  The kernel is one full coefficient table, each
+    column j a polynomial in the state at node j.  ``paths`` is read as
+    by :func:`solve_s`.
     """
-    config = config or SolverConfig()
+    config = _one_sweep(config, "m-solution")
     sweep = _Sweep(problem, paths, config, "m")
     sweep.run_levels(sweep.n - 1, 0)
     z = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="full")
@@ -691,11 +693,12 @@ def solve_adapted(
     mirrored slot with the kernel itself reduces the problem to the
     symmetric sweep, whose Y this shares exactly.  Only the upper
     triangle is returned: nothing below the diagonal is defined here.
-    ``paths`` is read as by :func:`solve_s`.
+    ``paths`` is read as by :func:`solve_s`; ``config.picard`` raises
+    ValueError.
     """
     if problem.generator.uses_zeta:
         raise ValueError("the mirror-free form takes a generator without zeta")
-    config = config or SolverConfig()
+    config = _one_sweep(config, "adapted solution")
     sweep = _Sweep(problem, paths, config, "s")
     sweep.run_levels(sweep.n - 1, 0)
     return SolveReport("adapted", _adapted(sweep), _upper_kernel(sweep), 1, True)
@@ -753,6 +756,6 @@ def residual(
             diffusion = z_row if form == "row" else z_col
             ito = np.einsum("jp,pj->p", diffusion, ensemble.increments[:, i:n])
             r = r - gsum + ito
-        per_node[i] = float(np.sqrt(np.mean(r**2)))
+        per_node[i] = float(np.sqrt(mean_square(r, out=r)))
     aggregate = float(np.sqrt(np.sum(per_node[:n] ** 2) * dt))
     return ResidualReport(per_node=per_node, aggregate=aggregate)

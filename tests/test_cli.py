@@ -181,6 +181,23 @@ def test_zero_iteration_budget_exits_one_without_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, concept", [
+    (["solve", "--case", "product-linear", "--mode", "m"], "m-solution"),
+    (["solve", "--case", "product-linear", "--mode", "adapted"], "adapted solution"),
+    (["verify", "--case", "product-linear", "--mode", "m", "--levels", "4,8"], "m-solution"),
+])
+def test_picard_for_a_one_sweep_solve_exits_one_without_run_dir(tmp_path, capsys, argv,
+                                                                  concept):
+    # only the s-solution iterates; a Picard flag on another solve is refused
+    out = tmp_path / "runs"
+    code, lines, err = _run(capsys, [*argv, "--n", "4", "--m", "256",
+                                     "--solver.picard", "true", "--output.dir", str(out)])
+    assert code == 1
+    assert lines == []
+    assert err.startswith(f"error: the {concept} is one backward sweep") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solver_failure_exits_four_without_run_dir(tmp_path, capsys):
     out = tmp_path / "runs"
     code, lines, err = _run(

@@ -13,7 +13,9 @@ one place, ``fields.surface_pass``, so that no reader brings back a pass
 of its own; a kernel backing implements one read, ``column``, and
 ``SurfaceField.at`` is its one-cell case.  A sampled ensemble stores
 its paths node-major, so a per-node read needs no copy, and an array is
-copied into a given layout only where rounding follows the layout.
+copied into a given layout only where rounding follows the layout.  A
+design forms its H when it is built, so a node's projection operand is
+filled only by the sweep level that projects the node's rows.
 """
 
 import ast
@@ -186,6 +188,33 @@ def test_each_solve_decides_its_sweep_plan_in_one_place():
             assert all(isinstance(o, ast.Constant) for o in options), ast.unparse(plan)
             concepts.update(o.value for o in options)
     assert concepts == {"s", "picard", "m"}
+
+
+def _operand_fills(sources: dict) -> set:
+    """``file: scope`` of every ``operand(...)`` call."""
+    return {f"{name}: {where}" for name, source in sources.items()
+            for where in _constructions(source, "operand")}
+
+
+def test_a_node_operand_is_filled_by_its_level_alone():
+    # a design forms its H when it is built, so nothing but the level that
+    # projects the node's rows fills its operand
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _operand_fills(sources) == {"solver.py: _Sweep.level"}
+
+
+def test_operand_guard_finds_a_lazy_fill():
+    source = (
+        "class NodeDesign:\n"
+        "    def kernel_row(self, yw2, xw2, out):\n"
+        "        if self._h is None:\n"
+        "            self._form_h(self.operand(xw2))\n\n"
+        "class _Sweep:\n"
+        "    def level(self, j):\n"
+        "        design.operand(self.work.xw2)\n"
+    )
+    assert _operand_fills({"regression.py": source}) == {
+        "regression.py: NodeDesign.kernel_row", "regression.py: _Sweep.level"}
 
 
 def _layout_copies(source: str) -> list[str]:

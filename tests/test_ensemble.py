@@ -68,7 +68,7 @@ def test_growing_path_count_keeps_the_reference_paths():
 
 def test_terminal_statistics(unit_grid):
     ens = sample_ensemble(unit_grid, 65536, seed=7)
-    terminal = ens.terminal()
+    terminal = ens.values[:, -1]
     span = unit_grid.horizon - unit_grid.start
     sigma = np.sqrt(span / ens.n_paths)
     assert abs(terminal.mean()) < 4.0 * sigma
@@ -78,7 +78,7 @@ def test_terminal_statistics(unit_grid):
 def test_increment_variance_matches_step(unit_ensemble):
     ens = unit_ensemble
     var = ens.increments.var(axis=0)
-    np.testing.assert_allclose(var, ens.dt, rtol=0.15)
+    np.testing.assert_allclose(var, ens.grid.dt, rtol=0.15)
 
 
 def test_path_count_validation(unit_grid):

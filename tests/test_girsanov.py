@@ -38,7 +38,7 @@ def test_constant_drift_shifts_values_by_time(ensemble):
     )
     np.testing.assert_allclose(
         tilted.increments - ensemble.increments,
-        ensemble.dt,
+        ensemble.grid.dt,
         rtol=0,
         atol=1e-15,
     )

@@ -7,7 +7,9 @@ from bsvie import (
     DriftSpec,
     Driver,
     NodeDesign,
+    PathEnsemble,
     RegressionError,
+    build_grid,
     design_matrix,
     sample_ensemble,
     tilt,
@@ -25,7 +27,7 @@ def _cubic(w):
 def node_design(ensemble, node, basis=BasisSpec(), weights=None, state=None):
     """The regression node ``node`` of the ensemble, on its own state unless given one."""
     state = ensemble.values[:, node] if state is None else state
-    return NodeDesign(node, state, ensemble.increments[:, node], ensemble.dt, basis, weights)
+    return NodeDesign(node, state, ensemble.increments[:, node], ensemble.grid.dt, basis, weights)
 
 
 def cond_expect(target, ensemble, node):
@@ -37,7 +39,7 @@ def cond_expect(target, ensemble, node):
 
 def martingale_coeff(target, ensemble, node):
     """Projection of target * dW_node / dt: the one-step integrand."""
-    return cond_expect(target * (ensemble.increments[:, node] / ensemble.dt), ensemble, node)
+    return cond_expect(target * (ensemble.increments[:, node] / ensemble.grid.dt), ensemble, node)
 
 
 def test_basis_spec_validation():
@@ -60,13 +62,13 @@ def test_in_span_target_reproduced(unit_ensemble):
 
 
 def test_sample_mean_preserved(unit_ensemble):
-    target = unit_ensemble.terminal() ** 3 + 1.0
+    target = unit_ensemble.values[:, -1] ** 3 + 1.0
     fitted = cond_expect(target, unit_ensemble, NODE)
     assert np.mean(fitted) == pytest.approx(np.mean(target), rel=1e-12)
 
 
 def test_projection_is_linear(unit_ensemble):
-    a = unit_ensemble.terminal() ** 2
+    a = unit_ensemble.values[:, -1] ** 2
     b = np.sin(unit_ensemble.values[:, 12])
     combo = cond_expect(2.0 * a - 3.0 * b, unit_ensemble, NODE)
     parts = 2.0 * cond_expect(a, unit_ensemble, NODE) - 3.0 * cond_expect(
@@ -84,7 +86,7 @@ def test_coefficients_match_normal_equations_oracle(unit_ensemble):
     # independent oracle: assemble and solve the ridge-regularised
     # normal equations directly
     ens = unit_ensemble
-    target = ens.terminal() ** 2
+    target = ens.values[:, -1] ** 2
     basis = BasisSpec(degree=3, ridge=1e-10)
     x = design_matrix(ens.values[:, NODE], 3)
     gram = x.T @ x / ens.n_paths
@@ -97,7 +99,7 @@ def test_coefficients_match_normal_equations_oracle(unit_ensemble):
 
 
 def test_projection_idempotent(unit_ensemble):
-    target = unit_ensemble.terminal() ** 3
+    target = unit_ensemble.values[:, -1] ** 3
     once = cond_expect(target, unit_ensemble, NODE)
     twice = cond_expect(once, unit_ensemble, NODE)
     np.testing.assert_allclose(twice, once, rtol=1e-8, atol=1e-10)
@@ -119,7 +121,7 @@ def test_martingale_property_error_shrinks_with_paths(unit_grid):
     errors = []
     for m in (4096, 16384):
         ens = sample_ensemble(unit_grid, m, seed=21)
-        fitted = cond_expect(ens.terminal(), ens, NODE)
+        fitted = cond_expect(ens.values[:, -1], ens, NODE)
         ref = ens.values[:, NODE]
         errors.append(
             float(np.sqrt(np.mean((fitted - ref) ** 2) / np.mean(ref**2)))
@@ -164,13 +166,13 @@ def test_degenerate_state_raises(unit_ensemble):
 def test_origin_node_collapses_to_plain_mean(unit_ensemble):
     # the state is identically zero there; only the constant feature
     # survives, so the fit is the sample mean
-    target = unit_ensemble.terminal() ** 2
+    target = unit_ensemble.values[:, -1] ** 2
     fitted = cond_expect(target, unit_ensemble, 0)
     np.testing.assert_allclose(fitted, np.mean(target), rtol=1e-9)
 
 
 def test_non_finite_target_rejected(unit_ensemble):
-    target = unit_ensemble.terminal().copy()
+    target = unit_ensemble.values[:, -1].copy()
     target[0] = np.nan
     with pytest.raises(RegressionError, match=rf"^node {NODE}: non-finite regression targets"):
         cond_expect(target, unit_ensemble, NODE)
@@ -189,7 +191,7 @@ def test_target_shape_validation(unit_ensemble):
 
 
 def test_batched_targets_match_single_calls(unit_ensemble):
-    rows = np.stack([unit_ensemble.terminal(), unit_ensemble.terminal() ** 2])
+    rows = np.stack([unit_ensemble.values[:, -1], unit_ensemble.values[:, -1] ** 2])
     batched = cond_expect(rows, unit_ensemble, NODE)
     assert batched.shape == rows.shape
     np.testing.assert_allclose(
@@ -231,8 +233,7 @@ def test_project_matches_the_three_fit_sequence(unit_ensemble, tilted):
 
 @pytest.mark.parametrize("tilted", [False, True])
 def test_kernel_row_is_the_kernel_of_project(unit_ensemble, tilted):
-    # one row through two products with X: project's kernel to rounding,
-    # and the H it forms on a fresh design is bitwise the one project forms
+    # one row through two products with X: project's kernel to rounding
     ens = unit_ensemble
     driver = tilt(ens, DriftSpec(r1=0.5)) if tilted else Driver.from_ensemble(ens)
     design = driver._node_designs(BasisSpec())[NODE]
@@ -241,9 +242,8 @@ def test_kernel_row_is_the_kernel_of_project(unit_ensemble, tilted):
     yw = row if design.weights is None else row * design.weights
     yw2 = np.stack([yw, yw * design.increments])
     scratch = np.empty((2 * BasisSpec().size, ens.n_paths))
-    got = design.kernel_row(yw2, scratch, np.empty(ens.n_paths))
+    got = design.kernel_row(yw2, np.empty(ens.n_paths))
     ref = fresh.evaluate(fresh.project(row[None], fresh.operand(scratch))[1])[0]
-    np.testing.assert_array_equal(design._h, fresh._h)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -260,7 +260,7 @@ def test_design_keeps_its_node_data_without_copies(unit_ensemble):
     driver = Driver.from_ensemble(unit_ensemble)
     for j, design in enumerate(driver._node_designs(BasisSpec())):
         assert design.node == j
-        assert design.dt == unit_ensemble.dt
+        assert design.dt == unit_ensemble.grid.dt
         assert np.shares_memory(design.increments, driver.increments)
         np.testing.assert_array_equal(design.increments, driver.increments[:, j])
 
@@ -274,8 +274,8 @@ def test_a_tilted_driver_normalizes_its_weights_once(unit_ensemble):
 
 
 def test_kernel_product_is_formed_once_per_design(unit_ensemble, monkeypatch):
-    # H = X^T diag(w dW) X / M depends on the node alone: two projections
-    # make one product of the rows each and one H between them
+    # H = X^T diag(w dW) X / M depends on the node alone and is formed
+    # with the design: two projections make one product of the rows each
     calls = []
     original = regression._chunked_ab
 
@@ -284,14 +284,35 @@ def test_kernel_product_is_formed_once_per_design(unit_ensemble, monkeypatch):
         return original(a, b)
 
     design = node_design(unit_ensemble, NODE)
-    rows = np.stack([unit_ensemble.terminal(), unit_ensemble.terminal() ** 2])
+    rows = np.stack([unit_ensemble.values[:, -1], unit_ensemble.values[:, -1] ** 2])
     scratch = design.operand(np.empty((2 * BasisSpec().size, unit_ensemble.n_paths)))
     monkeypatch.setattr(regression, "_chunked_ab", counted)
     first = design.project(rows, scratch)
     second = design.project(rows, scratch)
-    assert len(calls) == 3
+    assert len(calls) == 2
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("layout", ["node-major", "path-major"])
+@pytest.mark.parametrize("tilted", [False, True])
+@pytest.mark.parametrize("m", [3001, 16384, 40000])
+def test_h_formed_with_the_design_has_the_bits_of_the_operand_product(m, tilted, layout):
+    # H is formed from X w dW laid out (M, k) when the design is built; it
+    # keeps the bits of the product with the operand's (k, M) rows, at one
+    # path chunk, exactly one, and three (40000 paths)
+    grid = build_grid(1.0, 4)
+    ens = sample_ensemble(grid, m, seed=5)
+    if layout == "path-major":
+        ens = PathEnsemble(grid, m, ens.seed, ens.increments.copy(order="C"),
+                           ens.values.copy(order="C"))
+    driver = tilt(ens, DriftSpec(r1=0.5)) if tilted else Driver.from_ensemble(ens)
+    k = BasisSpec().size
+    xw2 = np.empty((2 * k, m))
+    for design in driver._node_designs(BasisSpec()):
+        operand = design.operand(xw2)
+        assert design._h.tobytes() == (regression._chunked_ab(design.x, operand[k:].T)
+                                       / m).tobytes(), design.node
 
 
 @pytest.mark.parametrize("weighted", [False, True])

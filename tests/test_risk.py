@@ -80,7 +80,7 @@ def test_position_terminal_accepts_three_forms(grid, ensemble):
     from_str = position_terminal("0.5*wT").eval_all(grid, w)
     np.testing.assert_allclose(
         from_str,
-        np.broadcast_to(0.5 * ensemble.terminal(), from_str.shape),
+        np.broadcast_to(0.5 * ensemble.values[:, -1], from_str.shape),
         rtol=1e-14,
     )
     base = Terminal.constant(7.0)
@@ -89,7 +89,7 @@ def test_position_terminal_accepts_three_forms(grid, ensemble):
 
 def test_risk_at_the_horizon_is_the_negated_position(ensemble):
     values = rho(RiskSpec(position="0.5*wT"), ensemble).values
-    np.testing.assert_array_equal(values[:, -1], -0.5 * ensemble.terminal())
+    np.testing.assert_array_equal(values[:, -1], -0.5 * ensemble.values[:, -1])
 
 
 def test_invalid_route_rejected():

@@ -59,7 +59,7 @@ def test_terminal_evaluation(unit_grid, unit_ensemble):
     assert const.shape == (len(unit_grid), unit_ensemble.n_paths)
     np.testing.assert_array_equal(const, 3.0)
     psi = Terminal.from_expression("t*T*wT").eval_all(unit_grid, unit_ensemble.values)
-    expected = unit_grid.nodes[:, None] * unit_grid.horizon * unit_ensemble.terminal()
+    expected = unit_grid.nodes[:, None] * unit_grid.horizon * unit_ensemble.values[:, -1]
     np.testing.assert_allclose(psi, expected, rtol=1e-13)
     # every path variable at every outer node, on an interval off zero
     grid = build_grid(2.0, 4, 0.5)
@@ -176,6 +176,17 @@ def test_adapted_mode_rejects_mirrored_reads(pl_setup):
         solve_adapted(problem, ensemble)
 
 
+@pytest.mark.parametrize("solve, concept", [(solve_m, "m-solution"),
+                                             (solve_adapted, "adapted solution")])
+def test_one_sweep_solves_refuse_the_picard_mode(pl_setup, solve, concept):
+    # only the s-solution iterates: a Picard config elsewhere is an error,
+    # not a silent single pass
+    _, _, problem, ensemble = pl_setup
+    with pytest.raises(ValueError, match=rf"^the {concept} is one backward sweep; picard "
+                                         r"applies to the s-solution alone$"):
+        solve(problem, ensemble, SolverConfig(picard=True))
+
+
 def test_fixed_point_mode_matches_one_pass(pl_setup, pl_s_report):
     _, _, problem, ensemble = pl_setup
     picard = solve_s(problem, ensemble, SolverConfig(picard=True, tol=1e-8))
@@ -242,7 +253,7 @@ def martingale_coeffs(designs, y_values):
     coeffs = np.zeros((n + 1, n + 1, k))
     xw2 = np.empty((2 * k, y_values.shape[0]))  # every node's projection operand
     for j, design in enumerate(designs):
-        coeffs[j + 1:, j] = solver._martingale_rows(design, y_values, design.operand(xw2))
+        coeffs[j + 1:, j] = design.project(y_values[:, j + 1:].T, design.operand(xw2))[1]
     return coeffs
 
 
@@ -572,13 +583,14 @@ def test_dropping_a_report_frees_the_solve(pl_small, mode):
         ensemble = sample_ensemble(grid, 2048, seed=5)
         problem = ProblemSpec(grid, Generator.from_expression("5*y"),
                               Terminal.from_expression("wT"))
-    solve = solve_m if mode == "zeta" else solve_s
+    # the M-solution is one sweep, so it takes the default config
+    solve, config = (solve_m, SolverConfig()) if mode == "zeta" else (solve_s, picard)
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        report = solve(problem, ensemble, picard)
+        report = solve(problem, ensemble, config)
         blocks = report.iterations - len(report.contraction_ratios)
         del report
         left = tracemalloc.get_traced_memory()[0] - base
@@ -1101,8 +1113,8 @@ def test_a_one_pass_solve_m_keeps_no_rows_by_paths_buffer():
 def test_the_zeta_sweep_projects_each_node_twice_and_fills_no_operand_per_cell(
         pl_small, monkeypatch):
     # each level projects its rows and fits its martingale rows; the
-    # mirrored rows come from two products per cell, and a node's operand
-    # is filled at its own level and, before that, once to form its H
+    # mirrored rows come from two products per cell and the H each design
+    # formed when built, so a node's operand is filled at its own level alone
     case, grid, ensemble = pl_small
     calls = {"project": 0, "operand": 0}
     for name in calls:
@@ -1115,4 +1127,4 @@ def test_the_zeta_sweep_projects_each_node_twice_and_fills_no_operand_per_cell(
         monkeypatch.setattr(NodeDesign, name, counted)
     n = grid.steps
     solve_m(_zeta_problem(case, grid, "-t*y/s^2 + 0.1*zeta"), ensemble)
-    assert calls == {"project": 2 * n, "operand": 2 * n - 1}
+    assert calls == {"project": 2 * n, "operand": n}
