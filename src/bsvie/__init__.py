@@ -22,7 +22,6 @@ from .expr import ExprError, eval_expr, format_expr, free_variables, parse
 from .fields import (
     AdaptedField,
     CoeffSurface,
-    FuncSurface,
     SurfaceField,
     SymmetricSurface,
     design_matrix,

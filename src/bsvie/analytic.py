@@ -5,10 +5,12 @@ explicit function of the driving path, which makes exact error
 measurement possible at any grid resolution.  The kernels come in the
 two completions the solver distinguishes: the symmetric one and the
 martingale-representation one, which differ only below the diagonal.
-A kernel that is constant across paths in every cell gives each cell
-as one number (:meth:`~bsvie.fields.FuncSurface.value`), so the error
-metrics subtract it as a scalar and sum its mean square once per
-distinct number; a kernel that varies by path gives arrays.
+Every reference kernel has degree at most 1 in the state at its
+column node, so each is a 2-column coefficient table on the ensemble's
+paths, like the solver's own: a constant in column 0, a multiple of
+W(t_j) in column 1.  A kernel error is then the quadratic form
+d^T G_j d of the coefficient difference d with the column Gram, and no
+path value of either kernel is read.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import PathEnsemble, sample_ensemble
-from .fields import AdaptedField, CellSum, FuncSurface, region_cells, surface_pass
+from .fields import AdaptedField, CoeffSurface, SymmetricSurface, region_cells
 from .grid import TimeGrid, build_grid
-from .norms import mean_square, y_diff_l2, y_l2
+from .norms import cell_forms, column_moments, y_diff_l2, y_l2
 from .solver import Generator, ProblemSpec, SolveReport, SolverConfig, Terminal, solve_m, solve_s
 
 
@@ -31,8 +33,8 @@ class ReferenceFields:
     """Exact fields evaluated on one ensemble."""
 
     y: AdaptedField
-    z_s: FuncSurface
-    z_m: FuncSurface
+    z_s: SymmetricSurface
+    z_m: CoeffSurface
 
 
 @dataclass(frozen=True)
@@ -62,54 +64,47 @@ class ReferenceCase:
         )
 
 
-def _const_surface(ens: PathEnsemble, fn: Callable[[float, float], float]) -> FuncSurface:
-    """A kernel constant across paths in every cell: each cell reads as one number."""
-    nodes = ens.grid.nodes
-    return FuncSurface(ens.grid, ens.n_paths, lambda i, j: fn(nodes[i], nodes[j]), region="full")
+_Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _fields(ens: PathEnsemble, y: np.ndarray, column: int, upper: _Coefficient,
+            lower: _Coefficient) -> ReferenceFields:
+    """Fields whose kernels put coefficient ``upper(t_i, t_j)`` (i <= j) and,
+    below the diagonal of the martingale completion, ``lower(t_i, t_j)``
+    in ``column`` of a 2-column table on the ensemble's paths."""
+    grid = ens.grid
+    n = len(grid)
+    t, s = grid.nodes[:, None], grid.nodes[None, :]
+    above = np.arange(n)[:, None] <= np.arange(n)[None, :]
+    z_s, z_m = np.zeros((n, n, 2)), np.zeros((n, n, 2))
+    z_s[:, :, column] = np.where(above, upper(t, s), 0.0)
+    z_m[:, :, column] = np.where(above, upper(t, s), lower(t, s))
+    return ReferenceFields(
+        y=AdaptedField(grid=grid, values=y),
+        z_s=SymmetricSurface(CoeffSurface(grid, ens.values, z_s, region="upper")),
+        z_m=CoeffSurface(grid, ens.values, z_m, region="full"),
+    )
 
 
 def _product_fields(ens: PathEnsemble) -> ReferenceFields:
-    nodes = ens.grid.nodes
-    y = AdaptedField(grid=ens.grid, values=nodes[None, :] ** 2 * ens.values)
-    z_s = _const_surface(ens, lambda t, s: t * s)
-    z_m = _const_surface(ens, lambda t, s: t * s if t <= s else t * t)
-    return ReferenceFields(y=y, z_s=z_s, z_m=z_m)
+    return _fields(ens, ens.grid.nodes[None, :] ** 2 * ens.values, 0,
+                   lambda t, s: t * s, lambda t, s: t * t)
 
 
 def _shifted_fields(ens: PathEnsemble) -> ReferenceFields:
-    nodes = ens.grid.nodes
-    y = AdaptedField(grid=ens.grid, values=(nodes[None, :] + 1.0) ** 2 * ens.values)
-    z_s = _const_surface(ens, lambda t, s: (t + 1.0) * (s + 1.0))
-    z_m = _const_surface(
-        ens, lambda t, s: (t + 1.0) * (s + 1.0) if t <= s else (t + 1.0) ** 2
-    )
-    return ReferenceFields(y=y, z_s=z_s, z_m=z_m)
+    return _fields(ens, (ens.grid.nodes[None, :] + 1.0) ** 2 * ens.values, 0,
+                   lambda t, s: (t + 1.0) * (s + 1.0), lambda t, s: (t + 1.0) ** 2)
 
 
 def _zero_fields(ens: PathEnsemble) -> ReferenceFields:
-    y = AdaptedField(grid=ens.grid, values=np.zeros_like(ens.values))
-    zero = _const_surface(ens, lambda t, s: 0.0)
-    return ReferenceFields(y=y, z_s=zero, z_m=zero)
+    return _fields(ens, np.zeros_like(ens.values), 0, lambda t, s: 0.0, lambda t, s: 0.0)
 
 
 def _squared_driver_fields(ens: PathEnsemble) -> ReferenceFields:
-    nodes = ens.grid.nodes
-    w = ens.values
-    y = AdaptedField(grid=ens.grid, values=nodes[None, :] * w**2)
-
-    def z_s(i: int, j: int) -> np.ndarray:
-        if i <= j:
-            return 2.0 * nodes[i] * w[:, j]
-        return 2.0 * nodes[j] * w[:, i]
-
-    def z_m(i: int, j: int) -> np.ndarray:
-        return 2.0 * nodes[i] * w[:, j]
-
-    return ReferenceFields(
-        y=y,
-        z_s=FuncSurface(ens.grid, ens.n_paths, z_s, region="full"),
-        z_m=FuncSurface(ens.grid, ens.n_paths, z_m, region="full"),
-    )
+    # Z(t_i, t_j) = 2 t_i W(t_j) in both completions above the diagonal and
+    # in the martingale one below it
+    return _fields(ens, ens.grid.nodes[None, :] * ens.values**2, 1,
+                   lambda t, s: 2.0 * t, lambda t, s: 2.0 * t)
 
 
 CASES: dict[str, ReferenceCase] = {
@@ -202,70 +197,61 @@ def _relative(err_sq: float, ref_sq: float) -> float:
     return err / ref if ref > 1e-12 else err
 
 
-def _region_error(terms: dict, cells: list[tuple[int, int]]) -> float:
-    """Relative error over ``cells``, summed in the order given."""
+def _padded(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """A coefficient table widened to k columns by zeros."""
+    if coeffs.shape[2] == k:
+        return coeffs
+    out = np.zeros((*coeffs.shape[:2], k))
+    out[:, :, : coeffs.shape[2]] = coeffs
+    return out
+
+
+def _region_error(err: np.ndarray, ref: np.ndarray, cells: list, dt2: float) -> float:
+    """Relative error over ``cells``, from per-cell mean squares summed in the order given."""
     err_sq = ref_sq = 0.0
     for cell in cells:
-        err_term, ref_term = terms[cell]
-        err_sq += err_term
-        ref_sq += ref_term
+        err_sq += float(err[cell]) * dt2
+        ref_sq += float(ref[cell]) * dt2
     return _relative(err_sq, ref_sq)
 
 
-def error_sum(numeric: SolveReport, reference: ReferenceFields) -> CellSum:
-    """:func:`error_metrics` as a consumer of a pass over ``numeric.z``.
+def kernel_errors(numeric: SolveReport, reference: ReferenceFields,
+                  grams: np.ndarray) -> ErrorReport:
+    """:func:`error_metrics` from the column Grams ``grams`` of the numeric kernel's state.
 
-    Each cell's term compares the numeric kernel's values with one read
-    of the reference at that cell; the upper, diagonal and lower regions
-    sum the shared terms in their own orders.  A reference cell given as
-    one number is subtracted as a scalar, and its mean square, which
-    depends on the number alone, is summed once per distinct number (in
-    m-mode every lower cell of a row shares one).  Each term keeps the
-    bits of ``np.mean((num - ref) ** 2)`` and ``np.mean(ref ** 2)`` over
-    the cell's per-path reference.
+    The two kernels must be tables on one state array.  Each cell's
+    error term is d^T G_j d, with d the difference of the tables at the
+    numeric kernel's representative cell, which the matching completion
+    shares; the reference term is c_ref^T G_j c_ref.  The table with
+    fewer columns is padded by zeros to the other's width, which
+    ``grams`` must reach.  The upper, diagonal and lower regions sum the
+    terms of their cells in their own orders.
     """
     z_num = numeric.z
     z_ref = reference.z_m if numeric.mode == "m-solution" else reference.z_s
     y_ref = reference.y
     if numeric.y.values.shape != y_ref.values.shape:
         raise ValueError("field shapes disagree")
+    if z_num.state is not z_ref.state:
+        raise ValueError("the numeric and reference kernels are not tables on one state array")
     grid = y_ref.grid
     n = grid.steps
     dt2 = grid.dt**2
-    n_paths = y_ref.n_paths
-    y_err = _relative(y_diff_l2(numeric.y, y_ref), y_l2(y_ref))
+    k = max(z_num.coeffs.shape[2], z_ref.coeffs.shape[2])
+    c_ref = _padded(z_ref.coeffs, k)
+    err = cell_forms(_padded(z_num.coeffs, k) - c_ref, grams)
+    ref = cell_forms(c_ref, grams)
+
+    def region(cells: list) -> float:
+        return _region_error(err, ref, [z_num.representative(i, j) for i, j in cells], dt2)
 
     covers_lower = z_num.region == z_ref.region == "full"
-    upper = region_cells("upper", n)
-    diag = [(i, i) for i in range(n)]
-    lower = region_cells("lower", n) if covers_lower else []
-
-    const_terms: dict[float, float] = {}
-
-    def ref_term(ref: np.ndarray) -> float:
-        if ref.ndim:
-            return mean_square(ref) * dt2
-        c = float(ref)
-        if c not in const_terms:
-            full = np.full(n_paths, c)
-            const_terms[c] = mean_square(full, out=full) * dt2
-        return const_terms[c]
-
-    def term(cell: tuple[int, int], num: np.ndarray) -> tuple[float, float]:
-        ref = z_ref.value(*cell)
-        ref_sq = ref_term(ref)
-        diff = np.subtract(num, ref)
-        return mean_square(diff, out=diff) * dt2, ref_sq
-
-    def total(terms: dict) -> ErrorReport:
-        return ErrorReport(
-            y_error=y_err,
-            z_upper_error=_region_error(terms, upper),
-            z_lower_error=_region_error(terms, lower) if covers_lower else None,
-            z_diag_error=_region_error(terms, diag),
-        )
-
-    return CellSum(upper + lower, term, total)
+    return ErrorReport(
+        y_error=_relative(y_diff_l2(numeric.y, y_ref), y_l2(y_ref)),
+        z_upper_error=region(region_cells("upper", n)),
+        z_lower_error=region(region_cells("lower", n)) if covers_lower else None,
+        z_diag_error=region([(i, i) for i in range(n)]),
+    )
 
 
 def error_metrics(numeric: SolveReport, reference: ReferenceFields) -> ErrorReport:
@@ -273,9 +259,11 @@ def error_metrics(numeric: SolveReport, reference: ReferenceFields) -> ErrorRepo
 
     The martingale completion is compared for an m-mode report, the
     symmetric one otherwise; an upper-triangle-only report is compared
-    above the diagonal alone.
+    above the diagonal alone.  ValueError when the kernels are not
+    tables on one state array.
     """
-    return surface_pass(numeric.z, [error_sum(numeric, reference)])[0]
+    k = max(numeric.z.coeffs.shape[2], reference.z_s.coeffs.shape[2])
+    return kernel_errors(numeric, reference, column_moments(numeric.z.state, k)[0])
 
 
 # ---------------------------------------------------------------------------

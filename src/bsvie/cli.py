@@ -10,9 +10,13 @@ every table byte for byte; the manifest records one checksum per table
 Exit codes: 0 success, 1 bad configuration or usage, 2 a Picard solve
 (``solver.picard``) did not converge, 3 a verification or axiom check
 failed, 4 numerical failure (a sweep produced non-finite values or a node
-regression stayed degenerate).
-The run directory appears with its first table, so a run that fails
-before writing one leaves no directory behind.
+regression stayed degenerate), 5 out of memory.  Every non-zero exit
+prints one ``error:`` line; codes 2 and 3 still write their tables.  The
+run directory appears with its first table, and a run that fails with
+code 1, 4 or 5 removes the directory it made.  ``solve`` reads the
+kernel's figures from one set of column moments
+(:func:`~bsvie.norms.column_moments`), and ``z_paths.csv`` streams from
+one cell read at a time.
 """
 
 from __future__ import annotations
@@ -24,17 +28,18 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import time
 
 import numpy as np
 
-from .analytic import CASES, convergence_study, error_sum, get_case, reference_fields
+from .analytic import CASES, convergence_study, get_case, kernel_errors, reference_fields
 from .ensemble import sample_ensemble
-from .fields import CellSum, region_cells, surface_pass
+from .fields import region_cells
 from .girsanov import DriftSpec, girsanov_selftest
 from .grid import build_grid
-from .norms import mean_square, s2_sum
+from .norms import cell_forms, column_moments, mean_square, triangle_norm
 from .regression import BasisSpec, DegenerateEnsembleError, RegressionError
 from .risk import Aggregator, RiskSpec, check_axioms, discount_factor, route
 from .solver import (
@@ -57,6 +62,11 @@ _EXIT_CONFIG = 1
 _EXIT_NO_CONVERGENCE = 2
 _EXIT_CHECK_FAILED = 3
 _EXIT_NUMERICAL = 4
+_EXIT_MEMORY = 5
+# the failures that still write their tables
+_OUTCOMES = {_EXIT_NO_CONVERGENCE: "the Picard iteration did not converge; the tables hold "
+                                   "its last iterate",
+             _EXIT_CHECK_FAILED: "a verification or axiom check failed; the tables say which"}
 
 
 class CliError(Exception):
@@ -269,12 +279,20 @@ class _Emitter:
         self.run_dir = run_dir
         self.flags = flags
         self.tables: dict[str, str] = {}
+        self.created = False
 
     def _open(self, name: str) -> _HashedFile:
         # the directory appears with its first file, so a run that fails
         # before writing anything leaves nothing behind
-        os.makedirs(self.run_dir, exist_ok=True)
+        if not os.path.isdir(self.run_dir):
+            os.makedirs(self.run_dir)
+            self.created = True
         return _HashedFile(os.path.join(self.run_dir, name))
+
+    def discard(self) -> None:
+        """Remove the run directory of a failed run, if the run made it."""
+        if self.created:
+            shutil.rmtree(self.run_dir, ignore_errors=True)
 
     def _store(self, name: str, data: bytes) -> None:
         with self._open(name) as fh:
@@ -420,23 +438,32 @@ def _field_rows(field_values: np.ndarray, nodes: np.ndarray):
         yield i, float(t), *_mean_stderr(col), float(np.sqrt(mean_square(col)))
 
 
-def _surface_sum(z, nodes: np.ndarray, steps: int) -> CellSum:
-    """The ``z_surface.csv`` rows as a consumer of a pass over ``z``."""
-    cells = region_cells(z.region, steps + 1)
-    reps = [z.representative(i, j) for i, j in cells]
-    return CellSum(reps, lambda _, vals: _mean_stderr(vals), lambda stats: [
-        (i, j, float(nodes[i]), float(nodes[j]), *stats[rep])
-        for (i, j), rep in zip(cells, reps)
-    ])
+def _surface_rows(z, grams: np.ndarray, centred: np.ndarray, nodes: np.ndarray):
+    """The ``z_surface.csv`` rows: each cell's path mean and standard error.
+
+    Both come from the cell's coefficients c and its column's moments
+    (:func:`~bsvie.norms.column_moments`): the mean is c . G_j[0], and the
+    standard error sqrt(max(c^T C_j c, 0) M / (M - 1)) / sqrt(M), 0.0 for
+    one path.
+    """
+    coeffs, m = z.coeffs, z.n_paths
+    mean = np.zeros(coeffs.shape[:2])
+    for a in range(coeffs.shape[2]):
+        mean += coeffs[:, :, a] * grams[:, 0, a]
+    stderr = np.zeros_like(mean)
+    if m > 1:
+        stderr = np.sqrt(np.maximum(cell_forms(coeffs, centred), 0.0) * m / (m - 1)) / np.sqrt(m)
+    for i, j in region_cells(z.region, len(nodes)):
+        rep = z.representative(i, j)
+        yield i, j, float(nodes[i]), float(nodes[j]), float(mean[rep]), float(stderr[rep])
 
 
-def _path_sum(z, nodes: np.ndarray, steps: int) -> CellSum:
-    """The ``z_paths.csv`` rows, kept as each representative's values until written."""
-    cells = region_cells(z.region, steps + 1)
-    return CellSum(cells, lambda _, vals: vals, lambda values: (
-        (p, i, j, float(nodes[i]), float(nodes[j]), float(v))
-        for i, j in cells for p, v in enumerate(values[i, j])
-    ))
+def _path_rows(z, nodes: np.ndarray):
+    """The ``z_paths.csv`` rows in (i, j, p) order, read one cell at a time."""
+    for i, j in region_cells(z.region, len(nodes)):
+        t_i, t_j = float(nodes[i]), float(nodes[j])
+        for p, v in enumerate(z.at(i, j)):
+            yield p, i, j, t_i, t_j, float(v)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -469,19 +496,15 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
 
     emit.csv("y_table.csv", ["i", "t", "mean", "stderr", "l2"],
              _field_rows(report.y.values, grid.nodes))
-    # the tables, the norm and the error metrics share one read of the kernel
-    sums = {"s2_norm": s2_sum(report.y, report.z)}
-    full_paths = config["output.csv"] and config["output.full_paths"]
-    if config["output.csv"]:
-        sums["z_surface"] = _surface_sum(report.z, grid.nodes, grid.steps)
-    if full_paths:
-        sums["z_paths"] = _path_sum(report.z, grid.nodes, grid.steps)
+    # the norm, the kernel table and the error metrics read one set of column moments
+    k = report.z.coeffs.shape[2]
     if case is not None:
-        sums["errors"] = error_sum(report, reference_fields(case, ensemble))
-    totals = dict(zip(sums, surface_pass(report.z, list(sums.values()))))
+        reference = reference_fields(case, ensemble)
+        k = max(k, reference.z_s.coeffs.shape[2])
+    grams, centred = column_moments(report.z.state, k)
     emit.csv("z_surface.csv", ["i", "j", "t_i", "t_j", "mean", "stderr"],
-             totals.get("z_surface", []))
-    if full_paths:
+             _surface_rows(report.z, grams, centred, grid.nodes))
+    if config["output.csv"] and config["output.full_paths"]:
         print(
             "warning: per-path export is O(paths * steps^2) rows "
             f"(~{config['ensemble.paths'] * (grid.steps + 1) ** 2} here)",
@@ -492,7 +515,7 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
                   for p in range(ensemble.n_paths)
                   for i, v in enumerate(report.y.values[p])))
         emit.csv("z_paths.csv", ["p", "i", "j", "t_i", "t_j", "value"],
-                 totals.get("z_paths", []))
+                 _path_rows(report.z, grid.nodes))
 
     summary = {
         "mode": report.mode,
@@ -500,12 +523,12 @@ def _cmd_solve(config: dict, emit: _Emitter) -> int:
         "converged": bool(report.converged),
         "update_norms": [float(u) for u in report.update_norms],
         "contraction_ratios": [float(r) for r in report.contraction_ratios],
-        "s2_norm": totals["s2_norm"],
+        "s2_norm": triangle_norm(report.y, report.z, grams),
         "steps": grid.steps,
         "paths": ensemble.n_paths,
     }
     if case is not None:
-        errors = totals["errors"]
+        errors = kernel_errors(report, reference, grams)
         summary["errors"] = {
             "y": errors.y_error,
             "z_upper": errors.z_upper_error,
@@ -711,6 +734,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list | None = None) -> int:
     started = time.perf_counter()
+    emit = None
     try:
         args = _build_parser().parse_args(argv)
         config = _resolve_config(args.subcommand, args)
@@ -720,18 +744,23 @@ def main(argv: list | None = None) -> int:
         code = _COMMANDS[args.subcommand](config, emit)
         emit.manifest(args.subcommand, config, digest, time.perf_counter() - started)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
+        code, message = _EXIT_CONFIG, str(e)
     except (SolverError, DegenerateEnsembleError, RegressionError) as e:
-        print(f"error: numerical failure: {e}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        code, message = _EXIT_NUMERICAL, f"numerical failure: {e}"
+    except MemoryError as e:
+        code, message = _EXIT_MEMORY, f"out of memory: {str(e) or 'an allocation failed'}"
     except (KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
+        code, message = _EXIT_CONFIG, str(e)
     except OSError as e:
-        print(f"error: cannot write output: {e}", file=sys.stderr)
-        return _EXIT_CONFIG
-    print(emit.run_dir)
+        code, message = _EXIT_CONFIG, f"cannot write output: {e}"
+    else:
+        print(emit.run_dir)
+        if code in _OUTCOMES:
+            print(f"error: {_OUTCOMES[code]}", file=sys.stderr)
+        return code
+    if emit is not None:
+        emit.discard()
+    print(f"error: {message}", file=sys.stderr)
     return code
 
 

@@ -1,24 +1,16 @@
 """Containers for solution fields on a grid.
 
 An :class:`AdaptedField` stores one value per (path, node).  A
-:class:`SurfaceField` represents a two-time kernel Z(t_i, t_j); concrete
-backings differ (regression coefficient tables, closed-form callables,
-and the mirrored view of an upper triangle) but each implements one read,
-``column(j, rows)``, which reads several cells of one column together;
-``at(i, j) -> (n_paths,)`` is a one-cell column on the base class.
-Bulk readers are consumers (:class:`CellSum`) of :func:`surface_pass`,
-the one pass over a kernel: it reads each representative cell once,
-column by column, so that a coefficient-backed kernel builds each
-node's design matrix once, and hands the values to every consumer that
-needs the cell.  Several consumers share one pass; no more than one
-column's design and the cells a consumer keeps are alive at a time.
-Past the cell's matrix-vector product, the cost of a pass is its
-consumers' terms: each sweep over a cell's paths and each path-length
-temporary runs once per cell, 4,225 times at 64 steps.  The terms in
-the package reduce a cell with one sum per figure and at most one
-temporary each (a difference is squared in place), and hold nothing
-past the cell, with the bits of the plain numpy expressions they
-replace.
+:class:`SurfaceField` represents a two-time kernel Z(t_i, t_j); it has
+two backings, a regression coefficient table (:class:`CoeffSurface`)
+and the mirrored view of an upper table (:class:`SymmetricSurface`),
+and each implements one read, ``column(j, rows)``, which reads several
+cells of one column together; ``at(i, j) -> (n_paths,)`` is a one-cell
+column on the base class.  A kernel's statistics read no path values:
+a cell's values are X_j c, with X_j the design at node j, so every path
+moment of a cell is a form in its coefficients c (see
+:mod:`bsvie.norms`).  The path values are read only where they are the
+output: the residual's stochastic sums and the per-path export.
 
 Regions: ``upper`` covers the closed triangle t_i <= t_j, ``lower`` the
 strict triangle t_i > t_j, ``full`` the whole square;
@@ -33,7 +25,7 @@ comes from the stochastic-integral representation of Y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,56 +93,6 @@ class SurfaceField:
         return i, j
 
 
-def read_order(
-    z: SurfaceField, cells: Iterable[tuple[int, int]]
-) -> list[tuple[int, list[int]]]:
-    """Distinct cells to read for ``cells``, as (j, rows) column groups.
-
-    Each cell is first mapped to its representative (the upper cell of a
-    mirrored pair, for a symmetric kernel); columns come in ascending
-    order and rows ascend within a column.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, j in sorted({z.representative(i, j) for i, j in cells}, key=lambda c: (c[1], c[0])):
-        groups.setdefault(j, []).append(i)
-    return list(groups.items())
-
-
-@dataclass(frozen=True)
-class CellSum:
-    """One consumer of :func:`surface_pass`.
-
-    ``term(cell, values)`` runs once for each distinct cell of ``cells``,
-    with the values of the cell's representative; ``total`` then gets
-    the terms as a dict keyed by cell and sums them in the order that
-    its result fixes.  The values are shared by every consumer of the
-    cell, so a term reads them and never writes into them; it works in
-    temporaries of its own and keeps none of them past the cell.
-    """
-
-    cells: list[tuple[int, int]]
-    term: Callable[[tuple[int, int], np.ndarray], Any]
-    total: Callable[[dict], Any]
-
-
-def surface_pass(z: SurfaceField, sums: Sequence[CellSum]) -> list:
-    """Totals of ``sums``, from one read of each representative cell they need.
-
-    Cells come in :func:`read_order`, one ``z.column`` call per column,
-    and each cell's values are dropped once every consumer has its term.
-    """
-    needs: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
-    for k, consumer in enumerate(sums):
-        for cell in dict.fromkeys(consumer.cells):
-            needs.setdefault(z.representative(*cell), []).append((k, cell))
-    terms: list[dict] = [{} for _ in sums]
-    for j, rows in read_order(z, needs):
-        for i, values in zip(rows, z.column(j, rows)):
-            for k, cell in needs[i, j]:
-                terms[k][cell] = sums[k].term(cell, values)
-    return [consumer.total(t) for consumer, t in zip(sums, terms)]
-
-
 def design_matrix(state: np.ndarray, degree: int) -> np.ndarray:
     """Vandermonde features 1, x, ..., x^degree of a state vector.
 
@@ -178,7 +120,8 @@ class CoeffSurface(SurfaceField):
     or on whether they are read one at a time or a column at a time.
     They agree with the sweep's fitted values (a matrix-matrix product)
     only to rounding.  Both halves of a ``full`` table are polynomials in
-    the node-j state, so one design serves a whole column.
+    the node-j state, so one design serves a whole column.  ``coeffs``
+    is (nodes, nodes, k); the cells outside the region hold zeros.
     """
 
     def __init__(
@@ -202,48 +145,23 @@ class CoeffSurface(SurfaceField):
             yield x @ self.coeffs[i, j]
 
 
-class FuncSurface(SurfaceField):
-    """Kernel given in closed form as a callable (i, j) -> values.
-
-    The callable returns a cell's per-path values, or one number for a
-    cell that is constant across paths; ``column`` broadcasts the number
-    and :meth:`value` hands it on as it is.
-    """
-
-    def __init__(
-        self,
-        grid: TimeGrid,
-        n_paths: int,
-        fn: Callable[[int, int], np.ndarray],
-        region: Region = "full",
-    ) -> None:
-        super().__init__(grid, n_paths, region)
-        self._fn = fn
-
-    def value(self, i: int, j: int) -> np.ndarray:
-        """The callable's result at (i, j): 0-d for a cell constant across paths."""
-        _check_region(self.region, i, j, self.grid.steps)
-        return np.asarray(self._fn(i, j), dtype=np.float64)
-
-    def column(self, j: int, rows: Sequence[int]) -> Iterator[np.ndarray]:
-        for i in rows:
-            out = self.value(i, j)
-            yield np.full(self.n_paths, float(out)) if out.ndim == 0 else out
-
-
 class SymmetricSurface(SurfaceField):
-    """Full-square view of an upper-triangle kernel, mirrored exactly.
+    """Full-square view of an upper-triangle table, mirrored exactly.
 
     ``at(i, j)`` and ``at(j, i)`` both read the upper representative
     ``base.at(min(i, j), max(i, j))``, so the symmetry Z[p, i, j] =
-    Z[p, j, i] holds bitwise rather than only up to rounding.
+    Z[p, j, i] holds bitwise rather than only up to rounding.  The view
+    shares the base's ``state`` and ``coeffs``, so, as for any backing,
+    cell (i, j) has the coefficients ``coeffs[representative(i, j)]``.
     """
 
-    def __init__(self, base: SurfaceField) -> None:
+    def __init__(self, base: CoeffSurface) -> None:
         if base.region != "upper":
             raise ValueError("symmetric extension needs an upper-triangle kernel")
         super().__init__(base.grid, base.n_paths)
         self.base = base
+        self.state = base.state
+        self.coeffs = base.coeffs
 
     def representative(self, i: int, j: int) -> tuple[int, int]:
         return min(i, j), max(i, j)

@@ -56,6 +56,13 @@ class BasisSpec:
     def size(self) -> int:
         return self.degree + 1
 
+    def check_paths(self, m: int) -> None:
+        """Raise ValueError unless ``m`` paths can fit the basis."""
+        if m <= self.degree:
+            raise ValueError(
+                f"basis of size {self.size} needs more than {self.degree} paths, got {m}"
+            )
+
 
 def _chunked_ab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a.T @ b accumulated over fixed path chunks (a, b are (M, ...))."""
@@ -64,6 +71,15 @@ def _chunked_ab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for lo in range(_CHUNK, m, _CHUNK):
         out += a[lo : lo + _CHUNK].T @ b[lo : lo + _CHUNK]
     return out
+
+
+def design_gram(x: np.ndarray) -> np.ndarray:
+    """The Gram X^T X / M of a design X (M, k), accumulated over path chunks.
+
+    With X the design of a node, c^T G c is the path mean of the squared
+    fitted values X c, and row 0 of G is the row of feature means.
+    """
+    return _chunked_ab(x, x) / x.shape[0]
 
 
 class NodeDesign:
@@ -80,10 +96,7 @@ class NodeDesign:
     def __init__(self, node: int, state: np.ndarray, increments: np.ndarray, dt: float,
                  basis: BasisSpec, weights: np.ndarray | None = None) -> None:
         m = state.shape[0]
-        if m <= basis.degree:
-            raise ValueError(
-                f"basis of size {basis.size} needs more than {basis.degree} paths, got {m}"
-            )
+        basis.check_paths(m)
         self.node = node
         self.basis = basis
         self.n_paths = m
@@ -125,12 +138,8 @@ class NodeDesign:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Unweighted Gram matrix X^T X / M.
-
-        The path mean of the squared fitted values of coefficients c is
-        the quadratic form c^T gram c.
-        """
-        return _chunked_ab(self.x, self.x) / self.n_paths
+        """The unweighted Gram matrix of the design (:func:`design_gram`)."""
+        return design_gram(self.x)
 
     def operand(self, xw2: np.ndarray) -> np.ndarray:
         """Write the node's projection operand [X w, X w dW] into ``xw2``.

@@ -390,6 +390,8 @@ class _Sweep:
         self.config = config
         self.n = grid.steps
         self.m = self.ensemble.n_paths
+        # before anything is allocated: the coefficient table alone is (N+1)^2 k floats
+        config.basis.check_paths(self.m)
         self.dt = grid.dt
         self.k = config.basis.size
         self.g = problem.generator

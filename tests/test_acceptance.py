@@ -15,13 +15,13 @@ from test_expr import GOLDEN_ERRORS, GOLDEN_VALUES
 
 from bsvie import (
     AdaptedField,
-    FuncSurface,
+    CoeffSurface,
+    SymmetricSurface,
     build_grid,
     sample_ensemble,
 )
 from bsvie.analytic import error_metrics, get_case, reference_fields
 from bsvie.expr import ExprError, eval_expr, parse
-from bsvie.fields import CellSum, surface_pass
 from bsvie.girsanov import DriftSpec, girsanov_selftest, tilt
 from bsvie.norms import s2_norm
 from bsvie.risk import (
@@ -78,22 +78,9 @@ def _mirror_equal(z, pairs):
     )
 
 
-def _dense(z):
-    """Full-square values from one pass over the kernel's stored cells."""
-    n = len(z.grid)
-    vals = np.empty((z.n_paths, n, n))
-
-    def store(cell, v):
-        vals[:, cell[0], cell[1]] = v
-
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    return surface_pass(z, [CellSum(cells, store, lambda _: vals)])[0]
-
-
 def _diff_surface(a, b):
-    vals = _dense(a)
-    vals -= _dense(b)
-    return FuncSurface(a.grid, a.n_paths, lambda i, j: vals[:, i, j])
+    """The kernel a - b of two symmetric solves on one state: the difference of their tables."""
+    return SymmetricSurface(CoeffSurface(a.grid, a.state, a.coeffs - b.coeffs, region="upper"))
 
 
 def _case_stats(case_id):

@@ -5,8 +5,10 @@ import pytest
 
 from bsvie import (
     AdaptedField,
-    FuncSurface,
+    BasisSpec,
+    CoeffSurface,
     SolveReport,
+    SymmetricSurface,
     SolverConfig,
     build_grid,
     residual,
@@ -88,11 +90,10 @@ def test_mirror_twin_solves_the_column_form_only():
     # the mirror twin of product-linear's kernel: the two completions swap
     # above the diagonal, s^2 there and t*s below, which solves the
     # equation whose stochastic sum reads the column
-    nodes = grid.nodes
-    twin = FuncSurface(
-        grid, ens.n_paths,
-        lambda i, j: np.full(ens.n_paths, nodes[j] ** 2 if i <= j else nodes[i] * nodes[j]),
-    )
+    t, s = grid.nodes[:, None], grid.nodes[None, :]
+    coeffs = np.zeros((len(grid), len(grid), 2))
+    coeffs[:, :, 0] = np.where(t <= s, s**2, t * s)
+    twin = CoeffSurface(grid, ens.values, coeffs, region="full")
     problem = case.problem(grid)
     column = residual(problem, ref.y, twin, ens, form="column")
     row = residual(problem, ref.y, twin, ens, form="row")
@@ -114,18 +115,25 @@ def test_error_metrics_compare_matching_completion():
     assert m_err.z_lower_error < 0.5
 
 
-def _zero_reference(grid, n_paths):
-    zero = FuncSurface(grid, n_paths, lambda i, j: 0.0)
-    return ReferenceFields(y=AdaptedField(grid, np.zeros((n_paths, len(grid)))),
-                           z_s=zero, z_m=zero)
+def _constant(grid, state, c, region="full"):
+    """A kernel constant across paths: c in column 0 of a 2-column table."""
+    coeffs = np.zeros((len(grid), len(grid), 2))
+    coeffs[:, :, 0] = c
+    return CoeffSurface(grid, state, coeffs, region=region)
+
+
+def _zero_reference(grid, state):
+    return ReferenceFields(y=AdaptedField(grid, np.zeros((state.shape[0], len(grid)))),
+                           z_s=SymmetricSurface(_constant(grid, state, 0.0, "upper")),
+                           z_m=_constant(grid, state, 0.0))
 
 
 def test_error_metrics_fall_back_to_absolute_scale():
     grid = build_grid(1.0, 4)
-    z = FuncSurface(grid, 16, lambda i, j: 2e-3)
-    numeric = SolveReport("m-solution", AdaptedField(grid, np.full((16, 5), 1e-3)), z,
-                          iterations=1, converged=True)
-    report = error_metrics(numeric, _zero_reference(grid, 16))
+    state = sample_ensemble(grid, 16, seed=1).values
+    numeric = SolveReport("m-solution", AdaptedField(grid, np.full((16, 5), 1e-3)),
+                          _constant(grid, state, 2e-3), iterations=1, converged=True)
+    report = error_metrics(numeric, _zero_reference(grid, state))
     assert report.y_error == pytest.approx(1e-3, rel=1e-9)
     # the absolute distance over n (n + 1) / 2 = 10 cells of area dt^2
     assert report.z_upper_error == pytest.approx(2e-3 * math.sqrt(10) / 4, rel=1e-9)
@@ -134,11 +142,59 @@ def test_error_metrics_fall_back_to_absolute_scale():
 
 def test_error_metrics_reject_shape_mismatch():
     grid = build_grid(1.0, 4)
-    z = FuncSurface(grid, 8, lambda i, j: 0.0)
-    numeric = SolveReport("s-solution", AdaptedField(grid, np.zeros((8, 5))), z,
-                          iterations=1, converged=True)
+    numeric = SolveReport("s-solution", AdaptedField(grid, np.zeros((8, 5))),
+                          _constant(grid, np.zeros((8, 5)), 0.0), iterations=1, converged=True)
     with pytest.raises(ValueError, match="shapes disagree"):
-        error_metrics(numeric, _zero_reference(grid, 16))
+        error_metrics(numeric, _zero_reference(grid, np.zeros((16, 5))))
+
+
+def test_error_metrics_reject_tables_on_another_state():
+    # a coefficient difference means something only on one state array:
+    # a tilted driver's kernel is a polynomial in another state
+    case = get_case("product-linear")
+    grid = case.grid(4)
+    ens = sample_ensemble(grid, 64, seed=1)
+    report = solve_m(case.problem(grid), ens)
+    reference = reference_fields(case, ens)
+    assert error_metrics(report, reference).z_lower_error is not None
+    moved = SolveReport(report.mode, report.y,
+                        CoeffSurface(grid, ens.values.copy(), report.z.coeffs, region="full"),
+                        iterations=1, converged=True)
+    with pytest.raises(ValueError, match="one state array"):
+        error_metrics(moved, reference)
+
+
+def test_reference_kernels_are_two_column_tables_on_the_paths():
+    case = get_case("squared-driver")
+    grid = case.grid(4)
+    ens = sample_ensemble(grid, 64, seed=1)
+    ref = reference_fields(case, ens)
+    assert ref.z_s.coeffs.shape == ref.z_m.coeffs.shape == (5, 5, 2)
+    assert ref.z_s.state is ref.z_m.state is ens.values
+    # 2 t_i W(t_j) above the diagonal; the symmetric completion mirrors it
+    w, nodes = ens.values, grid.nodes
+    np.testing.assert_array_equal(ref.z_m.at(1, 3), 2.0 * nodes[1] * w[:, 3])
+    np.testing.assert_array_equal(ref.z_m.at(3, 1), 2.0 * nodes[3] * w[:, 1])
+    np.testing.assert_array_equal(ref.z_s.at(3, 1), 2.0 * nodes[1] * w[:, 3])
+
+
+def test_degree_zero_solves_are_compared_against_padded_tables():
+    # a one-column numeric table meets a two-column reference: the
+    # difference pads the narrower table with zeros
+    case = get_case("squared-driver")
+    grid = case.grid(8)
+    ens = sample_ensemble(grid, 512, seed=3)
+    report = solve_s(case.problem(grid), ens, SolverConfig(basis=BasisSpec(degree=0)))
+    errors = error_metrics(report, reference_fields(case, ens))
+    assert errors.z_upper_error > 0.5  # a constant cannot fit 2 t W(s)
+    z_ref = reference_fields(case, ens).z_s
+    n, dt2 = grid.steps, grid.dt**2
+    num = ref = 0.0
+    for i in range(n):
+        for j in range(i, n):
+            num += float(np.mean((report.z.at(i, j) - z_ref.at(i, j)) ** 2)) * dt2
+            ref += float(np.mean(z_ref.at(i, j) ** 2)) * dt2
+    assert errors.z_upper_error == pytest.approx(math.sqrt(num / ref), rel=1e-13)
 
 
 def test_convergence_study_tabulates_levels():

@@ -157,7 +157,7 @@ def test_readme_expression_example_runs(tmp_path, capsys):
 
 
 def test_solve_non_convergence_exits_two(tmp_path, capsys):
-    code, lines, _ = _run(
+    code, lines, err = _run(
         capsys,
         ["solve", "--case", "product-linear", "--n", "8", "--m", "512",
          "--solver.picard", "true", "--solver.max_iter", "1",
@@ -166,6 +166,8 @@ def test_solve_non_convergence_exits_two(tmp_path, capsys):
     assert code == 2
     summary = _read_json(_last_run_dir(lines), "summary.json")
     assert summary["converged"] is False
+    assert err == ("error: the Picard iteration did not converge; the tables hold its last "
+                   "iterate\n")
 
 
 def test_zero_iteration_budget_exits_one_without_run_dir(tmp_path, capsys):
@@ -321,6 +323,64 @@ def test_usage_errors_exit_one_with_one_line(tmp_path, capsys, monkeypatch, argv
     assert lines == []
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
+
+
+class _NoAllocation:
+    """The solver's numpy, with its allocating calls failing the test."""
+
+    def __getattr__(self, name):
+        if name in ("empty", "zeros", "full", "ones", "require", "empty_like", "zeros_like"):
+            raise AssertionError(f"the solve allocated (np.{name}) before checking its paths")
+        return getattr(np, name)
+
+
+def test_too_few_paths_for_the_basis_exit_one_before_the_solve_allocates(tmp_path, capsys,
+                                                                         monkeypatch):
+    # 2 paths cannot fit a basis of 4; at --n 100000 the coefficient table
+    # alone would be 298 GiB, so the check comes before any allocation
+    from bsvie import solver
+
+    monkeypatch.setattr(solver, "np", _NoAllocation())
+    out = tmp_path / "runs"
+    code, lines, err = _run(capsys, ["solve", "--case", "zero", "--n", "8", "--m", "2",
+                                     "--output.dir", str(out)])
+    assert code == 1
+    assert lines == []
+    assert err == "error: basis of size 4 needs more than 3 paths, got 2\n"
+    assert not out.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise np._core._exceptions._ArrayMemoryError((100001, 100001, 4), np.dtype(float))
+
+
+@pytest.mark.parametrize("allocation", ["sample_ensemble", "column_moments"])
+def test_out_of_memory_exits_five_with_one_line_and_no_run_dir(tmp_path, capsys, monkeypatch,
+                                                                allocation):
+    # the ensemble fails before any table; the kernel's moments after
+    # y_table.csv is written, so the run removes the directory it made
+    from bsvie import cli
+
+    monkeypatch.setattr(cli, allocation, _out_of_memory)
+    out = tmp_path / "runs"
+    code, lines, err = _run(capsys, ["solve", "--case", "zero", "--n", "4", "--m", "64",
+                                     "--output.dir", str(out)])
+    assert code == 5
+    assert lines == []
+    assert err == ("error: out of memory: Unable to allocate 298. GiB for an array with shape "
+                   "(100001, 100001, 4) and data type float64\n")
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_a_failed_run_keeps_a_directory_it_did_not_make(tmp_path, capsys, monkeypatch):
+    from bsvie import cli
+
+    argv = ["solve", "--case", "zero", "--n", "4", "--m", "64", "--output.dir", str(tmp_path)]
+    code, lines, _ = _run(capsys, argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "column_moments", _out_of_memory)
+    assert _run(capsys, argv)[0] == 5
+    assert os.path.isdir(lines[-1])
 
 
 def test_help_exits_zero(capsys):
@@ -575,7 +635,7 @@ def test_verify_zero_case_all_zero_tables(tmp_path, capsys):
 
 
 def test_verify_non_decreasing_errors_exit_three(tmp_path, capsys):
-    code, lines, _ = _run(
+    code, lines, err = _run(
         capsys,
         ["verify", "--case", "product-linear", "--levels", "16,32,64",
          "--m", "128", "--seed", "1", "--output.dir", str(tmp_path / "runs")],
@@ -583,6 +643,7 @@ def test_verify_non_decreasing_errors_exit_three(tmp_path, capsys):
     assert code == 3
     orders = _read_json(_last_run_dir(lines), "orders.json")
     assert orders["errors_decrease"] is False
+    assert err == "error: a verification or axiom check failed; the tables say which\n"
 
 
 def test_verify_needs_two_levels(tmp_path, capsys):

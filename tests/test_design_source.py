@@ -8,10 +8,13 @@ so regression errors are raised in ``regression.py`` alone and no caller
 re-raises them with a node prefix.  A driver pairs a regression state
 with the ensemble it was computed from, so ``Driver(...)`` is called
 only by the tilt, and every other driver mirrors its ensemble through
-``Driver.from_ensemble``.  Likewise a kernel's cells are read in
-one place, ``fields.surface_pass``, so that no reader brings back a pass
-of its own; a kernel backing implements one read, ``column``, and
-``SurfaceField.at`` is its one-cell case.  A sampled ensemble stores
+``Driver.from_ensemble``.  A kernel's statistics read its
+coefficients, not its path values, so a kernel's cells are read only
+where the values are the output, the residual and the per-path export,
+one cell at a time; a kernel backing implements one read, ``column``,
+and ``SurfaceField.at`` is its one-cell case.  The Gram X^T X / M that
+turns a coefficient vector into a path moment is formed by one
+function, ``regression.design_gram``.  A sampled ensemble stores
 its paths node-major, so a per-node read needs no copy, and an array is
 copied into a given layout only where rounding follows the layout.  A
 design forms its H when it is built, so a node's projection operand is
@@ -126,15 +129,14 @@ def test_kernel_cells_are_read_in_one_place():
         for name in ("column", "read_cells")
         for where in _constructions(path.read_text(encoding="utf-8"), name)
     }
-    # a mirrored kernel's column forwards to the kernel it mirrors, and a
+    # a mirrored kernel's column forwards to the table it mirrors, and a
     # single cell is a column of one
-    assert sites == {"fields.py: surface_pass", "fields.py: SymmetricSurface.column",
-                     "fields.py: SurfaceField.at"}
+    assert sites == {"fields.py: SymmetricSurface.column", "fields.py: SurfaceField.at"}
 
 
 def test_single_cell_reads_stay_at_known_sites():
-    # ``at`` reads a cell of any kernel; ``FuncSurface.value`` reads a
-    # closed-form cell as its callable gives it, one number for a constant
+    # ``at`` reads a cell of any kernel; ``value`` was a closed-form
+    # kernel's read, and no kernel has one now
     sites = {
         f"{path.name}: {where}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -144,18 +146,63 @@ def test_single_cell_reads_stay_at_known_sites():
     assert sites == {
         "solver.py: residual",  # row and column sums of one outer node
         "solver.py: _generator_env",  # its local helper, not a kernel read
-        "analytic.py: error_sum.term",  # the reference at the cell being read
+        "cli.py: _path_rows",  # the per-path export, one cell at a time
         "fields.py: SymmetricSurface.column",  # the mirror of a lower cell
-        "fields.py: FuncSurface.column",  # the closed form's own read
     }
 
 
 def test_no_backing_overrides_the_cell_read():
     backings = [cls for cls in fields.SurfaceField.__subclasses__()
                 if cls.__module__ == fields.__name__]
-    assert {cls.__name__ for cls in backings} == {"CoeffSurface", "FuncSurface",
-                                                  "SymmetricSurface"}
+    assert {cls.__name__ for cls in backings} == {"CoeffSurface", "SymmetricSurface"}
     assert all("at" not in vars(cls) for cls in backings)
+
+
+def _gram_sites(sources: dict) -> set:
+    """``file: scope`` of every product of an expression with itself, a.T @ a or
+    ``_chunked_ab(a, a)``: the places that form a Gram."""
+    def same(a: ast.AST, b: ast.AST) -> bool:
+        return ast.dump(a) == ast.dump(b)
+
+    found = set()
+    for name, source in sources.items():
+        def visit(node: ast.AST, scope: tuple) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, scope + (child.name,))
+                    continue
+                gram = (isinstance(child, ast.Call) and _called(child) == "_chunked_ab"
+                        and len(child.args) == 2 and same(*child.args))
+                gram = gram or (isinstance(child, ast.BinOp)
+                                and isinstance(child.op, ast.MatMult)
+                                and isinstance(child.left, ast.Attribute)
+                                and child.left.attr == "T" and same(child.left.value, child.right))
+                if gram:
+                    found.add(f"{name}: {'.'.join(scope) or '<module>'}")
+                visit(child, scope)
+
+        visit(ast.parse(source), ())
+    return found
+
+
+def test_the_gram_is_formed_in_one_function():
+    # the Picard norms, the kernel statistics and the error metrics read
+    # one Gram, so their quadratic forms share its bits
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _gram_sites(sources) == {"regression.py: design_gram"}
+
+
+def test_gram_guard_finds_a_second_gram():
+    source = (
+        "def design_gram(x):\n    return _chunked_ab(x, x) / x.shape[0]\n\n"
+        "class NodeDesign:\n"
+        "    def gram(self):\n        return _chunked_ab(self.x, self.x) / self.n_paths\n\n"
+        "    def weighted(self, xw):\n        return _chunked_ab(self.x, xw)\n\n"
+        "def _moments(state):\n    x = design_matrix(state, 3)\n    return x.T @ x / len(x)\n"
+    )
+    assert _gram_sites({"regression.py": source}) == {
+        "regression.py: design_gram", "regression.py: NodeDesign.gram",
+        "regression.py: _moments"}
 
 
 def test_guard_finds_every_construction():

@@ -3,7 +3,7 @@ import pytest
 
 from bsvie import (
     AdaptedField,
-    FuncSurface,
+    SurfaceField,
     SymmetricSurface,
     build_grid,
     design_matrix,
@@ -15,6 +15,12 @@ from bsvie.fields import CoeffSurface
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(1.0, 4)
+
+
+def _zeros(grid, region="full"):
+    """A zero kernel of two paths: a 2-column table of zeros."""
+    n = len(grid)
+    return CoeffSurface(grid, np.zeros((2, n)), np.zeros((n, n, 2)), region=region)
 
 
 def test_adapted_field_shape_and_access(grid):
@@ -51,7 +57,7 @@ def test_design_matrix_has_the_bytes_of_vander(degree):
 
 
 def test_region_bounds_checked(grid):
-    z = FuncSurface(grid, 2, lambda i, j: np.zeros(2))
+    z = _zeros(grid)
     with pytest.raises(IndexError):
         z.at(0, 5)
     with pytest.raises(IndexError):
@@ -59,8 +65,8 @@ def test_region_bounds_checked(grid):
 
 
 def test_triangle_regions_enforced(grid):
-    upper = FuncSurface(grid, 2, lambda i, j: np.zeros(2), region="upper")
-    full = FuncSurface(grid, 2, lambda i, j: np.zeros(2), region="full")
+    upper = _zeros(grid, region="upper")
+    full = _zeros(grid, region="full")
     upper.at(1, 1)
     upper.at(1, 2)
     full.at(2, 1)
@@ -71,23 +77,25 @@ def test_triangle_regions_enforced(grid):
 @pytest.mark.parametrize("region", ["lower", "diagonal", "Upper"])
 def test_unknown_surface_region_rejected(grid, region):
     with pytest.raises(ValueError, match="surface region"):
-        FuncSurface(grid, 2, lambda i, j: np.zeros(2), region=region)
+        SurfaceField(grid, 2, region=region)
     with pytest.raises(ValueError, match="surface region"):
         CoeffSurface(grid, np.zeros((2, 5)), np.zeros((5, 5, 2)), region=region)
 
 
 def test_symmetric_surface_mirrors_same_array(grid):
-    upper = FuncSurface(grid, 2, lambda i, j: np.full(2, 10.0 * i + j), region="upper")
-    z = SymmetricSurface(upper)
+    coeffs = np.zeros((5, 5, 2))
+    coeffs[:, :, 0] = 10.0 * np.arange(5)[:, None] + np.arange(5)[None, :]
+    z = SymmetricSurface(CoeffSurface(grid, np.ones((2, 5)), coeffs, region="upper"))
     assert z.region == "full"
     np.testing.assert_array_equal(z.at(3, 1), z.at(1, 3))
     np.testing.assert_array_equal(z.at(3, 1), np.full(2, 13.0))
+    # the view indexes its base's table at the representative cell
+    assert z.coeffs is coeffs and z.representative(3, 1) == (1, 3)
 
 
 def test_symmetric_surface_requires_upper_base(grid):
-    full = FuncSurface(grid, 2, lambda i, j: np.zeros(2))
     with pytest.raises(ValueError):
-        SymmetricSurface(full)
+        SymmetricSurface(_zeros(grid))
 
 
 def test_full_coeff_surface_reads_both_triangles(grid):
@@ -120,9 +128,17 @@ def test_column_reads_equal_cell_reads_bitwise(grid, kind):
             assert values.tobytes() == z.at(i, j).tobytes()
 
 
-def test_func_surface_broadcasts_scalars(grid):
-    z = FuncSurface(grid, 3, lambda i, j: i * 1.0 + j)
-    np.testing.assert_array_equal(z.at(1, 2), np.full(3, 3.0))
+def test_constant_table_reads_its_constant_exactly(grid):
+    # a constant in column 0 and a zero in column 1 read the constant on
+    # every path, with no rounding from the state: the reference tables'
+    # cells read the bits of np.full
+    state = sample_ensemble(grid, 512, seed=3).values
+    coeffs = np.zeros((5, 5, 2))
+    coeffs[:, :, 0] = np.add.outer(np.arange(5.0), np.arange(5.0)) / 3.0
+    z = CoeffSurface(grid, state, coeffs, region="full")
+    for i in range(5):
+        for j in range(5):
+            assert z.at(i, j).tobytes() == np.full(512, coeffs[i, j, 0]).tobytes()
 
 
 def test_coeff_surface_evaluates_node_polynomial(grid):

@@ -3,7 +3,7 @@ import pytest
 
 from bsvie import (
     AdaptedField,
-    FuncSurface,
+    CoeffSurface,
     SymmetricSurface,
     build_grid,
     s2_norm,
@@ -24,13 +24,34 @@ def _const_field(grid, c):
     return AdaptedField(grid, np.full((M, len(grid)), c))
 
 
-def _array_surface(grid, values):
-    """Full kernel reading cell (i, j) from a (paths, nodes, nodes) array."""
-    return FuncSurface(grid, values.shape[0], lambda i, j: values[:, i, j])
+def _table_surface(grid, coeffs, state=None, region="full"):
+    """A kernel given by a coefficient table (nodes, nodes, k) on a state (paths, nodes)."""
+    if state is None:
+        state = np.zeros((M, len(grid)))
+    return CoeffSurface(grid, state, coeffs, region=region)
+
+
+def _random_surface(grid, rng, state=None):
+    n = len(grid)
+    state = rng.standard_normal((M, n)) if state is None else state
+    return _table_surface(grid, rng.standard_normal((n, n, 3)), state)
 
 
 def _const_surface(grid, c):
-    return _array_surface(grid, np.full((M, len(grid), len(grid)), c))
+    n = len(grid)
+    coeffs = np.zeros((n, n, 2))
+    coeffs[:, :, 0] = c
+    return _table_surface(grid, coeffs)
+
+
+def _upper_surface(grid, value):
+    """Symmetric kernel with the constant ``value(i, j)`` in upper cell (i, j)."""
+    n = len(grid)
+    coeffs = np.zeros((n, n, 1))
+    for i in range(n):
+        for j in range(i, n):
+            coeffs[i, j, 0] = value(i, j)
+    return SymmetricSurface(_table_surface(grid, coeffs, region="upper"))
 
 
 def _square(grid):
@@ -69,27 +90,21 @@ def test_s2_norm_hand_value(grid):
 
 
 def test_cell_order_is_canonical(grid):
-    rng = np.random.default_rng(0)
-    z = _array_surface(grid, rng.standard_normal((M, len(grid), len(grid))))
+    z = _random_surface(grid, np.random.default_rng(0))
     cells = [(3, 7), (0, 1), (5, 5), (2, 9)]
     shuffled = [cells[2], cells[0], cells[3], cells[1]]
     assert z_cells_l2(z, cells) == z_cells_l2(z, shuffled)
 
 
 def test_symmetric_cells_resolve_to_upper_representative(grid):
-    rng = np.random.default_rng(1)
-    upper = FuncSurface(
-        grid, M, lambda i, j: rng.standard_normal(M) * 0 + (i + 1) * (j + 1), region="upper"
-    )
-    z = SymmetricSurface(upper)
+    z = _upper_surface(grid, lambda i, j: (i + 1) * (j + 1))
     assert z_cells_l2(z, [(7, 3)]) == z_cells_l2(z, [(3, 7)])
 
 
 def test_rectangle_integrals_agree_across_diagonal(grid):
     # mirrored rectangles of a symmetric kernel carry the same mass,
     # and the canonical cell order makes the equality bitwise
-    upper = FuncSurface(grid, M, lambda i, j: np.full(M, i + 2.0 * j), region="upper")
-    z = SymmetricSurface(upper)
+    z = _upper_surface(grid, lambda i, j: i + 2.0 * j)
     split = 8
     head = range(0, split)
     tail = range(split, grid.steps)
@@ -101,15 +116,15 @@ def test_rectangle_integrals_agree_across_diagonal(grid):
 def test_s2_norm_quadratic_scaling(grid):
     rng = np.random.default_rng(2)
     y = AdaptedField(grid, rng.standard_normal((M, len(grid))))
-    values = rng.standard_normal((M, len(grid), len(grid)))
-    base = s2_norm(y, _array_surface(grid, values))
-    scaled = s2_norm(AdaptedField(grid, 2.0 * y.values), _array_surface(grid, 2.0 * values))
+    z = _random_surface(grid, rng)
+    base = s2_norm(y, z)
+    doubled = _table_surface(grid, 2.0 * z.coeffs, z.state)
+    scaled = s2_norm(AdaptedField(grid, 2.0 * y.values), doubled)
     assert scaled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_symmetric_full_square_counts_mirrored_cells_twice(grid):
-    upper = FuncSurface(grid, M, lambda i, j: np.full(M, i + 2.0 * j), region="upper")
-    z = SymmetricSurface(upper)
+    z = _upper_surface(grid, lambda i, j: i + 2.0 * j)
     n = grid.steps
     diagonal = z_cells_l2(z, ((i, i) for i in range(n)))
     strict_upper = z_cells_l2(z, ((i, j) for i in range(n) for j in range(i + 1, n)))
@@ -120,20 +135,34 @@ def test_symmetric_full_square_counts_mirrored_cells_twice(grid):
 
 def test_path_duplication_preserves_norms(grid):
     rng = np.random.default_rng(3)
-    values = rng.standard_normal((M, len(grid), len(grid)))
-    single = _array_surface(grid, values)
-    doubled = _array_surface(grid, np.concatenate([values, values], axis=0))
+    single = _random_surface(grid, rng)
+    doubled = _table_surface(grid, single.coeffs, np.concatenate([single.state] * 2, axis=0))
     assert z_cells_l2(doubled, _square(grid)) == pytest.approx(
         z_cells_l2(single, _square(grid)), rel=1e-13
     )
 
 
 def test_upper_plus_strict_lower_equals_full(grid):
-    rng = np.random.default_rng(4)
-    z = _array_surface(grid, rng.standard_normal((M, len(grid), len(grid))))
+    z = _random_surface(grid, np.random.default_rng(4))
     n = grid.steps
     strict_lower = z_cells_l2(z, ((i, j) for i in range(n) for j in range(i)))
     upper = z_cells_l2(z, ((i, j) for i in range(n) for j in range(i, n)))
     assert upper + strict_lower == pytest.approx(
         z_cells_l2(z, _square(grid)), rel=1e-12
     )
+
+
+def test_cell_norms_are_the_path_means_of_the_squared_values(grid):
+    # the quadratic form c^T G_j c against np.mean over the cell's paths
+    z = _random_surface(grid, np.random.default_rng(5))
+    dt2 = grid.dt**2
+    for i, j in [(0, 0), (2, 9), (9, 2), (15, 15)]:
+        oracle = float(np.mean(z.at(i, j) ** 2)) * dt2
+        assert z_cells_l2(z, [(i, j)]) == pytest.approx(oracle, rel=1e-13)
+
+
+def test_zero_coefficients_give_exact_zero_norms(grid):
+    z = _table_surface(grid, np.zeros((len(grid), len(grid), 4)),
+                       np.random.default_rng(6).standard_normal((M, len(grid))))
+    assert z_cells_l2(z, _square(grid)) == 0.0
+    assert s2_norm(_const_field(grid, 0.0), z) == 0.0

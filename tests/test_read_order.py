@@ -1,26 +1,31 @@
-"""Column-at-a-time surface reads against a naive row-major cell loop.
+"""Kernel figures from coefficient moments against a naive row-major cell loop.
 
-Norms, error metrics and the CLI kernel table read coefficient surfaces
-in one column-major pass.  Every figure they report must carry the same
-bits as reading each cell on its own with ``z.at(i, j)`` in row-major
-order, whether each reader has a pass to itself or all of them share
-one.  Floats are compared through ``repr``, which round-trips every bit
-(``-0.0`` included).
+Norms, error metrics and the CLI kernel table read a kernel through its
+coefficients and one set of column moments, and read no cell's path
+values.  Every figure they report must agree with reading each cell on
+its own with ``z.at(i, j)`` in row-major order and taking numpy's path
+means, to 1e-13 relative (a cell's mean and stderr on the cell's own
+scale, its root mean square and that over sqrt(M)), and must carry the
+same bits whether each reader forms its moments or all of them share
+one set.  Floats are compared through ``repr``, which round-trips every
+bit (``-0.0`` included).
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bsvie import CoeffSurface, SymmetricSurface, sample_ensemble
-from bsvie import fields
-from bsvie.analytic import error_metrics, error_sum, get_case, reference_fields
-from bsvie.cli import _surface_sum, main
-from bsvie.fields import read_order, surface_pass
-from bsvie.norms import s2_norm, s2_sum, y_l2, z_cells_l2
+from bsvie import SurfaceField, SymmetricSurface, sample_ensemble
+from bsvie import fields, norms
+from bsvie.analytic import error_metrics, get_case, kernel_errors, reference_fields
+from bsvie.cli import _path_rows, _surface_rows, main
+from bsvie.norms import column_moments, s2_norm, triangle_norm, y_l2, z_cells_l2
 from bsvie.solver import solve_m, solve_s
+
+REL = 1e-13
 
 # at 8 steps a wrong summation order in the error metrics still gave the
 # same bits; at 16 it does not
@@ -60,24 +65,15 @@ def _naive_region_error(z_num, z_ref, cells, dt2):
     return err / ref if ref > 1e-12 else err
 
 
-def test_read_order_is_column_major_over_representatives(report):
-    n = STEPS
-    full = [(i, j) for i in range(n + 1) for j in range(n + 1)]
-    groups = read_order(report.z, full)
-    assert [j for j, _ in groups] == list(range(n + 1))
-    for j, rows in groups:
-        expected = range(j + 1) if isinstance(report.z, SymmetricSurface) else range(n + 1)
-        assert rows == list(expected)
-
-
 def test_norms_match_row_major_reads(report):
     n = STEPS
     full = [(i, j) for i in range(n) for j in range(n)]
     upper = [(i, j) for i in range(n) for j in range(i, n)]
-    assert repr(z_cells_l2(report.z, full)) == repr(_naive_cells_l2(report.z, full))
-    assert repr(z_cells_l2(report.z, upper)) == repr(_naive_cells_l2(report.z, upper))
+    assert z_cells_l2(report.z, full) == pytest.approx(_naive_cells_l2(report.z, full), rel=REL)
+    assert z_cells_l2(report.z, upper) == pytest.approx(_naive_cells_l2(report.z, upper),
+                                                        rel=REL)
     naive_s2 = float(np.sqrt(y_l2(report.y) + _naive_cells_l2(report.z, upper)))
-    assert repr(s2_norm(report.y, report.z)) == repr(naive_s2)
+    assert s2_norm(report.y, report.z) == pytest.approx(naive_s2, rel=REL)
 
 
 def test_error_metrics_match_row_major_reads(setup, report):
@@ -89,75 +85,93 @@ def test_error_metrics_match_row_major_reads(setup, report):
     lower = [(i, j) for i in range(1, n) for j in range(i)]
     diag = [(i, i) for i in range(n)]
     naive = [_naive_region_error(report.z, z_ref, cells, dt2) for cells in (upper, lower, diag)]
-    assert repr([errors.z_upper_error, errors.z_lower_error, errors.z_diag_error]) == repr(naive)
+    got = [errors.z_upper_error, errors.z_lower_error, errors.z_diag_error]
+    assert got == pytest.approx(naive, rel=REL)
 
 
 def test_surface_rows_match_row_major_reads(setup, report):
     _, grid, _, _ = setup
-    rows = surface_pass(report.z, [_surface_sum(report.z, grid.nodes, grid.steps)])[0]
-    naive = []
-    for i in range(STEPS + 1):
-        for j in range(STEPS + 1):
-            vals = report.z.at(i, j)
-            stderr = float(vals.std(ddof=1) / np.sqrt(vals.shape[0]))
-            naive.append((i, j, float(grid.nodes[i]), float(grid.nodes[j]),
-                          float(vals.mean()), stderr))
-    assert repr(rows) == repr(naive)
+    grams, centred = column_moments(report.z.state, report.z.coeffs.shape[2])
+    rows = list(_surface_rows(report.z, grams, centred, grid.nodes))
+    assert len(rows) == (STEPS + 1) ** 2
+    for row, (i, j) in zip(rows, [(i, j) for i in range(STEPS + 1) for j in range(STEPS + 1)]):
+        vals = report.z.at(i, j)
+        stderr = float(vals.std(ddof=1) / np.sqrt(vals.shape[0]))
+        assert row[:4] == (i, j, float(grid.nodes[i]), float(grid.nodes[j]))
+        # both to REL on the cell's own scale: a constant cell's stderr is
+        # exactly 0.0 from its coefficients, where the path formula leaves
+        # rounding residue of up to 1.5e-17 at 512 paths
+        rms = float(np.sqrt(np.mean(vals**2)))
+        assert abs(row[4] - float(vals.mean())) <= REL * rms
+        assert abs(row[5] - stderr) <= REL * max(stderr, rms / np.sqrt(PATHS))
 
 
 def test_shared_pass_gives_each_reader_its_own_figures(setup, report):
+    # one set of column moments serves the norm, the table and the errors,
+    # with the bits each reader gives from moments of its own
     _, grid, _, reference = setup
-    rows, norm, errors = surface_pass(report.z, [
-        _surface_sum(report.z, grid.nodes, grid.steps),
-        s2_sum(report.y, report.z),
-        error_sum(report, reference),
-    ])
-    alone = surface_pass(report.z, [_surface_sum(report.z, grid.nodes, grid.steps)])[0]
-    assert repr(rows) == repr(alone)
-    assert repr(norm) == repr(s2_norm(report.y, report.z))
-    assert repr(errors) == repr(error_metrics(report, reference))
+    grams, centred = column_moments(report.z.state, report.z.coeffs.shape[2])
+    rows = list(_surface_rows(report.z, grams, centred, grid.nodes))
+    again = column_moments(report.z.state, report.z.coeffs.shape[2])
+    assert repr(rows) == repr(list(_surface_rows(report.z, *again, grid.nodes)))
+    assert repr(triangle_norm(report.y, report.z, grams)) == repr(s2_norm(report.y, report.z))
+    assert repr(kernel_errors(report, reference, grams)) == repr(
+        error_metrics(report, reference))
+
+
+def _count_reads(monkeypatch, mode):
+    """Calls of ``at`` on the solve's kernel, and the designs built, while the CLI runs."""
+    reads, designs = Counter(), []
+    at, design_matrix = SurfaceField.at, fields.design_matrix
+    kernel = SymmetricSurface if mode == "s" else fields.CoeffSurface
+
+    def counted_at(self, i, j):
+        if type(self) is kernel:
+            reads[i, j] += 1
+        return at(self, i, j)
+
+    def counted_design(state, degree):
+        designs.append(degree)
+        return design_matrix(state, degree)
+
+    monkeypatch.setattr(SurfaceField, "at", counted_at)
+    for module in (fields, norms):
+        monkeypatch.setattr(module, "design_matrix", counted_design)
+    return reads, designs
 
 
 @pytest.mark.parametrize("mode", ["m", "s"])
 def test_cli_solve_reads_each_cell_once(tmp_path, monkeypatch, capsys, mode):
-    reads, designs = Counter(), []
-    column, design_matrix = CoeffSurface.column, fields.design_matrix
-
-    def counted_column(self, j, rows):
-        reads.update((i, j) for i in rows)
-        return column(self, j, rows)
-
-    def counted_design(state, degree):
-        designs.append(degree)
-        return design_matrix(state, degree)
-
-    monkeypatch.setattr(CoeffSurface, "column", counted_column)
-    monkeypatch.setattr(fields, "design_matrix", counted_design)
+    reads, designs = _count_reads(monkeypatch, mode)
     argv = ["solve", "--case", "product-linear", "--mode", mode, "--n", "8", "--m", "256",
             "--output.dir", str(tmp_path)]
     assert main(argv) == 0
-    capsys.readouterr()
-    # the m-solution stores all 81 cells; the s-solution mirrors its 45 upper ones
-    stored = [(i, j) for i in range(9) for j in range(9) if mode == "m" or i <= j]
-    assert reads == Counter(stored)
+    # the statistics read no cell: one design per column forms its moments
+    assert not reads
     assert len(designs) == 9
-
-
-def test_full_paths_export_builds_one_design_per_column(tmp_path, monkeypatch, capsys):
-    designs = []
-    design_matrix = fields.design_matrix
-
-    def counted_design(state, degree):
-        designs.append(degree)
-        return design_matrix(state, degree)
-
-    monkeypatch.setattr(fields, "design_matrix", counted_design)
-    argv = ["solve", "--case", "product-linear", "--mode", "m", "--n", "16", "--m", "64",
-            "--full-paths", "--output.dir", str(tmp_path)]
-    assert main(argv) == 0
+    assert main([*argv, "--full-paths"]) == 0
     capsys.readouterr()
-    # one per column of the 17 x 17 table; a read per cell would build 306
-    assert len(designs) == 17
+    # the export reads each cell of the square once, one design per read
+    assert reads == Counter((i, j) for i in range(9) for j in range(9))
+    assert len(designs) == 9 + 9 + 81
+
+
+def test_full_paths_export_holds_a_few_cells(setup):
+    # the rows stream from one cell read at a time, so the export holds a
+    # cell's values and its design, never the kernel's paths
+    case, grid, ensemble, _ = setup
+    report = solve_m(case.problem(grid), ensemble)
+    cell = 8 * PATHS
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in _path_rows(report.z, grid.nodes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == (STEPS + 1) ** 2 * PATHS
+    # one design of 4 columns and one cell's values; a hold of every
+    # cell would be 289 cells
+    assert peak <= 8 * cell, f"{peak} bytes, {peak / cell:.2f} cells"
 
 
 def test_path_rows_match_row_major_reads(tmp_path, capsys, setup, report):

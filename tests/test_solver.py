@@ -9,8 +9,8 @@ import pytest
 from bsvie import (
     BasisSpec,
     DriftSpec,
+    CoeffSurface,
     Driver,
-    FuncSurface,
     Generator,
     NodeDesign,
     ProblemSpec,
@@ -406,12 +406,8 @@ def test_a_one_pass_solve_of_an_ensemble_holds_one_design_at_a_time(live_designs
 
 
 def _diff_surface(a, b):
-    n = len(a.grid)
-    vals = np.zeros((a.n_paths, n, n))
-    for i in range(n):
-        for j in range(n):
-            vals[:, i, j] = a.at(i, j) - b.at(i, j)
-    return FuncSurface(a.grid, a.n_paths, lambda i, j: vals[:, i, j])
+    """The kernel a - b of two symmetric solves on one state: the difference of their tables."""
+    return SymmetricSurface(CoeffSurface(a.grid, a.state, a.coeffs - b.coeffs, region="upper"))
 
 
 def test_unit_weight_driver_is_the_plain_solver(pl_setup, pl_s_report):

@@ -1,10 +1,14 @@
-"""The surface pass's per-cell terms against the numpy formulas they fuse.
+"""Kernel statistics from coefficients against the per-path formulas.
 
-Each consumer of the pass reduces a cell's path values with fewer sweeps
-and temporaries than the plain numpy expression, but with the same
-operations in the same order.  The plain expressions live here as
-oracles, and every figure must carry their bits: per term, through
-``error_metrics``, and as the bytes of the CLI's tables.
+A kernel cell reads X_j c, so its path mean, mean square, variance and
+error against a reference are forms in c with the moments of column j
+(``bsvie.norms.column_moments``).  The per-path numpy expressions they
+replace live here as oracles.  The forms agree with them to rounding,
+not bitwise: to 1e-13 relative, a cell's mean and standard error on
+the cell's own scale (its root mean square, and that over sqrt(M)).  What
+stays bitwise is checked bitwise: the per-path helpers that ``Y``'s
+tables still use, a reference table padded with zero columns, and the
+CLI's figures against the package's own functions.
 """
 
 import csv
@@ -18,21 +22,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bsvie import AdaptedField, FuncSurface, ReferenceFields, build_grid, sample_ensemble
-from bsvie.analytic import error_metrics, error_sum, get_case, reference_fields
-from bsvie.cli import _mean_stderr, _surface_sum, main
-from bsvie.fields import region_cells, surface_pass
-from bsvie.norms import mean_square, s2_sum
-from bsvie.solver import SolveReport, solve_adapted, solve_m, solve_s
+from bsvie import (
+    CoeffSurface,
+    ReferenceFields,
+    SymmetricSurface,
+    build_grid,
+    s2_norm,
+    sample_ensemble,
+)
+from bsvie.analytic import error_metrics, get_case, kernel_errors, reference_fields
+from bsvie.cli import _mean_stderr, _surface_rows, main
+from bsvie.fields import region_cells
+from bsvie.norms import cell_forms, column_moments, mean_square, triangle_norm
+from bsvie.solver import solve_adapted, solve_m, solve_s
 
 SOLVERS = {"s": solve_s, "m": solve_m, "adapted": solve_adapted}
+REL = 1e-13
 
 
 def bits(x) -> bytes:
     return struct.pack("<d", float(x))
 
 
-# -- oracles: the formulas the fused terms replace ---------------------------
+# -- oracles: the per-path formulas ------------------------------------------
 
 
 def oracle_mean(vals):
@@ -57,7 +69,7 @@ def oracle_ref_term(c, m):
 
 
 def _cells():
-    """(name, values) cells that the fused terms must read like the oracles."""
+    """(name, values) cells that the helpers and forms must read like the oracles."""
     rng = np.random.default_rng(7)
     out = [(f"random-{m}", rng.standard_normal(m) * 3.0 + 0.5)
            for m in (1, 2, 3, 4097, 16384)]
@@ -74,6 +86,30 @@ def _cells():
 CELLS = _cells()
 
 
+def close_mean(got, vals) -> bool:
+    """A mean to REL of its cell's root mean square: a mean near zero has no digits of its own."""
+    return abs(got - oracle_mean(vals)) <= REL * math.sqrt(oracle_mean_square(vals))
+
+
+def close_stderr(got, vals) -> bool:
+    """A stderr to REL of itself, or of its cell's scale rms / sqrt(M) when that is larger.
+
+    A constant cell's stderr is exactly 0.0 from its coefficients, where
+    the path formula leaves rounding residue.
+    """
+    scale = math.sqrt(oracle_mean_square(vals) / vals.shape[0])
+    want = oracle_stderr(vals)
+    return abs(got - want) <= REL * max(want, scale)
+
+
+def _identity_kernel(vals):
+    """A two-step kernel whose nine cells read ``vals``: X [0, 1] on the state ``vals``."""
+    grid = build_grid(1.0, 2)
+    coeffs = np.zeros((3, 3, 2))
+    coeffs[:, :, 1] = 1.0
+    return CoeffSurface(grid, np.stack([vals] * 3, axis=1), coeffs, region="full")
+
+
 @pytest.mark.parametrize("vals", [v for _, v in CELLS], ids=[n for n, _ in CELLS])
 def test_mean_and_stderr_have_the_bits_of_mean_and_std(vals):
     before = vals.copy()
@@ -81,6 +117,21 @@ def test_mean_and_stderr_have_the_bits_of_mean_and_std(vals):
     assert bits(mean) == bits(oracle_mean(vals))
     assert bits(stderr) == bits(oracle_stderr(vals))
     assert vals.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("vals", [v for _, v in CELLS], ids=[n for n, _ in CELLS])
+def test_coefficient_mean_and_stderr_match_the_path_formulas(vals):
+    z = _identity_kernel(vals)
+    np.testing.assert_array_equal(z.at(1, 0), vals)
+    grams, centred = column_moments(z.state, 2)
+    rows = list(_surface_rows(z, grams, centred, z.grid.nodes))
+    assert len(rows) == 9
+    # the forms round on the scale of the values: on a constant state the
+    # chunked mean is off by 6.7e-16, so the centred column is not exactly
+    # zero and the stderr reads 1.0e-17 where the path formula reads 0.0
+    for *_, mean, stderr in rows:
+        assert close_mean(mean, vals), (mean, oracle_mean(vals))
+        assert close_stderr(stderr, vals), (stderr, oracle_stderr(vals))
 
 
 @pytest.mark.parametrize("vals", [v for _, v in CELLS], ids=[n for n, _ in CELLS])
@@ -95,20 +146,30 @@ def test_mean_square_has_the_bits_of_np_mean(vals):
 @pytest.mark.parametrize("c", [0.3, -0.0, 0.0, 2.5e-3])
 @pytest.mark.parametrize("vals", [v for _, v in CELLS], ids=[n for n, _ in CELLS])
 def test_error_terms_have_the_bits_of_a_full_reference(vals, c):
-    # the consumer's own term, with the reference cell read as one number
-    m = vals.shape[0]
-    grid = build_grid(1.0, 2)
-    num = FuncSurface(grid, m, lambda i, j: vals)
-    ref = FuncSurface(grid, m, lambda i, j: c)
-    y = AdaptedField(grid, np.zeros((m, len(grid))))
-    report = SolveReport("m-solution", y, num, iterations=1, converged=True)
-    consumer = error_sum(report, ReferenceFields(y=y, z_s=ref, z_m=ref))
+    # a cell that reads ``vals`` against the constant c: the error term is
+    # d^T G d with d = [-c, 1], the reference term c^2 G_00
     before = vals.copy()
-    err_term, ref_term = consumer.term((0, 1), vals)
-    dt2 = grid.dt**2
-    assert bits(err_term) == bits(oracle_err_term(vals, c) * dt2)
-    assert bits(ref_term) == bits(oracle_ref_term(c, m) * dt2)
+    z = _identity_kernel(vals)
+    ref = np.zeros_like(z.coeffs)
+    ref[:, :, 0] = c
+    grams, _ = column_moments(z.state, 2)
+    err_term = float(cell_forms(z.coeffs - ref, grams)[1, 0])
+    ref_term = float(cell_forms(ref, grams)[1, 0])
+    assert err_term == pytest.approx(oracle_err_term(vals, c), rel=REL, abs=0.0)
+    assert ref_term == pytest.approx(oracle_ref_term(c, vals.shape[0]), rel=REL, abs=0.0)
     assert vals.tobytes() == before.tobytes()
+
+
+def test_zero_coefficients_read_exact_zeros():
+    # a cell with zero coefficients has mean, stderr, mean square and
+    # error exactly 0.0, whatever its column's state
+    z = _identity_kernel(np.random.default_rng(2).standard_normal(4097))
+    zero = CoeffSurface(z.grid, z.state, np.zeros_like(z.coeffs), region="full")
+    grams, centred = column_moments(z.state, 2)
+    for *_, mean, stderr in _surface_rows(zero, grams, centred, z.grid.nodes):
+        assert bits(mean) == bits(0.0) and bits(stderr) == bits(0.0)
+    assert not np.any(cell_forms(zero.coeffs, grams))
+    assert not np.any(cell_forms(zero.coeffs - zero.coeffs, grams))
 
 
 # -- error metrics -----------------------------------------------------------
@@ -149,40 +210,74 @@ def _as_dict(errors):
             "z_lower": errors.z_lower_error, "z_diag": errors.z_diag_error}
 
 
-def _per_path_twin(z, n_paths):
-    """The same constant kernel, given per path as ``np.full`` arrays."""
-    return FuncSurface(z.grid, n_paths, lambda i, j: np.full(n_paths, float(z.value(i, j))))
+def assert_errors_match(errors: dict, oracle: dict) -> None:
+    # y has no coefficients: its error keeps the per-path bits
+    assert bits(errors["y"]) == bits(oracle["y"])
+    assert (errors["z_lower"] is None) == (oracle["z_lower"] is None)
+    for key in ("z_upper", "z_lower", "z_diag"):
+        if oracle[key] is not None:
+            assert errors[key] == pytest.approx(oracle[key], rel=REL, abs=0.0), key
+
+
+def _padded_twin(z, k):
+    """The same kernel with its table widened to k columns by zeros."""
+    coeffs = np.zeros((*z.coeffs.shape[:2], k))
+    coeffs[:, :, : z.coeffs.shape[2]] = z.coeffs
+    if isinstance(z, SymmetricSurface):
+        return SymmetricSurface(CoeffSurface(z.grid, z.state, coeffs, region="upper"))
+    return CoeffSurface(z.grid, z.state, coeffs, region=z.region)
 
 
 @pytest.mark.parametrize("mode", ["s", "m"])
 def test_a_constant_reference_read_as_a_number_keeps_the_bits_of_a_per_path_one(mode):
+    # a constant reference is column 0 of a 2-column table; widened to the
+    # solve's 4 columns it gives the same bits, because the difference is
+    # padded to one width anyway
     case = get_case("product-linear")
     grid = case.grid(16)
     ensemble = sample_ensemble(grid, 2048, seed=4)
     report = SOLVERS[mode](case.problem(grid), ensemble)
     reference = reference_fields(case, ensemble)
-    assert reference.z_m.value(3, 1).ndim == 0
-    twin = ReferenceFields(y=reference.y,
-                           z_s=_per_path_twin(reference.z_s, ensemble.n_paths),
-                           z_m=_per_path_twin(reference.z_m, ensemble.n_paths))
-    scalar = _as_dict(error_metrics(report, reference))
-    assert repr(scalar) == repr(_as_dict(error_metrics(report, twin)))
-    assert repr(scalar) == repr(oracle_error_metrics(report, reference))
+    assert not np.any(reference.z_m.coeffs[:, :, 1])
+    twin = ReferenceFields(y=reference.y, z_s=_padded_twin(reference.z_s, 4),
+                           z_m=_padded_twin(reference.z_m, 4))
+    errors = _as_dict(error_metrics(report, reference))
+    assert repr(errors) == repr(_as_dict(error_metrics(report, twin)))
+    assert_errors_match(errors, oracle_error_metrics(report, reference))
 
 
 @pytest.mark.parametrize("mode", ["s", "m"])
 def test_a_per_path_reference_keeps_its_bits(mode):
+    # squared-driver's kernel 2 t_i W(t_j) varies by path: column 1 of its table
     case = get_case("squared-driver")
     grid = case.grid(16)
     ensemble = sample_ensemble(grid, 2048, seed=4)
     report = SOLVERS[mode](case.problem(grid), ensemble)
     reference = reference_fields(case, ensemble)
-    assert reference.z_m.value(3, 1).shape == (2048,)
-    assert repr(_as_dict(error_metrics(report, reference))) == repr(
-        oracle_error_metrics(report, reference))
+    assert np.any(reference.z_m.coeffs[:, :, 1])
+    assert_errors_match(_as_dict(error_metrics(report, reference)),
+                        oracle_error_metrics(report, reference))
 
 
-# -- the CLI's bytes -----------------------------------------------------------
+@pytest.mark.parametrize("mode", ["s", "m"])
+def test_equal_upper_tables_give_equal_upper_figures_bitwise(mode):
+    # the s- and m-solutions share their upper table bit for bit, so the
+    # norm and the upper and diagonal errors agree bit for bit
+    case = get_case("shifted-product")
+    grid = case.grid(16)
+    ensemble = sample_ensemble(grid, 2048, seed=4)
+    s_report = solve_s(case.problem(grid), ensemble)
+    m_report = solve_m(case.problem(grid), ensemble)
+    assert np.array_equal(np.triu(s_report.z.coeffs.transpose(2, 0, 1)),
+                          np.triu(m_report.z.coeffs.transpose(2, 0, 1)))
+    assert bits(s2_norm(s_report.y, s_report.z)) == bits(s2_norm(m_report.y, m_report.z))
+    reference = reference_fields(case, ensemble)
+    s_err, m_err = error_metrics(s_report, reference), error_metrics(m_report, reference)
+    assert bits(s_err.z_upper_error) == bits(m_err.z_upper_error)
+    assert bits(s_err.z_diag_error) == bits(m_err.z_diag_error)
+
+
+# -- the CLI's tables ----------------------------------------------------------
 
 
 def _csv_bytes(header, rows) -> bytes:
@@ -214,6 +309,7 @@ def test_cli_tables_are_the_bytes_of_the_oracle_formulas(tmp_path, capsys, case_
     grid = case.grid(steps)
     ensemble = sample_ensemble(grid, paths, seed=1)
     report = SOLVERS[mode](case.problem(grid), ensemble)
+    reference = reference_fields(case, ensemble)
     nodes = grid.nodes
     y = report.y.values
     y_rows = [(i, float(t), oracle_mean(y[:, i]), oracle_stderr(y[:, i]),
@@ -221,18 +317,25 @@ def test_cli_tables_are_the_bytes_of_the_oracle_formulas(tmp_path, capsys, case_
     assert tables["y_table.csv"] == _sha(_csv_bytes(["i", "t", "mean", "stderr", "l2"], y_rows))
 
     z = report.z
-    z_rows = []
-    for i, j in region_cells(z.region, steps + 1):
+    with open(f"{run_dir}/z_surface.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cells = region_cells(z.region, steps + 1)
+    assert [(int(r[0]), int(r[1])) for r in rows] == cells
+    for (i, j), row in zip(cells, rows):
         vals = z.at(i, j)
-        z_rows.append((i, j, float(nodes[i]), float(nodes[j]),
-                       oracle_mean(vals), oracle_stderr(vals)))
-    assert tables["z_surface.csv"] == _sha(
-        _csv_bytes(["i", "j", "t_i", "t_j", "mean", "stderr"], z_rows))
+        assert row[2:4] == [repr(float(nodes[i])), repr(float(nodes[j]))]
+        assert close_mean(float(row[4]), vals), (i, j)
+        assert close_stderr(float(row[5]), vals), (i, j)
 
-    errors = oracle_error_metrics(report, reference_fields(case, ensemble))
-    assert (errors["z_lower"] is None) == (mode == "adapted")
-    data = json.dumps(errors, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    with open(f"{run_dir}/errors.json", encoding="utf-8") as fh:
+        errors = json.load(fh)
+    assert_errors_match(errors, oracle_error_metrics(report, reference))
+    # the CLI's shared moments give the figures of the standalone functions
+    data = json.dumps(_as_dict(error_metrics(report, reference)), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     assert tables["errors.json"] == _sha(data.encode("utf-8"))
+    with open(f"{run_dir}/summary.json", encoding="utf-8") as fh:
+        assert json.load(fh)["s2_norm"] == s2_norm(report.y, report.z)
 
 
 # -- memory --------------------------------------------------------------------
@@ -246,23 +349,25 @@ def test_one_pass_holds_no_more_than_the_parent_formulas_and_keeps_no_buffer():
     report = solve_m(case.problem(grid), ensemble)
     reference = reference_fields(case, ensemble)
 
-    def consumers():
-        return [s2_sum(report.y, report.z), _surface_sum(report.z, grid.nodes, grid.steps),
-                error_sum(report, reference)]
+    def statistics():
+        grams, centred = column_moments(report.z.state, report.z.coeffs.shape[2])
+        return (triangle_norm(report.y, report.z, grams),
+                list(_surface_rows(report.z, grams, centred, grid.nodes)),
+                kernel_errors(report, reference, grams))
 
-    surface_pass(report.z, consumers())  # the first pass fills one-off caches
-    sums = consumers()
+    statistics()
     tracemalloc.start()
     try:
-        totals = surface_pass(report.z, sums)
+        totals = statistics()
         peak = tracemalloc.get_traced_memory()[1]
         left = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     # With np.mean, std and a np.full reference per cell, this test read
     # a peak of 377,896 bytes (11.53 buffers of 4096 float64s) under
-    # Python 3.11 and numpy 2.4; the fused terms read 318,672 (9.73).
+    # Python 3.11 and numpy 2.4; the fused per-path terms read 318,672
+    # (9.73).  The moments hold one design of 4 columns at a time.
     assert peak <= 377_896, f"{peak} bytes, {peak / (8 * m):.2f} buffers"
     kept = [trace.size for trace in left.traces if trace.size >= 8 * m]
-    assert not kept, f"{kept} bytes of path-sized buffers outlive the pass"
+    assert not kept, f"{kept} bytes of path-sized buffers outlive the statistics"
     assert len(totals) == 3
