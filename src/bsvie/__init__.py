@@ -21,7 +21,6 @@ from .ensemble import PathEnsemble, sample_ensemble
 from .expr import ExprError, eval_expr, format_expr, free_variables, parse
 from .fields import (
     AdaptedField,
-    CoeffSurface,
     SurfaceField,
     SymmetricSurface,
     design_matrix,

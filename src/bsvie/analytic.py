@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .ensemble import PathEnsemble, sample_ensemble
-from .fields import AdaptedField, CoeffSurface, SymmetricSurface, region_cells
+from .fields import AdaptedField, SurfaceField, SymmetricSurface, region_cells
 from .grid import TimeGrid, build_grid
 from .norms import cell_forms, column_moments, y_diff_l2, y_l2
 from .solver import Generator, ProblemSpec, SolveReport, SolverConfig, Terminal, solve_m, solve_s
@@ -34,7 +34,7 @@ class ReferenceFields:
 
     y: AdaptedField
     z_s: SymmetricSurface
-    z_m: CoeffSurface
+    z_m: SurfaceField
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def _fields(ens: PathEnsemble, y: np.ndarray, column: int, upper: _Coefficient,
     z_m[:, :, column] = np.where(above, upper(t, s), lower(t, s))
     return ReferenceFields(
         y=AdaptedField(grid=grid, values=y),
-        z_s=SymmetricSurface(CoeffSurface(grid, ens.values, z_s, region="upper")),
-        z_m=CoeffSurface(grid, ens.values, z_m, region="full"),
+        z_s=SymmetricSurface(SurfaceField(grid, ens.values, z_s, region="upper")),
+        z_m=SurfaceField(grid, ens.values, z_m, region="full"),
     )
 
 

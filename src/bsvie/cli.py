@@ -679,8 +679,7 @@ def _cmd_residual(config: dict, emit: _Emitter) -> int:
     problem = case.problem(grid)
     ensemble = sample_ensemble(grid, config["ensemble.paths"], config["ensemble.seed"])
     fields = reference_fields(case, ensemble)
-    row = residual(problem, fields.y, fields.z_s, ensemble, form="row")
-    col = residual(problem, fields.y, fields.z_s, ensemble, form="column")
+    row, col = residual(problem, fields.y, fields.z_s, ensemble)
     emit.csv("residuals.csv", ["i", "t", "row_rms", "column_rms"],
              ((i, float(t), float(a), float(b)) for i, (t, a, b) in
               enumerate(zip(grid.nodes, row.per_node, col.per_node))))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ensemble import PathEnsemble
 from .expr import VARIABLES, Node as ExprNode, Program, format_expr, free_variables, parse
-from .fields import AdaptedField, CoeffSurface, SurfaceField, SymmetricSurface
+from .fields import AdaptedField, SurfaceField, SymmetricSurface
 from .grid import TimeGrid
 from .norms import mean_square
 from .regression import BasisSpec, NodeDesign
@@ -561,8 +561,8 @@ class _Sweep:
         return update, size
 
 
-def _upper_kernel(sweep: _Sweep) -> CoeffSurface:
-    return CoeffSurface(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="upper")
+def _upper_kernel(sweep: _Sweep) -> SurfaceField:
+    return SurfaceField(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="upper")
 
 
 def _adapted(sweep: _Sweep) -> AdaptedField:
@@ -682,7 +682,7 @@ def solve_m(
     config = _one_sweep(config, "m-solution")
     sweep = _Sweep(problem, paths, config, "m")
     sweep.run_levels(sweep.n - 1, 0)
-    z = CoeffSurface(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="full")
+    z = SurfaceField(sweep.grid, sweep.driver.state, _readonly(sweep.coeffs), region="full")
     return SolveReport("m-solution", _adapted(sweep), z, 1, True)
 
 
@@ -719,33 +719,34 @@ def residual(
     y: AdaptedField,
     z: SurfaceField,
     ensemble: PathEnsemble,
-    form: str = "row",
-) -> ResidualReport:
-    """Per-outer-node L2 residual of (Y, Z) in the discrete equation.
+) -> tuple[ResidualReport, ResidualReport | None]:
+    """Per-outer-node L2 residuals (row, column) of (Y, Z) in the discrete equation.
 
-    ``form`` selects which kernel orientation drives the stochastic
-    sum: "row" reads the row Z(t_i, .), the mirrored "column" form
-    reads the column Z(., t_i).  The generator arguments are identical
-    in both, so for an exactly symmetric kernel the two residuals agree
-    bit for bit.
+    The two forms differ only in the kernel orientation that drives the
+    stochastic sum: the row form reads the row Z(t_i, .), the column
+    form the mirrored column Z(., t_i).  One pass per outer node reads
+    each orientation once, evaluates the generator once and shares
+    everything but that sum, so for an exactly symmetric kernel the two
+    residuals agree bit for bit.  The column form is None for a kernel
+    on the upper triangle alone, which has no mirrored column.
     """
     _check_grid(problem.grid, ensemble.grid)
-    if form not in ("row", "column"):
-        raise ValueError(f"unknown residual form {form!r}")
     grid = problem.grid
     n = grid.steps
     w = ensemble.values
     terminal = problem.terminal.eval_all(grid, w)
     g = problem.generator
-    per_node = np.zeros(n + 1)
+    full = z.region == "full"
+    rows = np.zeros(n + 1)
+    columns = np.zeros(n + 1) if full else None
     dt = grid.dt
     for i in range(n + 1):
         width = n - i
-        r = y.at(i) - terminal[i]
+        r_row = r_col = y.at(i) - terminal[i]
         if width:
             z_row = np.stack([z.at(i, j) for j in range(i, n)])
             z_col = None
-            if g.uses_zeta or form == "column":
+            if full or g.uses_zeta:
                 z_col = np.stack([z.at(j, i) for j in range(i, n)])
             env = _generator_env(grid, w, i, slice(i, n), y.values[:, i:n].T, z_row, z_col)
             gv = np.asarray(g(env), dtype=np.float64)
@@ -755,9 +756,16 @@ def residual(
                 gsum = gv.T.copy(order="C").sum(axis=1) * dt
             else:
                 gsum = gv * (width * dt)
-            diffusion = z_row if form == "row" else z_col
-            ito = np.einsum("jp,pj->p", diffusion, ensemble.increments[:, i:n])
-            r = r - gsum + ito
-        per_node[i] = float(np.sqrt(mean_square(r, out=r)))
-    aggregate = float(np.sqrt(np.sum(per_node[:n] ** 2) * dt))
-    return ResidualReport(per_node=per_node, aggregate=aggregate)
+            base = r_row - gsum
+            dw = ensemble.increments[:, i:n]
+            r_row = base + np.einsum("jp,pj->p", z_row, dw)
+            if full:
+                r_col = base + np.einsum("jp,pj->p", z_col, dw)
+        rows[i] = np.sqrt(mean_square(r_row))
+        if full:
+            columns[i] = np.sqrt(mean_square(r_col))
+
+    def report(per_node: np.ndarray) -> ResidualReport:
+        return ResidualReport(per_node, float(np.sqrt(np.sum(per_node[:n] ** 2) * dt)))
+
+    return report(rows), (None if columns is None else report(columns))

@@ -1,9 +1,8 @@
 """Acceptance gate: one test per numbered criterion.
 
 Heavy runs share module fixtures; each fixture returns plain scalars so
-at most one large solve report is alive at a time.  Surfaces are read
-column by column, so a coefficient-backed kernel builds each node's
-design matrix once per comparison rather than once per cell.
+at most one large solve report is alive at a time.  Surfaces are
+compared through their one read, ``at``, cell by cell.
 """
 
 import gc
@@ -15,7 +14,7 @@ from test_expr import GOLDEN_ERRORS, GOLDEN_VALUES
 
 from bsvie import (
     AdaptedField,
-    CoeffSurface,
+    SurfaceField,
     SymmetricSurface,
     build_grid,
     sample_ensemble,
@@ -54,33 +53,18 @@ def _upper_pairs(grid):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _by_column(pairs):
-    columns = {}
-    for i, j in sorted(pairs, key=lambda c: (c[1], c[0])):
-        columns.setdefault(j, []).append(i)
-    return columns.items()
-
-
 def _surfaces_equal(a, b, pairs):
-    return all(
-        np.array_equal(va, vb)
-        for j, rows in _by_column(pairs)
-        for va, vb in zip(a.column(j, rows), b.column(j, rows))
-    )
+    return all(np.array_equal(a.at(i, j), b.at(i, j)) for i, j in pairs)
 
 
 def _mirror_equal(z, pairs):
-    """z(i, j) == z(j, i) bitwise; the (i, j) side is read column by column."""
-    return all(
-        np.array_equal(v, z.at(j, i))
-        for j, rows in _by_column(pairs)
-        for i, v in zip(rows, z.column(j, rows))
-    )
+    """z(i, j) == z(j, i) bitwise."""
+    return all(np.array_equal(z.at(i, j), z.at(j, i)) for i, j in pairs)
 
 
 def _diff_surface(a, b):
     """The kernel a - b of two symmetric solves on one state: the difference of their tables."""
-    return SymmetricSurface(CoeffSurface(a.grid, a.state, a.coeffs - b.coeffs, region="upper"))
+    return SymmetricSurface(SurfaceField(a.grid, a.state, a.coeffs - b.coeffs, region="upper"))
 
 
 def _case_stats(case_id):
@@ -322,8 +306,7 @@ def test_criterion_12_residual_forms_and_refinement():
         ensemble = sample_ensemble(grid, 16384, seed=SEED)
         reference = reference_fields(case, ensemble)
         problem = case.problem(grid)
-        row = residual(problem, reference.y, reference.z_s, ensemble, form="row")
-        col = residual(problem, reference.y, reference.z_s, ensemble, form="column")
+        row, col = residual(problem, reference.y, reference.z_s, ensemble)
         assert np.array_equal(row.per_node, col.per_node)
         assert row.aggregate == col.aggregate
         aggregates.append(row.aggregate)

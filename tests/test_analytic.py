@@ -6,8 +6,8 @@ import pytest
 from bsvie import (
     AdaptedField,
     BasisSpec,
-    CoeffSurface,
     SolveReport,
+    SurfaceField,
     SymmetricSurface,
     SolverConfig,
     build_grid,
@@ -68,7 +68,7 @@ def test_reference_fields_nearly_solve_their_equation(case_id, bound):
     grid = case.grid(16)
     ens = sample_ensemble(grid, 2048, seed=9)
     ref = reference_fields(case, ens)
-    report = residual(case.problem(grid), ref.y, ref.z_s, ens, form="row")
+    report, _ = residual(case.problem(grid), ref.y, ref.z_s, ens)
     assert report.aggregate < bound
 
 
@@ -77,7 +77,7 @@ def test_zero_reference_residual_vanishes():
     grid = case.grid(16)
     ens = sample_ensemble(grid, 256, seed=9)
     ref = reference_fields(case, ens)
-    report = residual(case.problem(grid), ref.y, ref.z_s, ens, form="row")
+    report, _ = residual(case.problem(grid), ref.y, ref.z_s, ens)
     assert report.aggregate == 0.0
     assert np.all(report.per_node == 0.0)
 
@@ -93,10 +93,9 @@ def test_mirror_twin_solves_the_column_form_only():
     t, s = grid.nodes[:, None], grid.nodes[None, :]
     coeffs = np.zeros((len(grid), len(grid), 2))
     coeffs[:, :, 0] = np.where(t <= s, s**2, t * s)
-    twin = CoeffSurface(grid, ens.values, coeffs, region="full")
+    twin = SurfaceField(grid, ens.values, coeffs, region="full")
     problem = case.problem(grid)
-    column = residual(problem, ref.y, twin, ens, form="column")
-    row = residual(problem, ref.y, twin, ens, form="row")
+    row, column = residual(problem, ref.y, twin, ens)
     assert column.aggregate < 0.02
     assert row.aggregate > 3.0 * column.aggregate
 
@@ -119,7 +118,7 @@ def _constant(grid, state, c, region="full"):
     """A kernel constant across paths: c in column 0 of a 2-column table."""
     coeffs = np.zeros((len(grid), len(grid), 2))
     coeffs[:, :, 0] = c
-    return CoeffSurface(grid, state, coeffs, region=region)
+    return SurfaceField(grid, state, coeffs, region=region)
 
 
 def _zero_reference(grid, state):
@@ -158,7 +157,7 @@ def test_error_metrics_reject_tables_on_another_state():
     reference = reference_fields(case, ens)
     assert error_metrics(report, reference).z_lower_error is not None
     moved = SolveReport(report.mode, report.y,
-                        CoeffSurface(grid, ens.values.copy(), report.z.coeffs, region="full"),
+                        SurfaceField(grid, ens.values.copy(), report.z.coeffs, region="full"),
                         iterations=1, converged=True)
     with pytest.raises(ValueError, match="one state array"):
         error_metrics(moved, reference)

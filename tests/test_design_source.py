@@ -11,8 +11,9 @@ only by the tilt, and every other driver mirrors its ensemble through
 ``Driver.from_ensemble``.  A kernel's statistics read its
 coefficients, not its path values, so a kernel's cells are read only
 where the values are the output, the residual and the per-path export,
-one cell at a time; a kernel backing implements one read, ``column``,
-and ``SurfaceField.at`` is its one-cell case.  The Gram X^T X / M that
+one cell at a time, through the one read ``SurfaceField.at``, which a
+backing varies only by the cell it names as a cell's representative.
+The Gram X^T X / M that
 turns a coefficient vector into a path moment is formed by one
 function, ``regression.design_gram``.  A sampled ensemble stores
 its paths node-major, so a per-node read needs no copy, and an array is
@@ -122,40 +123,94 @@ def test_driver_guard_finds_a_third_site():
                           "risk.py": source}) == {"girsanov.py: tilt", "risk.py: route"}
 
 
+_KERNEL_READS = ("at", "column")
+
+
+def _kernel_reads(source: str) -> list[str]:
+    """``Class.method`` of every cell read, ``at`` or ``column``, that a kernel
+    class of ``source`` defines: ``SurfaceField`` and the classes built on it."""
+    kernels, found = {"SurfaceField"}, []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if node.name in kernels or any(getattr(b, "id", None) in kernels for b in node.bases):
+            kernels.add(node.name)
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef) and item.name in _KERNEL_READS]
+    return found
+
+
 def test_kernel_cells_are_read_in_one_place():
-    sites = {
-        f"{path.name}: {where}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in ("column", "read_cells")
-        for where in _constructions(path.read_text(encoding="utf-8"), name)
-    }
-    # a mirrored kernel's column forwards to the table it mirrors, and a
-    # single cell is a column of one
-    assert sites == {"fields.py: SymmetricSurface.column", "fields.py: SurfaceField.at"}
+    # every kernel reads a cell through the one ``at``; a mirrored view
+    # names another representative and no kernel reads several cells
+    source = (PACKAGE / "fields.py").read_text(encoding="utf-8")
+    assert _kernel_reads(source) == ["SurfaceField.at"]
+
+
+def test_read_guard_finds_a_second_read():
+    source = (
+        "class AdaptedField:\n    def at(self, i):\n        return self.values[:, i]\n\n"
+        "class SurfaceField:\n    def at(self, i, j):\n        return self.cell(i, j)\n\n"
+        "class SymmetricSurface(SurfaceField):\n"
+        "    def representative(self, i, j):\n        return min(i, j), max(i, j)\n\n"
+        "    def column(self, j, rows):\n        return (self.at(i, j) for i in rows)\n\n"
+        "class Twin(SymmetricSurface):\n    def at(self, i, j):\n        return 0.0\n"
+    )
+    assert _kernel_reads(source) == ["SurfaceField.at", "SymmetricSurface.column", "Twin.at"]
+
+
+def _cell_read_sites(sources: dict) -> set:
+    """``file: scope`` of every call of ``at`` or of ``value``."""
+    return {f"{name}: {where}" for name, source in sources.items()
+            for call in ("at", "value") for where in _constructions(source, call)}
 
 
 def test_single_cell_reads_stay_at_known_sites():
     # ``at`` reads a cell of any kernel; ``value`` was a closed-form
     # kernel's read, and no kernel has one now
-    sites = {
-        f"{path.name}: {where}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for name in ("at", "value")
-        for where in _constructions(path.read_text(encoding="utf-8"), name)
-    }
-    assert sites == {
-        "solver.py: residual",  # row and column sums of one outer node
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert _cell_read_sites(sources) == {
+        "solver.py: residual",  # row and column stacks of one outer node
         "solver.py: _generator_env",  # its local helper, not a kernel read
         "cli.py: _path_rows",  # the per-path export, one cell at a time
-        "fields.py: SymmetricSurface.column",  # the mirror of a lower cell
     }
+
+
+def test_cell_read_guard_finds_a_second_site():
+    source = (
+        "class SymmetricSurface(SurfaceField):\n"
+        "    def mirrored(self, i, j):\n        return self.base.at(j, i)\n\n"
+        "def _surface_rows(z, nodes):\n"
+        "    return [z.at(i, j).mean() for i, j in region_cells(z.region, len(nodes))]\n"
+    )
+    assert _cell_read_sites({"fields.py": source, "cli.py": "def _path_rows(z):\n"
+                             "    yield z.at(0, 0)\n"}) == {
+        "fields.py: SymmetricSurface.mirrored", "fields.py: _surface_rows", "cli.py: _path_rows"}
+
+
+def _read_overrides(base: type, module: str) -> tuple[set, set]:
+    """Names of the classes of ``module`` built directly on ``base``, and of those
+    among them that define their own ``at``."""
+    backings = [cls for cls in base.__subclasses__() if cls.__module__ == module]
+    return ({cls.__name__ for cls in backings},
+            {cls.__name__ for cls in backings if "at" in vars(cls)})
 
 
 def test_no_backing_overrides_the_cell_read():
-    backings = [cls for cls in fields.SurfaceField.__subclasses__()
-                if cls.__module__ == fields.__name__]
-    assert {cls.__name__ for cls in backings} == {"CoeffSurface", "SymmetricSurface"}
-    assert all("at" not in vars(cls) for cls in backings)
+    assert _read_overrides(fields.SurfaceField, fields.__name__) == ({"SymmetricSurface"}, set())
+
+
+def test_override_guard_finds_a_second_read():
+    namespace = {"__name__": "synthetic"}
+    exec(
+        "class SurfaceField:\n    def at(self, i, j):\n        return i, j\n\n"
+        "class SymmetricSurface(SurfaceField):\n"
+        "    def representative(self, i, j):\n        return min(i, j), max(i, j)\n\n"
+        "class Twin(SurfaceField):\n    def at(self, i, j):\n        return j, i\n",
+        namespace,
+    )
+    assert _read_overrides(namespace["SurfaceField"], "synthetic") == (
+        {"SymmetricSurface", "Twin"}, {"Twin"})
 
 
 def _gram_sites(sources: dict) -> set:

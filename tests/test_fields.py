@@ -9,7 +9,7 @@ from bsvie import (
     design_matrix,
     sample_ensemble,
 )
-from bsvie.fields import CoeffSurface
+from bsvie.fields import region_cells
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def grid():
 def _zeros(grid, region="full"):
     """A zero kernel of two paths: a 2-column table of zeros."""
     n = len(grid)
-    return CoeffSurface(grid, np.zeros((2, n)), np.zeros((n, n, 2)), region=region)
+    return SurfaceField(grid, np.zeros((2, n)), np.zeros((n, n, 2)), region=region)
 
 
 def test_adapted_field_shape_and_access(grid):
@@ -77,15 +77,13 @@ def test_triangle_regions_enforced(grid):
 @pytest.mark.parametrize("region", ["lower", "diagonal", "Upper"])
 def test_unknown_surface_region_rejected(grid, region):
     with pytest.raises(ValueError, match="surface region"):
-        SurfaceField(grid, 2, region=region)
-    with pytest.raises(ValueError, match="surface region"):
-        CoeffSurface(grid, np.zeros((2, 5)), np.zeros((5, 5, 2)), region=region)
+        SurfaceField(grid, np.zeros((2, 5)), np.zeros((5, 5, 2)), region=region)
 
 
 def test_symmetric_surface_mirrors_same_array(grid):
     coeffs = np.zeros((5, 5, 2))
     coeffs[:, :, 0] = 10.0 * np.arange(5)[:, None] + np.arange(5)[None, :]
-    z = SymmetricSurface(CoeffSurface(grid, np.ones((2, 5)), coeffs, region="upper"))
+    z = SymmetricSurface(SurfaceField(grid, np.ones((2, 5)), coeffs, region="upper"))
     assert z.region == "full"
     np.testing.assert_array_equal(z.at(3, 1), z.at(1, 3))
     np.testing.assert_array_equal(z.at(3, 1), np.full(2, 13.0))
@@ -105,7 +103,7 @@ def test_full_coeff_surface_reads_both_triangles(grid):
     coeffs[1, 3] = [1.0, 0.0]
     coeffs[3, 3] = [0.0, 1.0]
     coeffs[4, 3] = [-1.0, 2.0]
-    z = CoeffSurface(grid, state, coeffs, region="full")
+    z = SurfaceField(grid, state, coeffs, region="full")
     assert z.region == "full"
     np.testing.assert_array_equal(z.at(1, 3), [1.0, 1.0])
     np.testing.assert_array_equal(z.at(3, 3), [3.0, -3.0])
@@ -113,19 +111,36 @@ def test_full_coeff_surface_reads_both_triangles(grid):
     np.testing.assert_array_equal(z.at(0, 3), [0.0, 0.0])
 
 
-@pytest.mark.parametrize("kind", ["symmetric", "full"])
-def test_column_reads_equal_cell_reads_bitwise(grid, kind):
+@pytest.mark.parametrize("kind", ["upper", "full", "symmetric"])
+def test_cell_reads_are_the_design_product_at_the_representative(grid, kind):
+    # the oracle: each cell is the node-c design times the coefficients of
+    # its representative (r, c), the cell itself or, mirrored, (j, i)
     rng = np.random.default_rng(3)
     state = rng.standard_normal((64, 5))
-    coeffs = rng.standard_normal((5, 5, 4))
-    if kind == "symmetric":
-        z = SymmetricSurface(CoeffSurface(grid, state, coeffs, region="upper"))
-    else:
-        z = CoeffSurface(grid, state, coeffs, region="full")
-    rows = range(5)
-    for j in range(5):
-        for i, values in zip(rows, z.column(j, rows)):
-            assert values.tobytes() == z.at(i, j).tobytes()
+    for k in range(1, 5):
+        coeffs = rng.standard_normal((5, 5, k))
+        if kind == "symmetric":
+            z = SymmetricSurface(SurfaceField(grid, state, coeffs, region="upper"))
+        else:
+            z = SurfaceField(grid, state, coeffs, region=kind)
+        for i, j in region_cells(z.region, 5):
+            r, c = (min(i, j), max(i, j)) if kind == "symmetric" else (i, j)
+            assert z.representative(i, j) == (r, c)
+            expected = design_matrix(state[:, c], k - 1) @ coeffs[r, c]
+            assert z.at(i, j).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 64), (64, 3), (64, 6), (64,), (2, 64, 5)])
+def test_state_must_have_one_column_per_grid_node(grid, shape):
+    # a transposed ensemble or a state of another grid is refused when
+    # the kernel is built, naming both shapes, not at its first read
+    with pytest.raises(ValueError, match=rf"state shape \({shape[0]}.*5 nodes"):
+        SurfaceField(grid, np.zeros(shape), np.zeros((5, 5, 2)), region="upper")
+
+
+def test_coefficient_table_must_cover_the_square(grid):
+    with pytest.raises(ValueError, match=r"coefficient table shape \(4, 5, 2\)"):
+        SurfaceField(grid, np.zeros((2, 5)), np.zeros((4, 5, 2)), region="full")
 
 
 def test_constant_table_reads_its_constant_exactly(grid):
@@ -135,7 +150,7 @@ def test_constant_table_reads_its_constant_exactly(grid):
     state = sample_ensemble(grid, 512, seed=3).values
     coeffs = np.zeros((5, 5, 2))
     coeffs[:, :, 0] = np.add.outer(np.arange(5.0), np.arange(5.0)) / 3.0
-    z = CoeffSurface(grid, state, coeffs, region="full")
+    z = SurfaceField(grid, state, coeffs, region="full")
     for i in range(5):
         for j in range(5):
             assert z.at(i, j).tobytes() == np.full(512, coeffs[i, j, 0]).tobytes()
@@ -146,10 +161,10 @@ def test_coeff_surface_evaluates_node_polynomial(grid):
     state = np.stack([np.arange(5.0), -np.arange(5.0)], axis=0)
     coeffs = np.zeros((5, 5, 3))
     coeffs[1, 2] = [1.0, 2.0, 0.5]
-    z = CoeffSurface(grid, state, coeffs, region="upper")
+    z = SurfaceField(grid, state, coeffs, region="upper")
     w = state[:, 2]
     np.testing.assert_allclose(z.at(1, 2), 1.0 + 2.0 * w + 0.5 * w**2)
     with pytest.raises(IndexError):
         z.at(2, 1)
     with pytest.raises(ValueError):
-        CoeffSurface(grid, state, coeffs, region="diagonal")
+        SurfaceField(grid, state, coeffs, region="diagonal")

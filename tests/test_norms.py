@@ -3,7 +3,7 @@ import pytest
 
 from bsvie import (
     AdaptedField,
-    CoeffSurface,
+    SurfaceField,
     SymmetricSurface,
     build_grid,
     s2_norm,
@@ -28,7 +28,7 @@ def _table_surface(grid, coeffs, state=None, region="full"):
     """A kernel given by a coefficient table (nodes, nodes, k) on a state (paths, nodes)."""
     if state is None:
         state = np.zeros((M, len(grid)))
-    return CoeffSurface(grid, state, coeffs, region=region)
+    return SurfaceField(grid, state, coeffs, region=region)
 
 
 def _random_surface(grid, rng, state=None):

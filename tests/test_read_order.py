@@ -123,7 +123,7 @@ def _count_reads(monkeypatch, mode):
     """Calls of ``at`` on the solve's kernel, and the designs built, while the CLI runs."""
     reads, designs = Counter(), []
     at, design_matrix = SurfaceField.at, fields.design_matrix
-    kernel = SymmetricSurface if mode == "s" else fields.CoeffSurface
+    kernel = SymmetricSurface if mode == "s" else fields.SurfaceField
 
     def counted_at(self, i, j):
         if type(self) is kernel:

@@ -9,7 +9,6 @@ import pytest
 from bsvie import (
     BasisSpec,
     DriftSpec,
-    CoeffSurface,
     Driver,
     Generator,
     NodeDesign,
@@ -17,6 +16,7 @@ from bsvie import (
     RegressionError,
     SolverConfig,
     SolverError,
+    SurfaceField,
     SymmetricSurface,
     Terminal,
     build_grid,
@@ -407,7 +407,7 @@ def test_a_one_pass_solve_of_an_ensemble_holds_one_design_at_a_time(live_designs
 
 def _diff_surface(a, b):
     """The kernel a - b of two symmetric solves on one state: the difference of their tables."""
-    return SymmetricSurface(CoeffSurface(a.grid, a.state, a.coeffs - b.coeffs, region="upper"))
+    return SymmetricSurface(SurfaceField(a.grid, a.state, a.coeffs - b.coeffs, region="upper"))
 
 
 def test_unit_weight_driver_is_the_plain_solver(pl_setup, pl_s_report):
@@ -809,8 +809,7 @@ def test_mean_square_continuity_improves_with_refinement():
 def test_residual_forms_agree_bitwise_for_symmetric_fields(pl_setup):
     case, grid, problem, ensemble = pl_setup
     ref = reference_fields(case, ensemble)
-    row = residual(problem, ref.y, ref.z_s, ensemble, form="row")
-    col = residual(problem, ref.y, ref.z_s, ensemble, form="column")
+    row, col = residual(problem, ref.y, ref.z_s, ensemble)
     np.testing.assert_array_equal(row.per_node, col.per_node)
     assert row.aggregate == col.aggregate
 
@@ -823,16 +822,49 @@ def test_residual_of_exact_fields_shrinks_with_steps():
         ensemble = sample_ensemble(grid, 4096, seed=7)
         ref = reference_fields(case, ensemble)
         aggregates.append(
-            residual(case.problem(grid), ref.y, ref.z_s, ensemble, form="row").aggregate
+            residual(case.problem(grid), ref.y, ref.z_s, ensemble)[0].aggregate
         )
     assert aggregates[1] < aggregates[0]
 
 
-def test_residual_rejects_unknown_form(pl_setup):
-    case, _, problem, ensemble = pl_setup
-    ref = reference_fields(case, ensemble)
-    with pytest.raises(ValueError):
-        residual(problem, ref.y, ref.z_s, ensemble, form="diagonal")
+def test_residual_evaluates_the_generator_once_per_outer_node():
+    # both forms come from one pass: each outer node's call receives the
+    # row stack as z and the column stack as zeta, and only the
+    # stochastic sums tell the forms apart
+    grid = build_grid(1.0, 4)
+    ensemble = sample_ensemble(grid, 64, seed=7)
+    n = grid.steps
+    calls = []
+
+    def fn(env):
+        calls.append((env["z"], env["zeta"]))
+        return 0.1 * env["z"] + 0.2 * env["zeta"]
+
+    problem = ProblemSpec(grid, Generator(fn, ("z", "zeta")), Terminal.from_expression("wT"))
+    report = solve_m(problem, ensemble)
+    z = report.z
+    calls.clear()
+    row, column = residual(problem, report.y, z, ensemble)
+    assert len(calls) == n
+    for i, (z_row, z_col) in enumerate(calls):
+        assert z_row.tobytes() == np.stack([z.at(i, j) for j in range(i, n)]).tobytes()
+        assert z_col.tobytes() == np.stack([z.at(j, i) for j in range(i, n)]).tobytes()
+    assert row.per_node.shape == column.per_node.shape == (n + 1,)
+    assert not np.array_equal(row.per_node, column.per_node)
+    assert row.per_node[n] == column.per_node[n]
+
+
+def test_an_upper_kernel_has_a_row_residual_alone(pl_setup):
+    # the adapted solution's kernel covers the upper triangle, so it has no
+    # mirrored column; its row form reads the cells the s-solution's does
+    _, _, problem, ensemble = pl_setup
+    adapted = solve_adapted(problem, ensemble)
+    symmetric = solve_s(problem, ensemble)
+    row, column = residual(problem, adapted.y, adapted.z, ensemble)
+    assert column is None
+    s_row, _ = residual(problem, symmetric.y, symmetric.z, ensemble)
+    assert row.per_node.tobytes() == s_row.per_node.tobytes()
+    assert row.aggregate == s_row.aggregate
 
 
 def test_residual_rejects_an_ensemble_on_another_grid():

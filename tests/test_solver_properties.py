@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from bsvie import (
     AdaptedField,
-    CoeffSurface,
     Generator,
     ProblemSpec,
     SolverConfig,
+    SurfaceField,
     Terminal,
     build_grid,
     residual,
@@ -184,7 +184,7 @@ def test_converged_picard_lands_within_tolerance(ensemble, generator, terminal):
     grid, state = ensemble.grid, ensemble.values
     gap = s2_norm(
         AdaptedField(grid, picard.y.values - one.y.values),
-        CoeffSurface(grid, state, picard.z.base.coeffs - one.z.base.coeffs, region="upper"),
+        SurfaceField(grid, state, picard.z.base.coeffs - one.z.base.coeffs, region="upper"),
     )
     assert gap <= PICARD_TOL * (1.0 + s2_norm(one.y, one.z.base))
 
@@ -196,7 +196,6 @@ def test_row_and_column_residual_agree_bitwise_for_symmetric_kernel(
 ):
     problem = _problem(ensemble, generator, terminal)
     report = solve_s(problem, ensemble)
-    row = residual(problem, report.y, report.z, ensemble, form="row")
-    column = residual(problem, report.y, report.z, ensemble, form="column")
+    row, column = residual(problem, report.y, report.z, ensemble)
     np.testing.assert_array_equal(row.per_node, column.per_node)
     assert row.aggregate == column.aggregate

@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from bsvie import (
-    CoeffSurface,
     ReferenceFields,
+    SurfaceField,
     SymmetricSurface,
     build_grid,
     s2_norm,
@@ -107,7 +107,7 @@ def _identity_kernel(vals):
     grid = build_grid(1.0, 2)
     coeffs = np.zeros((3, 3, 2))
     coeffs[:, :, 1] = 1.0
-    return CoeffSurface(grid, np.stack([vals] * 3, axis=1), coeffs, region="full")
+    return SurfaceField(grid, np.stack([vals] * 3, axis=1), coeffs, region="full")
 
 
 @pytest.mark.parametrize("vals", [v for _, v in CELLS], ids=[n for n, _ in CELLS])
@@ -164,7 +164,7 @@ def test_zero_coefficients_read_exact_zeros():
     # a cell with zero coefficients has mean, stderr, mean square and
     # error exactly 0.0, whatever its column's state
     z = _identity_kernel(np.random.default_rng(2).standard_normal(4097))
-    zero = CoeffSurface(z.grid, z.state, np.zeros_like(z.coeffs), region="full")
+    zero = SurfaceField(z.grid, z.state, np.zeros_like(z.coeffs), region="full")
     grams, centred = column_moments(z.state, 2)
     for *_, mean, stderr in _surface_rows(zero, grams, centred, z.grid.nodes):
         assert bits(mean) == bits(0.0) and bits(stderr) == bits(0.0)
@@ -224,8 +224,8 @@ def _padded_twin(z, k):
     coeffs = np.zeros((*z.coeffs.shape[:2], k))
     coeffs[:, :, : z.coeffs.shape[2]] = z.coeffs
     if isinstance(z, SymmetricSurface):
-        return SymmetricSurface(CoeffSurface(z.grid, z.state, coeffs, region="upper"))
-    return CoeffSurface(z.grid, z.state, coeffs, region=z.region)
+        return SymmetricSurface(SurfaceField(z.grid, z.state, coeffs, region="upper"))
+    return SurfaceField(z.grid, z.state, coeffs, region=z.region)
 
 
 @pytest.mark.parametrize("mode", ["s", "m"])
